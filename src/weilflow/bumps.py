@@ -6,12 +6,12 @@ which is C-infinity with all derivatives vanishing at the support boundary.
 Finite sums of bumps are first-class: everything downstream only needs
 pointwise jets (alpha, alpha', alpha''), the support hull, and a mass scale.
 
-Phi(s) = integral e^{t s} alpha(t) dt is entire in s. It is evaluated by
-composite Gauss-Legendre quadrature (order 64 per panel, 8 panels initially,
-panel count doubled until successive estimates agree to 1e-12 relative, with
-an envelope floor so near-zero values can terminate). Ladder evaluation
-computes Phi along an arithmetic progression of imaginary parts in one shared
-panelization, which is how the spectral sums stay affordable.
+Phi(s) = integral e^{t s} alpha(t) dt is entire in s. phi_ladder computes it
+along an arithmetic progression of imaginary parts in one shared composite
+Gauss-Legendre panelization (order 64, panels doubled until successive passes
+agree to 1e-12 relative, with an envelope floor so near-zero values terminate);
+phi is a ladder of one point. This quadrature is the only approximation: the
+tail majorant M2 is a closed form, exact up to a stated rounding allowance.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class PhiResult:
 class TailMajorant:
     sigma: float
     m2: float  # certified bound for integral |(e^{sigma t} alpha)''| dt
-    error: float
+    error: float  # rounding allowance, already included in m2
 
 
 @lru_cache(maxsize=8)
@@ -189,32 +189,11 @@ def _envelope(tf: TestFunction, sigma: float) -> float:
 def phi(tf: TestFunction, s: complex, rtol: float = 1e-12) -> PhiResult:
     """Phi(s) = integral e^{t s} alpha(t) dt with an error estimate.
 
-    Composite Gauss-Legendre, panels doubled until successive estimates agree
-    to rtol relative (floored by an envelope scale so destructive-cancellation
-    values near zero still terminate).
+    A phi_ladder of one point, under the same convergence contract.
     """
     s = complex(s)
-    lo, hi = tf.support
-    env = _envelope(tf, s.real) + 1e-300
-    panels = max(8, _oscillation_panels(hi - lo, abs(s.imag)))
-    if panels * GL_ORDER > _MAX_NODES:
-        raise QuadratureNonConvergence(
-            "phi(%s) needs %d panels up front, past the node cap" % (s, panels)
-        )
-    t, wt = _grid(lo, hi, panels)
-    prev = complex(np.sum(wt * tf.values(t) * np.exp(s * t)))
-    while True:
-        panels *= 2
-        if panels * GL_ORDER > _MAX_NODES:
-            raise QuadratureNonConvergence(
-                "phi(%s) still moving at %d panels" % (s, panels // 2)
-            )
-        t, wt = _grid(lo, hi, panels)
-        cur = complex(np.sum(wt * tf.values(t) * np.exp(s * t)))
-        delta = abs(cur - prev)
-        if delta <= rtol * max(abs(cur), env):
-            return PhiResult(value=cur, error=delta, panels=panels)
-        prev = cur
+    values, errors, panels = phi_ladder(tf, s.real, s.imag, 0.0, 1, rtol)
+    return PhiResult(value=complex(values[0]), error=float(errors[0]), panels=panels)
 
 
 def _oscillation_panels(span: float, freq: float) -> int:
@@ -275,36 +254,57 @@ def phi_ladder(tf: TestFunction, sigma: float, f0: float, step: float,
         prev = cur
 
 
-def tail_majorant(tf: TestFunction, sigma: float, rtol: float = 1e-9) -> TailMajorant:
+def _h2_sign_changes(k: float) -> np.ndarray:
+    """Points x = (t - c)/w in (-1, 1) including every sign change of h''.
+
+    For one bump h'' = e^{sigma t} alpha N / D^4, D = w^2 - (t - c)^2, and over
+    w^6 N = k^2 P^4 - 4 k x P^2 - 2 (1 + 3x^2) P + 4x^2, P = 1 - x^2, k = sigma w.
+    Candidates are the real parts of all roots of N in (-1, 1); one whose
+    bracket (midpoints to its neighbours) shows a sign change is bisected.
+    """
+    def n(y):
+        p = (1.0 - y) * (1.0 + y)
+        return k * k * p**4 - 4.0 * k * y * p * p - 2.0 * (1.0 + 3.0 * y * y) * p + 4.0 * y * y
+    kk = k * k
+    coef = np.array([kk, 0, -4 * kk, -4 * k, 6 * kk + 6, 8 * k, -4 * kk, -4 * k, kk - 2])
+    # terms below rounding on |x| <= 1 only add huge roots, and can overflow the companion
+    roots = np.roots(np.where(np.abs(coef) > 1e-16 * np.abs(coef).max(), coef, 0.0))
+    x = sorted({float(r) for r in roots.real if -1.0 < r < 1.0})
+    ends = [-1.0] + [0.5 * (a + b) for a, b in zip(x, x[1:])] + [1.0]
+    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        if n(lo) * n(hi) < 0.0:
+            lo_negative = n(lo) < 0.0
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if (n(mid) < 0.0) == lo_negative else (lo, mid)
+            x[i] = mid
+    return np.array(x)
+
+
+def tail_majorant(tf: TestFunction, sigma: float) -> TailMajorant:
     """Certified M2(sigma) with |Phi(sigma + i tau)| <= M2 / tau^2.
 
     Two integrations by parts of e^{t(sigma + i tau)} alpha(t) put the whole
-    tau decay on |(e^{sigma t} alpha)''| = |alpha'' + 2 sigma alpha' +
-    sigma^2 alpha| e^{sigma t}. The integrand has kinks (absolute value of a
-    sign-changing function), so convergence is algebraic: the tolerance here
-    is looser than phi()'s and the result is inflated before being used as a
-    bound.
+    tau decay on integral |h''| dt, h = e^{sigma t} alpha: the total variation
+    of h'. For one bump that is sum |h'(z_{i+1}) - h'(z_i)| over the support
+    ends (h' = 0) and the sign changes of h'' between them; no quadrature. A
+    BumpSum gets the sum of its terms' M2 (triangle inequality): exact for
+    disjoint supports, a valid looser bound where supports overlap.
+
+    m2 includes a rounding allowance, reported as error. Each h'(z) =
+    A e^{sigma t + u} (u' + sigma) is within 16 eps (1 + |sigma| (|c| + w) +
+    |u|) |A| e^{sigma t + u} (|u'| + |sigma|) and enters two differences;
+    forming and summing the n + 1 differences adds (n + 2) eps relative. An
+    ulp's error in z_i costs only second order, as h'' vanishes there.
     """
-    lo, hi = tf.support
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        a, a1, a2 = tf.jet(t)
-        return np.abs(a2 + 2.0 * sigma * a1 + sigma * sigma * a) * np.exp(sigma * t)
-
-    panels = 8
-    t, wt = _grid(lo, hi, panels)
-    prev = float(np.sum(wt * integrand(t)))
-    while True:
-        panels *= 2
-        if panels * GL_ORDER > _MAX_NODES:
-            raise QuadratureNonConvergence(
-                "tail majorant at sigma = %g still moving at %d panels"
-                % (sigma, panels // 2)
-            )
-        t, wt = _grid(lo, hi, panels)
-        cur = float(np.sum(wt * integrand(t)))
-        delta = abs(cur - prev)
-        if delta <= rtol * max(abs(cur), 1e-300):
-            m2 = cur * (1.0 + 1e-6) + 10.0 * delta
-            return TailMajorant(sigma=sigma, m2=m2, error=delta)
-        prev = cur
+    m2 = allowance = 0.0
+    for b in tf.terms if isinstance(tf, BumpSum) else (tf,):
+        x = _h2_sign_changes(sigma * b.width)
+        p = (1.0 - x) * (1.0 + x)
+        u, up = -1.0 / p, -2.0 * x / (b.width * p * p)
+        e = b.amplitude * np.exp(sigma * (b.center + b.width * x) + u)
+        tv = float(np.sum(np.abs(np.diff(np.concatenate(([0.0], e * (up + sigma), [0.0]))))))
+        exponent = 1.0 + abs(sigma) * (abs(b.center) + b.width) + np.abs(u)
+        rounding = float(np.sum(exponent * np.abs(e) * (np.abs(up) + abs(sigma))))
+        err = math.ulp(1.0) * (32.0 * rounding + (x.size + 2) * tv)
+        m2, allowance = m2 + (tv + err), allowance + err
+    return TailMajorant(sigma=sigma, m2=m2, error=allowance)

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from weilflow.bumps import (
@@ -211,6 +213,54 @@ def test_tail_majorant_translation():
     centered = tail_majorant(BumpFunction(width=0.6), sigma).m2
     shifted = tail_majorant(BumpFunction(center=1.7, width=0.6), sigma).m2
     assert abs(shifted - math.exp(sigma * 1.7) * centered) < 1e-5 * shifted
+
+
+def test_tail_majorant_is_the_variation_of_h1():
+    # the grid oracle is a lower bound for integral |h''| that sits within
+    # ~1e-8 of it at its default resolution
+    rng = random.Random(20261017)
+    widths = [0.05, 4.0] + [rng.uniform(0.05, 4.0) for _ in range(3)]
+    for w in widths:
+        for sigma in np.arange(0.0, 8.01, 0.5):
+            c, a = rng.uniform(-2, 2), rng.uniform(-3, 3)
+            m2 = tail_majorant(BumpFunction(center=c, width=w, amplitude=a), sigma).m2
+            grid = oracles.grid_variation_h1(sigma, [(c, w, a)])
+            assert grid <= m2 <= grid * (1 + 1e-6), (w, sigma)
+
+
+def test_tail_majorant_disjoint_sum_is_sum_of_parts():
+    parts = [BumpFunction(center=-1.0, width=0.5),
+             BumpFunction(center=0.5, width=1.0, amplitude=-2.0),
+             BumpFunction(center=2.0, width=0.5, amplitude=0.7)]  # supports touch
+    for sigma in (0.0, 0.5, 1.5, 3.0):
+        whole = tail_majorant(combine_bumps(parts), sigma)
+        assert whole.m2 == sum(tail_majorant(b, sigma).m2 for b in parts)
+        grid = oracles.grid_variation_h1(
+            sigma, [(b.center, b.width, b.amplitude) for b in parts])
+        assert grid <= whole.m2 <= grid * (1 + 1e-6)
+
+
+def test_tail_majorant_overlapping_sum_still_bounds():
+    # opposite amplitudes cancel in sum h'', so the triangle inequality is loose
+    parts = [(0.0, 1.0, 1.0), (0.3, 0.8, -1.5), (0.2, 0.4, 0.5)]
+    tf = combine_bumps([BumpFunction(c, w, a) for c, w, a in parts])
+    for sigma in (0.0, 1.0, 2.5):
+        m2 = tail_majorant(tf, sigma).m2
+        assert oracles.grid_variation_h1(sigma, parts) <= m2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(-2.0, 2.0),
+    w=st.floats(0.05, 2.0),
+    a=st.floats(0.1, 3.0),
+    sigma=st.floats(0.0, 4.0),
+    tau=st.floats(0.5, 200.0),
+)
+def test_tail_majorant_bounds_phi(c, w, a, sigma, tau):
+    b = BumpFunction(center=c, width=w, amplitude=a)
+    r = phi(b, complex(sigma, tau))
+    assert (abs(r.value) - r.error) * tau * tau <= tail_majorant(b, sigma).m2
 
 
 def test_quadrature_refuses_absurd_frequency():
