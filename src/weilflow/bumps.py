@@ -9,9 +9,10 @@ pointwise jets (alpha, alpha', alpha''), the support hull, and a mass scale.
 Phi(s) = integral e^{t s} alpha(t) dt is entire in s. phi_ladder computes it
 along an arithmetic progression of imaginary parts in one shared composite
 Gauss-Legendre panelization (order 64, panels doubled until successive passes
-agree to 1e-12 relative, with an envelope floor so near-zero values terminate);
-phi is a ladder of one point. This quadrature is the only approximation: the
-tail majorant M2 is a closed form, exact up to a stated rounding allowance.
+agree to RTOL = 1e-12 relative, with an envelope floor so near-zero values
+terminate); phi is a ladder of one point. This quadrature is the only
+approximation: the tail majorant M2 is a closed form, exact up to a stated
+rounding allowance.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import InputError, QuadratureNonConvergence
 MOLLIFIER_MASS = 0.4439938161680794
 
 GL_ORDER = 64
+RTOL = 1e-12  # relative agreement of successive doubling passes
 _MAX_NODES = 1 << 21  # bail out of doubling past ~2M evaluation points
 
 # exp underflows to 0 below ~-745; cut earlier so derivative prefactors
@@ -186,13 +188,13 @@ def _envelope(tf: TestFunction, sigma: float) -> float:
     return tf.mass_scale * math.exp(max(sigma * lo, sigma * hi))
 
 
-def phi(tf: TestFunction, s: complex, rtol: float = 1e-12) -> PhiResult:
+def phi(tf: TestFunction, s: complex) -> PhiResult:
     """Phi(s) = integral e^{t s} alpha(t) dt with an error estimate.
 
     A phi_ladder of one point, under the same convergence contract.
     """
     s = complex(s)
-    values, errors, panels = phi_ladder(tf, s.real, s.imag, 0.0, 1, rtol)
+    values, errors, panels = phi_ladder(tf, s.real, s.imag, 0.0, 1)
     return PhiResult(value=complex(values[0]), error=float(errors[0]), panels=panels)
 
 
@@ -220,8 +222,7 @@ def _ladder_pass(tf: TestFunction, sigma: float, f0: float, step: float,
     return out
 
 
-def phi_ladder(tf: TestFunction, sigma: float, f0: float, step: float,
-               count: int, rtol: float = 1e-12):
+def phi_ladder(tf: TestFunction, sigma: float, f0: float, step: float, count: int):
     """Phi along s = sigma + i(f0 + step k), k = 0..count-1, with per-point
     error estimates from the final panel doubling.
 
@@ -249,7 +250,7 @@ def phi_ladder(tf: TestFunction, sigma: float, f0: float, step: float,
         cur = _ladder_pass(tf, sigma, f0, step, count, panels, lo, hi)
         err = np.abs(cur - prev)
         scale = max(float(np.max(np.abs(cur))), env)
-        if float(err.max()) <= rtol * scale:
+        if float(err.max()) <= RTOL * scale:
             return cur, err, panels
         prev = cur
 

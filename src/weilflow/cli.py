@@ -2,10 +2,9 @@
 
 Exit codes: 0 success or verification pass, 1 input/validation error,
 2 verification failure (a well-formed run whose certified check fails).
-Serial runs are byte-stable: floats print with 17 significant digits,
-big integers as decimal strings, and every collection is emitted in a
-fixed order. WEILFLOW_THREADS (integer >= 1, default 1) widens the
-spectral stage without changing the output.
+Runs are byte-stable: floats print with 17 significant digits, big
+integers as decimal strings, and every collection is emitted in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from .bumps import BumpFunction, combine_bumps
@@ -95,17 +93,6 @@ def _load_datum(path: str):
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON: %s" % (path, exc))
     return parse_weil_datum(doc)
-
-
-def _threads() -> int:
-    raw = os.environ.get("WEILFLOW_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError("WEILFLOW_THREADS must be an integer >= 1, got %r" % raw)
-    if n < 1:
-        raise InputError("WEILFLOW_THREADS must be >= 1, got %d" % n)
-    return n
 
 
 def _csv_rows(rows) -> str:
@@ -301,7 +288,6 @@ def _cmd_verify(args) -> tuple[int, str]:
         trunc_budget=args.trunc_budget,
         nu_cap=args.nu_max,
         allow_non_ordinary=args.allow_non_ordinary,
-        threads=_threads(),
     )
     sp = report.spectral
     geo = report.geometric

@@ -19,7 +19,7 @@ from .errors import (
     InsufficientCountRange,
     NonIntegralInversion,
 )
-from .intlinalg import identity, mat_mul, mat_sub, det_bareiss, smith_normal_form
+from .intlinalg import identity, mat_mul, mat_pow, mat_sub, det_bareiss, smith_normal_form
 from .weil import FrobeniusModel
 
 
@@ -72,16 +72,16 @@ class OrbitTable:
     lengths: tuple[float, ...]  # nu * log q
 
 
-def point_count(model: FrobeniusModel, n: int) -> int:
-    """N_n = det(F^n - I), exact; positivity asserted."""
+def _power_minus_identity(model: FrobeniusModel, n: int):
+    """F^n - I by repeated squaring."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    f = [list(row) for row in model.matrix]
-    size = len(f)
-    fn = f
-    for _ in range(n - 1):
-        fn = mat_mul(fn, f)
-    det = det_bareiss(mat_sub(fn, identity(size)))
+    return mat_sub(mat_pow(model.matrix, n), identity(len(model.matrix)))
+
+
+def point_count(model: FrobeniusModel, n: int) -> int:
+    """N_n = det(F^n - I), exact; positivity asserted."""
+    det = det_bareiss(_power_minus_identity(model, n))
     if det <= 0:
         raise CrossCheckFailure("det(F^%d - I) = %d is not positive" % (n, det))
     return det
@@ -160,12 +160,7 @@ def fixed_point_group(model: FrobeniusModel, n: int) -> FixedPointGroup:
     The group is a direct sum of Z/d_i with d_1 | d_2 | ...; its order is
     asserted equal to the determinant count N_n.
     """
-    f = [list(row) for row in model.matrix]
-    size = len(f)
-    fn = f
-    for _ in range(n - 1):
-        fn = mat_mul(fn, f)
-    mat = mat_sub(fn, identity(size))
+    mat = _power_minus_identity(model, n)
     divisors = smith_normal_form(mat)
     if any(d == 0 for d in divisors):
         raise CrossCheckFailure("F^%d - I is singular" % n)

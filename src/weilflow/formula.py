@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -109,35 +108,26 @@ class VerificationReport:
     j_range_note: str = J_RANGE_NOTE
 
 
-def _nu_order(n: int) -> list[int]:
-    # traversal 0, -1, +1, -2, +2, ... as ladder indices (nu + n)
-    order = [n]
-    for m in range(1, n + 1):
-        order.append(n - m)
-        order.append(n + m)
-    return order
-
-
 def trace_j(
     lat: ZeroLattice,
     j: int,
     tf: TestFunction,
     budget: float,
     nu_cap: int = NU_CAP,
-    nu_floor: int = NU_FLOOR,
-    rtol: float = 1e-12,
 ) -> TraceResult:
     """Truncated Phi sum over the zero ladders of P_j, with certificates.
 
     Each of the C(2g, j) sublattices is cut at the same nu_max, chosen so the
     tau^-2 majorant tail 2 M2 (log q / 2 pi)^2 / (nu_max - 1/2) stays below
-    budget / (C(2g, j) * (2g + 1)); nu_floor puts a lower bound on the ladder
+    budget / (C(2g, j) * (2g + 1)); NU_FLOOR puts a lower bound on the ladder
     regardless (truncation is monotone, so extra zeros only help). Ladders
     demanding more than nu_cap points raise instead of truncating silently.
 
     Conjugate sublattices are mirrored rather than recomputed (exact under
     IEEE conjugation symmetry) and coincident base exponents are evaluated
-    once; the returned zero_count still counts every enumerated zero.
+    once; the returned zero_count still counts every enumerated zero. The
+    ladders are folded with one correctly rounded math.fsum, so the result
+    does not depend on the order the zeros are visited in.
     """
     if budget <= 0:
         raise ValueError("truncation budget must be positive")
@@ -150,7 +140,7 @@ def trace_j(
     kappa = (logq / (2.0 * math.pi)) ** 2
     sub_budget = budget / (m * (2 * lat.g + 1))
     n_needed = int(math.ceil(0.5 + 2.0 * tm.m2 * kappa / sub_budget))
-    n = max(nu_floor, n_needed, 1)
+    n = max(NU_FLOOR, n_needed, 1)
     if n > nu_cap:
         raise TruncationBudgetExceeded(
             "j = %d needs nu_max = %d per sublattice for budget %.3g, cap is %d"
@@ -159,39 +149,24 @@ def trace_j(
     tail_sub = 2.0 * tm.m2 * kappa / (n - 0.5)
     count = 2 * n + 1
 
-    groups: dict[complex, None] = {}
-    for s in exps:
-        groups.setdefault(complex(s))
     values: dict[complex, np.ndarray] = {}
     errors: dict[complex, np.ndarray] = {}
     panels = 0
-    for s in groups:
-        if s in values:
-            continue
+    for s in dict.fromkeys(complex(s) for s in exps):
         sc = s.conjugate()
         if sc in values:
             # Phi(conj rho) = conj Phi(rho): reverse the ladder and conjugate
             values[s] = np.conj(values[sc][::-1])
-            errors[s] = errors[sc][::-1].copy()
+            errors[s] = errors[sc][::-1]
             continue
-        v, e, p = phi_ladder(tf, s.real, s.imag - beta * n, beta, count, rtol)
+        v, e, p = phi_ladder(tf, s.real, s.imag - beta * n, beta, count)
         values[s] = v
         errors[s] = e
         panels = max(panels, p)
 
-    order = _nu_order(n)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    err_parts: list[float] = []
-    for s in exps:
-        v = values[complex(s)]
-        e = errors[complex(s)]
-        for k in order:
-            re_parts.append(v[k].real)
-            im_parts.append(v[k].imag)
-            err_parts.append(e[k])
-    value = complex(math.fsum(re_parts), math.fsum(im_parts))
-    quad_error = math.fsum(err_parts)
+    ladders = np.concatenate([values[complex(s)] for s in exps])
+    value = complex(math.fsum(ladders.real.tolist()), math.fsum(ladders.imag.tolist()))
+    quad_error = math.fsum(np.concatenate([errors[complex(s)] for s in exps]).tolist())
     tail_bound = tail_sub * m
 
     slack = 1e-12 * (1.0 + abs(value))
@@ -217,27 +192,10 @@ def spectral_side_zero_sum(
     tf: TestFunction,
     budget: float,
     nu_cap: int = NU_CAP,
-    nu_floor: int = NU_FLOOR,
-    rtol: float = 1e-12,
-    threads: int = 1,
 ) -> SpectralResult:
-    """All traces T_0..T_2g and both alternating renderings.
-
-    threads > 1 evaluates the per-j traces concurrently; results are merged
-    in index order with exactly-rounded summation, so the output is identical
-    to the serial run.
-    """
-    js = list(range(2 * lat.g + 1))
-
-    def one(j: int) -> TraceResult:
-        return trace_j(lat, j, tf, budget, nu_cap=nu_cap, nu_floor=nu_floor, rtol=rtol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per = list(pool.map(one, js))
-    else:
-        per = [one(j) for j in js]
-
+    """All traces T_0..T_2g and both alternating renderings, each an exactly
+    rounded sum."""
+    per = [trace_j(lat, j, tf, budget, nu_cap=nu_cap) for j in range(2 * lat.g + 1)]
     alt_re = math.fsum((-1.0) ** t.j * t.value.real for t in per)
     alt_im = math.fsum((-1.0) ** t.j * t.value.imag for t in per)
     full = complex(alt_re, alt_im)
@@ -276,19 +234,13 @@ def spectral_side_closed_form(ct: CountTable, tf: TestFunction):
         t = k * logq
         if not (lo < t < hi):
             continue
-        if k >= 1:
-            if k > ct.n_max:
-                raise InsufficientCountRange(
-                    "closed form needs N_%d, table covers 1..%d" % (k, ct.n_max)
-                )
-            coeff = float(ct.counts[k - 1])
-        else:
-            kk = -k
-            if kk > ct.n_max:
-                raise InsufficientCountRange(
-                    "closed form needs N_%d, table covers 1..%d" % (kk, ct.n_max)
-                )
-            coeff = float(ct.counts[kk - 1]) * float(ct.q) ** (ct.g * k)
+        if abs(k) > ct.n_max:
+            raise InsufficientCountRange(
+                "closed form needs N_%d, table covers 1..%d" % (abs(k), ct.n_max)
+            )
+        coeff = float(ct.counts[abs(k) - 1])
+        if k < 0:
+            coeff *= float(ct.q) ** (ct.g * k)
         alpha = float(tf.values(np.array([t]))[0])
         terms.append((k, coeff, alpha, logq * coeff * alpha))
     value = math.fsum(term[3] for term in terms)
@@ -318,32 +270,20 @@ def geometric_side(ct: CountTable, tf: TestFunction) -> GeometricResult:
     for d in range(1, d_needed + 1):
         a_d = ct.closed_points[d - 1]
         step = d * logq
-        k = 1
-        while k * step < hi:
+        for k in range(math.floor(lo / step), math.ceil(hi / step) + 1):
             t = k * step
-            if t > lo:
-                alpha = float(tf.values(np.array([t]))[0])
-                weight = float(d * a_d)
-                cells.append(
-                    GeometricCell(
-                        k=k, d=d, t=t, points=a_d, weight=weight, alpha=alpha,
-                        contribution=logq * weight * alpha,
-                    )
+            if k == 0 or not lo < t < hi:
+                continue
+            alpha = float(tf.values(np.array([t]))[0])
+            weight = float(d * a_d)
+            if k < 0:
+                weight *= float(ct.q) ** (ct.g * k * d)
+            cells.append(
+                GeometricCell(
+                    k=k, d=d, t=t, points=a_d, weight=weight, alpha=alpha,
+                    contribution=logq * weight * alpha,
                 )
-            k += 1
-        k = -1
-        while k * step > lo:
-            t = k * step
-            if t < hi:
-                alpha = float(tf.values(np.array([t]))[0])
-                weight = float(d * a_d) * float(ct.q) ** (ct.g * k * d)
-                cells.append(
-                    GeometricCell(
-                        k=k, d=d, t=t, points=a_d, weight=weight, alpha=alpha,
-                        contribution=logq * weight * alpha,
-                    )
-                )
-            k -= 1
+            )
     cells.sort(key=lambda c: (c.t, c.d))
     pos = math.fsum(c.contribution for c in cells if c.k >= 1)
     neg = math.fsum(c.contribution for c in cells if c.k <= -1)
@@ -359,10 +299,7 @@ def verify(
     tol: float = 1e-6,
     trunc_budget: float = 0.25,
     nu_cap: int = NU_CAP,
-    nu_floor: int = NU_FLOOR,
     allow_non_ordinary: bool = False,
-    threads: int = 1,
-    rtol: float = 1e-12,
 ) -> VerificationReport:
     """Full three-way verification for one datum and one test function.
 
@@ -394,10 +331,7 @@ def verify(
         )
     ct = build_count_table(model, n_max)
 
-    spectral = spectral_side_zero_sum(
-        lat, tf, trunc_budget, nu_cap=nu_cap, nu_floor=nu_floor, rtol=rtol,
-        threads=threads,
-    )
+    spectral = spectral_side_zero_sum(lat, tf, trunc_budget, nu_cap=nu_cap)
     closed_value, _ = spectral_side_closed_form(ct, tf)
     spectral = replace(spectral, closed_form=closed_value)
     geo = geometric_side(ct, tf)

@@ -335,13 +335,8 @@ def compute_roots(w: WeilDatum):
     real part), pairing[i] the index of the partner q/mu_i, precision the
     worst Newton residual.
     """
+    _check_riemann_hypothesis(w)
     refined, worst = _refined_roots(w.coeffs, w.q)
-    for mu in refined:
-        if abs(abs(mu) ** 2 - w.q) > RH_TOLERANCE * w.q:
-            raise RiemannHypothesisViolation(
-                "refined root %s has |mu|^2 = %.12g off q = %d"
-                % (mu, abs(mu) ** 2, w.q)
-            )
     pairing = []
     for mu in refined:
         partner = w.q / mu

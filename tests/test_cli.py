@@ -148,7 +148,7 @@ def test_verify_text_and_csv(capsys, datum):
     assert lines[-1] == "pass,True"
 
 
-def test_verify_byte_stable(capsys, datum, monkeypatch):
+def test_verify_byte_stable(capsys, datum):
     path = datum(G2, "g2.json")
     argv = [
         "verify", "--input", path,
@@ -158,9 +158,6 @@ def test_verify_byte_stable(capsys, datum, monkeypatch):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
-    monkeypatch.setenv("WEILFLOW_THREADS", "4")
-    _, threaded, _ = run(capsys, argv)
-    assert threaded == first
 
 
 def test_verify_multiple_alphas_sum(capsys, datum):

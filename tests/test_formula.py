@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -102,15 +103,6 @@ def test_spectral_assembly_and_partial():
     assert sp.tail_bound >= max(t.tail_bound for t in sp.per_j)
 
 
-def test_threaded_spectral_identical():
-    tf = combine_bumps([BumpFunction(center=1.2, width=0.5),
-                        BumpFunction(center=-0.8, width=0.6, amplitude=0.8)])
-    a = spectral_side_zero_sum(LAT2, tf, budget=0.25, threads=1)
-    b = spectral_side_zero_sum(LAT2, tf, budget=0.25, threads=4)
-    assert a.alternating_full == b.alternating_full  # bit-identical
-    assert [t.value for t in a.per_j] == [t.value for t in b.per_j]
-
-
 def test_closed_form_examples():
     ct = build_count_table(frobenius_model(E5A2), 4)
     val, terms = spectral_side_closed_form(ct, BumpFunction(center=LOG5, width=0.5))
@@ -146,6 +138,38 @@ def test_geometric_examples():
     assert geo3.positive_part == 0.0
     assert abs(geo3.negative_part - geo3.total) == 0.0
     assert geo3.cells[0].k == -1 and abs(geo3.cells[0].weight - 0.8) < 1e-14
+
+
+def test_geometric_and_closed_form_cells_match_brute_force():
+    # support (-3.5, 4.1) straddles 0 and reaches past 2 log 5 on both sides,
+    # so cells with k <= -1 and d >= 2 appear
+    tf = BumpFunction(center=0.3, width=3.8)
+    lo, hi = tf.support
+    n_max = 6
+    for w, counts in ((E5A2, oracles.trace_counts(2, 5, n_max)),
+                      (G2, oracles.product_counts([2, 4], 5, n_max))):
+        ct = build_count_table(frobenius_model(w), n_max)
+        a = oracles.closed_points(counts)
+        want = {}
+        for d in range(1, n_max + 1):
+            for k in range(-20, 21):
+                t = k * d * LOG5
+                if k != 0 and lo < t < hi:
+                    damping = Fraction(1, w.q ** (w.g * -k * d)) if k < 0 else 1
+                    want[k, d] = (t, float(d * a[d - 1] * damping))
+        assert any(k < 0 and d >= 2 for k, d in want)
+        got = {(c.k, c.d): (c.t, c.weight) for c in geometric_side(ct, tf).cells}
+        assert set(got) == set(want)
+        for key, (t, weight) in want.items():
+            assert math.isclose(got[key][0], t, rel_tol=1e-15)
+            assert math.isclose(got[key][1], weight, rel_tol=1e-14)
+
+        _, terms = spectral_side_closed_form(ct, tf)
+        want_k = [k for k in range(-20, 21) if k != 0 and lo < k * LOG5 < hi]
+        assert [k for k, *_ in terms] == want_k
+        for k, coeff, _, _ in terms:
+            exact = counts[abs(k) - 1] * (Fraction(1, w.q ** (-w.g * k)) if k < 0 else 1)
+            assert math.isclose(coeff, float(exact), rel_tol=1e-14)
 
 
 def test_geometric_needs_range():
@@ -235,14 +259,6 @@ def test_verify_count_cap():
     # support reaching past 64 log 2 would need counts beyond the cap
     with pytest.raises(InsufficientCountRange):
         verify(w, BumpFunction(center=46.0, width=0.5))
-
-
-def test_verify_threads_match_serial():
-    tf = BumpFunction(center=1.5, width=0.5)
-    a = verify(G2, tf, threads=1)
-    b = verify(G2, tf, threads=3)
-    assert a.spectral.alternating_full == b.spectral.alternating_full
-    assert a.residuals == b.residuals
 
 
 def test_verify_report_contents():

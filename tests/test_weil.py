@@ -17,6 +17,7 @@ from weilflow.intlinalg import charpoly, det_bareiss
 from weilflow.weil import (
     check_ordinary,
     companion_matrix,
+    WeilDatum,
     compute_roots,
     frobenius_model,
     parse_weil_datum,
@@ -93,6 +94,13 @@ def test_parse_rejections():
     # traces violating |a| <= 2 sqrt(q) fail the root modulus check
     with pytest.raises(RiemannHypothesisViolation):
         parse_weil_datum({"q": 5, "trace": 5})
+
+
+def test_model_rejects_hand_built_datum_off_the_critical_circle():
+    # bypasses parse_weil_datum: the model's own root check must still fire
+    w = WeilDatum(q=5, p=5, f=1, g=1, coeffs=(1, -5, 5))
+    with pytest.raises(RiemannHypothesisViolation):
+        frobenius_model(w)
 
 
 def test_round_trip():
