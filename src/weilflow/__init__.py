@@ -26,14 +26,11 @@ from .counting import (
     closed_point_count,
     fixed_point_group,
     orbit_table,
-    point_count,
-    primitive_orbit_count,
 )
 from .errors import (
     BadLength,
     BadNormalization,
     ComputationError,
-    CorrespondenceFailure,
     CrossCheckFailure,
     DimensionTooLarge,
     FunctionalEquationViolation,
@@ -87,12 +84,12 @@ __all__ = [
     "combine_bumps", "phi", "phi_ladder", "tail_majorant",
     "CountTable", "FixedPointGroup", "OrbitTable",
     "build_count_table", "closed_point_count", "fixed_point_group",
-    "orbit_table", "point_count", "primitive_orbit_count",
+    "orbit_table",
     "WeilflowError", "InputError", "ComputationError",
     "NotPrimePower", "BadLength", "BadNormalization",
     "RiemannHypothesisViolation", "NonOrdinaryInput", "DimensionTooLarge",
     "RootRefinementFailure", "CrossCheckFailure", "FunctionalEquationViolation",
-    "NonIntegralInversion", "CorrespondenceFailure", "QuadratureNonConvergence",
+    "NonIntegralInversion", "QuadratureNonConvergence",
     "TruncationBudgetExceeded", "InsufficientCountRange",
     "PjFamily", "ZeroLattice", "build_pj_family",
     "functional_equation_check", "zero_lattice", "zeros_in_window",

@@ -4,7 +4,7 @@ The basic building block is the scaled mollifier
 alpha(t) = A exp(-w^2 / (w^2 - (t - c)^2)) on |t - c| < w, zero outside,
 which is C-infinity with all derivatives vanishing at the support boundary.
 Finite sums of bumps are first-class: everything downstream only needs
-pointwise jets (alpha, alpha', alpha''), the support hull, and a mass scale.
+pointwise values, the support hull, and a mass scale.
 
 Phi(s) = integral e^{t s} alpha(t) dt is entire in s. phi_ladder computes it
 along an arithmetic progression of imaginary parts in one shared composite
@@ -33,8 +33,8 @@ GL_ORDER = 64
 RTOL = 1e-12  # relative agreement of successive doubling passes
 _MAX_NODES = 1 << 21  # bail out of doubling past ~2M evaluation points
 
-# exp underflows to 0 below ~-745; cut earlier so derivative prefactors
-# (which blow up polynomially at the edge) never meet a denormal exp
+# exp underflows to 0 below ~-745 and turns denormal below ~-708; values()
+# cuts earlier and returns an exact 0 there
 _EXP_CUTOFF = -700.0
 
 
@@ -72,37 +72,6 @@ class BumpFunction:
         out[live] = self.amplitude * np.exp(u[live])
         return out
 
-    def jet(self, t: np.ndarray):
-        """(alpha, alpha', alpha'') arrays; exact closed forms.
-
-        With u = -w^2/(w^2 - s^2): alpha = A e^u, alpha' = alpha u',
-        alpha'' = alpha (u'' + u'^2); all three vanish smoothly at the edge.
-        """
-        t = np.asarray(t, dtype=float)
-        s = t - self.center
-        w2 = self.width * self.width
-        denom = w2 - s * s
-        a = np.zeros(t.shape)
-        a1 = np.zeros(t.shape)
-        a2 = np.zeros(t.shape)
-        mask = denom > 0
-        sd = s[mask]
-        dd = denom[mask]
-        u = -w2 / dd
-        live = u > _EXP_CUTOFF
-        sd, dd, u = sd[live], dd[live], u[live]
-        e = self.amplitude * np.exp(u)
-        up = -2.0 * w2 * sd / (dd * dd)
-        upp = -2.0 * w2 * (w2 + 3.0 * sd * sd) / (dd * dd * dd)
-        idx = np.flatnonzero(mask)[live]
-        a[idx] = e
-        a1[idx] = e * up
-        a2[idx] = e * (upp + up * up)
-        return a, a1, a2
-
-    def __call__(self, t: float) -> float:
-        return float(self.values(np.array([t]))[0])
-
 
 @dataclass(frozen=True)
 class BumpSum:
@@ -128,16 +97,6 @@ class BumpSum:
         for b in self.terms[1:]:
             out = out + b.values(t)
         return out
-
-    def jet(self, t: np.ndarray):
-        a, a1, a2 = self.terms[0].jet(t)
-        for b in self.terms[1:]:
-            u, u1, u2 = b.jet(t)
-            a, a1, a2 = a + u, a1 + u1, a2 + u2
-        return a, a1, a2
-
-    def __call__(self, t: float) -> float:
-        return float(self.values(np.array([t]))[0])
 
 
 TestFunction = Union[BumpFunction, BumpSum]

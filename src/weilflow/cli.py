@@ -110,7 +110,7 @@ def _cmd_validate(args) -> tuple[int, str]:
     w = _load_datum(args.input)
     verdict = check_ordinary(w)
     model = frobenius_model(w)
-    fam = build_pj_family(model, allow_large=args.allow_large)
+    fam = build_pj_family(model)
     ok, deviation = functional_equation_check(fam)
     doc = {
         "input": w.to_document(),
@@ -152,7 +152,7 @@ def _cmd_validate(args) -> tuple[int, str]:
 def _cmd_zeta(args) -> tuple[int, str]:
     w = _load_datum(args.input)
     model = frobenius_model(w)
-    fam = build_pj_family(model, allow_large=args.allow_large)
+    fam = build_pj_family(model)
     _, deviation = functional_equation_check(fam)
     doc = {
         "q": w.q,
@@ -240,7 +240,7 @@ def _cmd_spectrum(args) -> tuple[int, str]:
     if args.window < 0:
         raise InputError("--window must be >= 0, got %r" % args.window)
     model = frobenius_model(w)
-    fam = build_pj_family(model, allow_large=args.allow_large)
+    fam = build_pj_family(model)
     lat = zero_lattice(fam)
     js = [args.j] if args.j is not None else list(range(2 * w.g + 1))
     for j in js:
@@ -382,8 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, needs_max=False, needs_window=False, needs_verify=False):
         p.add_argument("--input", required=True, help="JSON file with q/g/weil_poly (or q/trace)")
         p.add_argument("--format", choices=("json", "text", "csv"), default="text")
-        p.add_argument("--allow-large", action="store_true",
-                       help="permit g > 8 (exterior powers grow as C(2g, j))")
         if needs_max:
             p.add_argument("--max", type=int, default=10, help="largest index n (default 10)")
         if needs_window:

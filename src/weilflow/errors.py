@@ -38,7 +38,7 @@ class NonOrdinaryInput(InputError):
 
 
 class DimensionTooLarge(InputError):
-    """g exceeds the default cap (exterior powers grow as C(2g, g))."""
+    """g exceeds the cap (exterior powers grow as C(2g, g))."""
 
 
 class ComputationError(WeilflowError):
@@ -59,10 +59,6 @@ class FunctionalEquationViolation(ComputationError):
 
 class NonIntegralInversion(ComputationError):
     """A Mobius / divisor-sum inversion produced a non-integer."""
-
-
-class CorrespondenceFailure(ComputationError):
-    """Orbit counts disagree with closed-point counts (must never fire)."""
 
 
 class QuadratureNonConvergence(ComputationError):

@@ -77,7 +77,7 @@ def _expand_products(lams: tuple[complex, ...]) -> list[complex]:
     return poly
 
 
-def build_pj_family(model: FrobeniusModel, allow_large: bool = False) -> PjFamily:
+def build_pj_family(model: FrobeniusModel) -> PjFamily:
     """All P_j from exact exterior-power char polynomials, float cross-checked.
 
     The float route expands prod (1 - lambda_S X) from the polished roots and
@@ -85,11 +85,8 @@ def build_pj_family(model: FrobeniusModel, allow_large: bool = False) -> PjFamil
     additionally pinned to their closed forms.
     """
     w = model.datum
-    if w.g > G_CAP and not allow_large:
-        raise DimensionTooLarge(
-            "g = %d exceeds the default cap %d (pass allow_large to override)"
-            % (w.g, G_CAP)
-        )
+    if w.g > G_CAP:
+        raise DimensionTooLarge("g = %d exceeds the cap %d" % (w.g, G_CAP))
     f = [list(row) for row in model.matrix]
     n = 2 * w.g
     polys: list[tuple[int, ...]] = []

@@ -161,7 +161,7 @@ def grid_variation_h1(sigma, bumps, n=1 << 18):
     """Total variation of h' for h = e^{sigma t} alpha, on a uniform grid.
 
     h' = e^{sigma t} (alpha' + sigma alpha) is coded here from the chain rule,
-    not from the package's jets. A partition sum of |h'(t_{i+1}) - h'(t_i)|
+    independently of the package. A partition sum of |h'(t_{i+1}) - h'(t_i)|
     is never above the true variation, which is integral |h''| dt, so this
     is a lower bound that closes in on it as n grows (the gap at each
     extremum of h' shrinks as the square of the grid step).

@@ -21,9 +21,9 @@ from weilflow import (
     fixed_point_group,
     frobenius_model,
     functional_equation_check,
+    orbit_table,
     parse_weil_datum,
     phi,
-    primitive_orbit_count,
     verify,
     zero_lattice,
     zeros_in_window,
@@ -119,9 +119,11 @@ def test_criterion_4_orbit_fixed_point_match():
     for doc in cases:
         model = frobenius_model(parse_weil_datum(doc))
         ct = build_count_table(model, 12)
-        for nu in range(1, 13):
-            assert primitive_orbit_count(ct, nu) == closed_point_count(ct, nu)
-            grp = fixed_point_group(model, nu)
+        groups = [fixed_point_group(model, nu) for nu in range(1, 13)]
+        # independent route: Mobius inversion of the Smith normal form orders
+        snf_orbits = oracles.closed_points([grp.order for grp in groups])
+        assert snf_orbits == list(orbit_table(ct).counts) == list(ct.closed_points)
+        for nu, grp in enumerate(groups, start=1):
             assert grp.order == ct.count(nu)
             assert math.prod(grp.divisors) == grp.order
             checked += 1

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, output stability."""
 
 import json
+import math
 
 import pytest
 
@@ -88,8 +89,6 @@ def test_orbits_example(capsys, datum):
     assert {n: o["count"] for n, o in doc["orbits"].items()} == {
         "1": "4", "2": "14", "3": "48",
     }
-    import math
-
     assert doc["orbits"]["2"]["length"] == pytest.approx(2 * math.log(5))
 
 
@@ -231,3 +230,19 @@ def test_input_error_paths(capsys, datum, tmp_path):
 
     rc, _, err = run(capsys, ["count", "--input", path, "--max", "101"])
     assert rc == 1
+
+
+def test_dimension_cap_has_no_override(capsys, datum):
+    # (1 + 2 X^2)^9, a valid Weil polynomial for g = 9 (as in test_dimension_cap)
+    g = 9
+    coeffs = [0] * (2 * g + 1)
+    for k in range(g + 1):
+        coeffs[2 * k] = math.comb(g, k) * 2 ** k
+    path = datum({"q": 2, "g": g, "weil_poly": coeffs}, "g9.json")
+    rc, _, err = run(capsys, ["zeta", "--input", path])
+    assert rc == 1
+    assert err == "error: DimensionTooLarge: g = 9 exceeds the cap 8\n"
+
+    rc, _, err = run(capsys, ["validate", "--input", path, "--allow-large"])
+    assert rc == 1
+    assert err.startswith("error: InputError: ") and "--allow-large" in err

@@ -1,0 +1,35 @@
+"""Golden bytes of `count` and `orbits` in every output format.
+
+Each file under tests/golden/ holds the exact stdout of
+`weilflow <command> --input <datum> --max 12 --format <fmt>` for one datum.
+A change that is meant to move these bytes rewrites the files and says in
+CHANGES.md which numbers moved; any other change must leave them alone.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from weilflow.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+DATA = {
+    "e5a2": {"q": 5, "trace": 2},
+    "g2": {"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]},
+}
+EXTENSIONS = {"json": "json", "text": "txt", "csv": "csv"}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXTENSIONS))
+@pytest.mark.parametrize("command", ["count", "orbits"])
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_cli_output_matches_golden(capsys, tmp_path, name, command, fmt):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(DATA[name]))
+    rc = main([command, "--input", str(path), "--max", "12", "--format", fmt])
+    out = capsys.readouterr()
+    assert rc == 0
+    assert out.err == ""
+    expected = (GOLDEN / ("%s_%s.%s" % (name, command, EXTENSIONS[fmt]))).read_text()
+    assert out.out == expected

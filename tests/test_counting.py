@@ -7,20 +7,13 @@ import pytest
 import oracles
 from test_weil import CORPUS
 from weilflow.counting import (
-    CountTable,
     build_count_table,
     closed_point_count,
     fixed_point_group,
     mobius,
     orbit_table,
-    point_count,
-    primitive_orbit_count,
 )
-from weilflow.errors import (
-    CorrespondenceFailure,
-    InsufficientCountRange,
-    NonIntegralInversion,
-)
+from weilflow.errors import InsufficientCountRange
 from weilflow.weil import frobenius_model, parse_weil_datum
 
 
@@ -37,8 +30,8 @@ def test_mobius_values():
 
 
 def test_point_count_hand_values():
-    assert [point_count(E5A2, n) for n in (1, 2, 3, 4)] == [4, 32, 148, 640]
-    assert point_count(G2, 1) == 8  # 4 * 2 from the two elliptic factors
+    assert build_count_table(E5A2, 4).counts == (4, 32, 148, 640)
+    assert build_count_table(G2, 1).counts == (8,)  # 4 * 2 from the two elliptic factors
 
 
 def test_count_table_frozen_and_oracle():
@@ -64,7 +57,9 @@ def test_counts_match_recurrence_all_elliptic_corpus():
             continue
         m = _model(doc)
         ct = build_count_table(m, 20)
-        assert list(ct.counts) == oracles.trace_counts(doc["trace"], doc["q"], 20)
+        counts = oracles.trace_counts(doc["trace"], doc["q"], 20)
+        assert list(ct.counts) == counts
+        assert list(ct.closed_points) == oracles.closed_points(counts)
 
 
 def test_closed_point_examples():
@@ -124,11 +119,10 @@ def test_fixed_point_group_vs_sympy_and_counts():
 
 def test_primitive_orbits():
     ct = build_count_table(E5A2, 12)
-    assert primitive_orbit_count(ct, 1) == 4
-    assert primitive_orbit_count(ct, 2) == 14
-    for nu in (2, 3, 5, 7, 11):  # prime nu: b = (N_nu - N_1)/nu
-        assert primitive_orbit_count(ct, nu) == (ct.counts[nu - 1] - ct.counts[0]) // nu
     ot = orbit_table(ct)
+    assert ot.counts[:2] == (4, 14)
+    for nu in (2, 3, 5, 7, 11):  # prime nu: b = (N_nu - N_1)/nu
+        assert ot.counts[nu - 1] == (ct.counts[nu - 1] - ct.counts[0]) // nu
     assert list(ot.counts) == list(ct.closed_points)
     for nu in range(1, 13):
         assert abs(ot.lengths[nu - 1] - nu * math.log(5)) < 1e-12
@@ -140,28 +134,11 @@ def test_range_errors():
         ct.count(4)
     with pytest.raises(InsufficientCountRange):
         closed_point_count(ct, 4)
-    with pytest.raises(InsufficientCountRange):
-        primitive_orbit_count(ct, 9)
     with pytest.raises(ValueError):
-        point_count(E5A2, 0)
-
-
-def test_forged_tables_are_caught():
-    ct = build_count_table(E5A2, 3)
-    # N_2 bumped by 1: Mobius total 29 is not divisible by 2
-    forged = CountTable(q=5, g=1, n_max=3, counts=(4, 33, 148),
-                        closed_points=ct.closed_points)
-    with pytest.raises(NonIntegralInversion):
-        primitive_orbit_count(forged, 2)
-    # consistent counts but wrong closed-point slot: correspondence breaks
-    forged2 = CountTable(q=5, g=1, n_max=3, counts=ct.counts,
-                         closed_points=(4, 15, 48))
-    with pytest.raises(CorrespondenceFailure):
-        primitive_orbit_count(forged2, 2)
+        fixed_point_group(E5A2, 0)
 
 
 def test_positivity_whole_corpus():
     for doc in CORPUS:
-        m = _model(doc)
-        for n in range(1, 11):
-            assert point_count(m, n) > 0
+        ct = build_count_table(_model(doc), 10)
+        assert all(n > 0 for n in ct.counts)

@@ -189,7 +189,7 @@ def test_k0_cancellation_and_power_sums():
 
 def test_dimension_cap():
     # (1 + q X^2)^9 is a valid Weil polynomial for g = 9; the exterior stage
-    # must refuse it unless the override is set
+    # must refuse it
     q, g = 2, 9
     coeffs = [0] * (2 * g + 1)
     for k in range(g + 1):
