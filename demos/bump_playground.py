@@ -27,13 +27,15 @@ def main():
               f"quad err <= {r.error:.1e})")
     print()
 
-    # the envelope that certifies truncation: |Phi(sigma+i tau)| <= M2/tau^2
+    # the envelopes that certify truncation: |Phi(sigma+i tau)| <= M_k/tau^k
     maj = tail_majorant(b, 0.5)
-    print(f"second-moment constant on sigma = 1/2: M2 = {maj.m2:.6f}")
+    maj4 = tail_majorant(b, 0.5, 4)
+    print(f"majorants on sigma = 1/2: M2 = {maj.m:.6f}, M4 = {maj4.m:.3f}")
     for tau in (5.0, 20.0, 80.0):
-        bound = maj.m2 / tau**2
+        bound, bound4 = maj.m / tau**2, maj4.m / tau**4
         actual = abs(phi(b, 0.5 + 1j * tau).value)
-        print(f"  tau = {tau:5.1f}: |Phi| = {actual:.3e} <= {bound:.3e}")
+        print(f"  tau = {tau:5.1f}: |Phi| = {actual:.3e} <= {bound:.3e} (k = 2),"
+              f" {bound4:.3e} (k = 4)")
     print()
 
     # translation shows up as an exponential factor in the transform

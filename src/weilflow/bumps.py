@@ -11,8 +11,8 @@ along an arithmetic progression of imaginary parts in one shared composite
 Gauss-Legendre panelization (order 64, panels doubled until successive passes
 agree to RTOL = 1e-12 relative, with an envelope floor so near-zero values
 terminate); phi is a ladder of one point. This quadrature is the only
-approximation: the tail majorant M2 is a closed form, exact up to a stated
-rounding allowance.
+approximation: the tail majorants M_k, k = 2..K_MAX, with |Phi(sigma + i tau)|
+<= M_k / |tau|^k are closed forms, exact up to a stated rounding allowance.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ MOLLIFIER_MASS = 0.4439938161680794
 GL_ORDER = 64
 RTOL = 1e-12  # relative agreement of successive doubling passes
 _MAX_NODES = 1 << 21  # bail out of doubling past ~2M evaluation points
+K_MAX = 8  # highest tail majorant order; see tail_majorant
 
 # exp underflows to 0 below ~-745 and turns denormal below ~-708; values()
 # cuts earlier and returns an exact 0 there
@@ -123,8 +124,9 @@ class PhiResult:
 @dataclass(frozen=True)
 class TailMajorant:
     sigma: float
-    m2: float  # certified bound for integral |(e^{sigma t} alpha)''| dt
-    error: float  # rounding allowance, already included in m2
+    order: int  # k: the bound decays as |tau|^-k
+    m: float  # certified bound for integral |(e^{sigma t} alpha)^{(k)}| dt
+    error: float  # rounding allowance, already included in m
 
 
 @lru_cache(maxsize=8)
@@ -214,57 +216,187 @@ def phi_ladder(tf: TestFunction, sigma: float, f0: float, step: float, count: in
         prev = cur
 
 
-def _h2_sign_changes(k: float) -> np.ndarray:
-    """Points x = (t - c)/w in (-1, 1) including every sign change of h''.
+def _poly_sum(*terms: np.ndarray) -> np.ndarray:
+    out = np.zeros(tuple(max(t.shape[d] for t in terms) for d in (0, 1)), dtype=np.int64)
+    for t in terms:
+        out[:t.shape[0], :t.shape[1]] += t
+    return out
 
-    For one bump h'' = e^{sigma t} alpha N / D^4, D = w^2 - (t - c)^2, and over
-    w^6 N = k^2 P^4 - 4 k x P^2 - 2 (1 + 3x^2) P + 4x^2, P = 1 - x^2, k = sigma w.
-    Candidates are the real parts of all roots of N in (-1, 1); one whose
-    bracket (midpoints to its neighbours) shows a sign change is bisected.
+
+def _times(a: np.ndarray, p: int = 0, k: int = 0) -> np.ndarray:
+    # multiply a polynomial [P power, kappa power] by P^p kappa^k
+    return np.pad(a, ((p, 0), (k, 0)))
+
+
+def _one_minus_p(a: np.ndarray) -> np.ndarray:
+    return _poly_sum(a, -_times(a, 1))
+
+
+def _d_dp(a: np.ndarray) -> np.ndarray:
+    return a[1:] * np.arange(1, a.shape[0])[:, None]
+
+
+@lru_cache(maxsize=None)
+def _numerator_table(i: int) -> tuple[np.ndarray, np.ndarray]:
+    """N_i as A(P) + x B(P), A and B integer arrays [b, j] multiplying P^b kappa^j.
+
+    h^{(i)} = A e^{sigma t + u} N_i(x) / (w^i P^{2i}) for one bump, with
+    x = (t - c)/w, P = 1 - x^2, u = -1/P and kappa = sigma w. N_0 = 1 and
+    N_{i+1} = P^2 N_i' + 4 i x P N_i + (kappa P^2 - 2x) N_i, so N_i has
+    degree 4i in x and i in kappa. With x^2 = 1 - P and dP/dx = -2x,
+    (A + xB)' = B - 2(1 - P)B' - 2x A' and x(A + xB) = (1 - P)B + xA. In
+    this form N_i evaluates stably near the support ends, where P is small.
     """
-    def n(y):
-        p = (1.0 - y) * (1.0 + y)
-        return k * k * p**4 - 4.0 * k * y * p * p - 2.0 * (1.0 + 3.0 * y * y) * p + 4.0 * y * y
-    kk = k * k
-    coef = np.array([kk, 0, -4 * kk, -4 * k, 6 * kk + 6, 8 * k, -4 * kk, -4 * k, kk - 2])
+    if i == 0:
+        return np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    a, b = _numerator_table(i - 1)
+    deriv = (_poly_sum(b, -2 * _one_minus_p(_d_dp(b))), -2 * _d_dp(a))
+    x_times = (_one_minus_p(b), a)
+    out = []
+    for d, xn, n in zip(deriv, x_times, (a, b)):
+        part = _poly_sum(_times(d, 2), 4 * (i - 1) * _times(xn, 1), _times(n, 2, 1), -2 * xn)
+        out.append(part[:1 + np.flatnonzero(part.any(axis=1)).max(initial=0)])
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _monomial_table(i: int) -> np.ndarray:
+    """N_i in powers of x: entry [m, j] multiplies x^m kappa^j."""
+    out = np.zeros((4 * i + 1, i + 1), dtype=np.int64)
+    for shift, part in enumerate(_numerator_table(i)):
+        for (b, j), c in np.ndenumerate(part):
+            for r in range(b + 1):  # P^b = sum_r C(b, r) (-x^2)^r
+                out[2 * r + shift, j] += c * math.comb(b, r) * (-1) ** r
+    return out
+
+
+def _in_kappa(table: np.ndarray, kappa: float) -> np.ndarray:
+    """Float coefficients sum_j table[:, j] kappa^j, in descending powers as
+    np.roots and _horner take them; _in_kappa(|table|, |kappa|) gives their
+    absolute-value majorants."""
+    powers = [1.0]
+    for _ in range(table.shape[1] - 1):
+        powers.append(powers[-1] * kappa)
+    return (table * powers).sum(axis=1)[::-1]
+
+
+def _horner(coef: list, p):
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * p + c
+    return out
+
+
+def _numerator(i: int, kappa: float):
+    """x -> (N_i(x), Ntilde_i(|x|)) for a float or an array: N_i by Horner in
+    P = 1 - x^2, and the majorant of its terms (every P^b >= 0 on the support)."""
+    (a, a_size), (b, b_size) = (
+        (_in_kappa(t, kappa).tolist(), _in_kappa(np.abs(t), abs(kappa)).tolist())
+        for t in _numerator_table(i)
+    )
+
+    def evaluate(x):
+        p = (1.0 - x) * (1.0 + x)
+        value = _horner(a, p) + x * _horner(b, p)
+        return value, _horner(a_size, p) + abs(x) * _horner(b_size, p)
+    return evaluate
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bisect a bracket holding a sign change of f down to adjacent floats or
+    a width of 2^-100 (an x error costs the majorant only to second order;
+    the floor stops the ~1000 steps a root at exactly x = 0 would take
+    through the subnormals); returns the last midpoint."""
+    lo_negative = f(lo) < 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi and hi - lo > 2.0**-100:
+        lo, hi = (mid, hi) if (f(mid) < 0.0) == lo_negative else (lo, mid)
+    return mid
+
+
+# x = tanh(theta), |theta| <= 8: spacing 0.02 near x = 0, and towards the
+# ends P = 1 - x^2 = sech^2(theta) falls by 4 % a step, down to P = 4.5e-7
+_TANH_GRID = np.tanh(np.linspace(-8.0, 8.0, 801))
+
+
+def _sign_changes(order: int, k: float) -> np.ndarray:
+    """Points x = (t - c)/w in (-1, 1) including every sign change of
+    h^{(order)}, that is of N_order, for one bump with k = sigma w.
+
+    Candidates are the real parts of all roots of N_order in (-1, 1); one
+    whose bracket (midpoints to its neighbours) shows a sign change is
+    bisected. Order 2 evaluates N_2 in its closed form. Above order 2 the
+    tanh grid joins the candidates: np.roots loses sign changes of the
+    degree-4k N_k once sigma w passes ~60 (k = 7) or ~100 (k = 6), where
+    they crowd towards x = 1 at ratios ~1.3 in P.
+    """
+    coef = _in_kappa(_monomial_table(order), k)
     # terms below rounding on |x| <= 1 only add huge roots, and can overflow the companion
     roots = np.roots(np.where(np.abs(coef) > 1e-16 * np.abs(coef).max(), coef, 0.0))
-    x = sorted({float(r) for r in roots.real if -1.0 < r < 1.0})
-    ends = [-1.0] + [0.5 * (a + b) for a, b in zip(x, x[1:])] + [1.0]
-    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
-        if n(lo) * n(hi) < 0.0:
-            lo_negative = n(lo) < 0.0
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                lo, hi = (mid, hi) if (n(mid) < 0.0) == lo_negative else (lo, mid)
-            x[i] = mid
-    return np.array(x)
+    x = np.array(sorted({float(r) for r in roots.real if -1.0 < r < 1.0}) or [0.0])
+    if order == 2:
+        def f(y):  # N_2 = k^2 P^4 - 4 k x P^2 - 2 (1 + 3x^2) P + 4x^2
+            p = (1.0 - y) * (1.0 + y)
+            return k * k * p**4 - 4.0 * k * y * p * p - 2.0 * (1.0 + 3.0 * y * y) * p + 4.0 * y * y
+    else:
+        x = np.sort(np.concatenate((x, _TANH_GRID)))
+        evaluate = _numerator(order, k)
+
+        def f(y):
+            return evaluate(y)[0]
+    ends = np.concatenate(([-1.0], 0.5 * (x[1:] + x[:-1]), [1.0]))
+    at_ends = f(ends)
+    for i in np.flatnonzero(at_ends[:-1] * at_ends[1:] < 0.0):
+        x[i] = _bisect(f, float(ends[i]), float(ends[i + 1]))
+    return x
 
 
-def tail_majorant(tf: TestFunction, sigma: float) -> TailMajorant:
-    """Certified M2(sigma) with |Phi(sigma + i tau)| <= M2 / tau^2.
+def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajorant:
+    """Certified M_k(sigma), k = order, with |Phi(sigma + i tau)| <= M_k / |tau|^k.
 
-    Two integrations by parts of e^{t(sigma + i tau)} alpha(t) put the whole
-    tau decay on integral |h''| dt, h = e^{sigma t} alpha: the total variation
-    of h'. For one bump that is sum |h'(z_{i+1}) - h'(z_i)| over the support
-    ends (h' = 0) and the sign changes of h'' between them; no quadrature. A
-    BumpSum gets the sum of its terms' M2 (triangle inequality): exact for
-    disjoint supports, a valid looser bound where supports overlap.
+    k integrations by parts of e^{t(sigma + i tau)} alpha(t) put the whole
+    tau decay on integral |h^{(k)}| dt, h = e^{sigma t} alpha: the total
+    variation of h^{(k-1)}. For one bump that is sum |h^{(k-1)}(z_{i+1}) -
+    h^{(k-1)}(z_i)| over the support ends (where h^{(k-1)} = 0) and the sign
+    changes of h^{(k)} = A e^{sigma t + u} N_k(x) / (w^k P^{2k}) between them
+    (see _numerator_table); no quadrature. A BumpSum gets the sum of its
+    terms' M_k (triangle inequality): exact for disjoint supports, a valid
+    looser bound where supports overlap. Orders 2..K_MAX are supported: the
+    test suite holds them to a sympy grid oracle for w in [0.05, 4], sigma in
+    [0, 8] and sigma w up to 600.
 
-    m2 includes a rounding allowance, reported as error. Each h'(z) =
-    A e^{sigma t + u} (u' + sigma) is within 16 eps (1 + |sigma| (|c| + w) +
-    |u|) |A| e^{sigma t + u} (|u'| + |sigma|) and enters two differences;
-    forming and summing the n + 1 differences adds (n + 2) eps relative. An
-    ulp's error in z_i costs only second order, as h'' vanishes there.
+    m includes a rounding allowance, reported as error. Each e = A e^{sigma t
+    + u} is within 16 eps (1 + |sigma| (|c| + w) + |u|) relative. At order 2,
+    h' = e (u' + sigma) adds nothing beyond that against e (|u'| + |sigma|).
+    Above it, N_{k-1}(x), by Horner in P (degree <= 2k - 2, P within 3 eps)
+    on coefficients each within 2k eps, is within 12k eps of the majorant
+    Ntilde_{k-1}(|x|) (all terms with absolute values), and w^{k-1} P^{2k-2}
+    is within 8k eps relative, so 20k eps Ntilde / (w^{k-1} P^{2k-2}) more
+    per value. Each value enters two
+    differences; forming and summing the n + 1 differences adds (n + 2) eps
+    relative. An ulp's error in z_i costs only second order, as h^{(k)}
+    vanishes there.
     """
-    m2 = allowance = 0.0
+    if not 2 <= order <= K_MAX:
+        raise ValueError("tail majorant order must lie in 2..%d, got %r" % (K_MAX, order))
+    m = allowance = 0.0
     for b in tf.terms if isinstance(tf, BumpSum) else (tf,):
-        x = _h2_sign_changes(sigma * b.width)
+        x = _sign_changes(order, sigma * b.width)
         p = (1.0 - x) * (1.0 + x)
-        u, up = -1.0 / p, -2.0 * x / (b.width * p * p)
+        u = -1.0 / p
         e = b.amplitude * np.exp(sigma * (b.center + b.width * x) + u)
-        tv = float(np.sum(np.abs(np.diff(np.concatenate(([0.0], e * (up + sigma), [0.0]))))))
         exponent = 1.0 + abs(sigma) * (abs(b.center) + b.width) + np.abs(u)
-        rounding = float(np.sum(exponent * np.abs(e) * (np.abs(up) + abs(sigma))))
-        err = math.ulp(1.0) * (32.0 * rounding + (x.size + 2) * tv)
-        m2, allowance = m2 + (tv + err), allowance + err
-    return TailMajorant(sigma=sigma, m2=m2, error=allowance)
+        if order == 2:
+            up = -2.0 * x / (b.width * p * p)
+            jet, size, slack = up + sigma, np.abs(up) + abs(sigma), 16.0 * exponent
+        else:
+            value, size = _numerator(order - 1, sigma * b.width)(x)
+            scale = np.full(x.shape, b.width ** (order - 1))
+            for _ in range(2 * order - 2):
+                scale = scale * p
+            jet, size = value / scale, size / scale
+            slack = 16.0 * exponent + 20.0 * order
+        tv = float(np.sum(np.abs(np.diff(np.concatenate(([0.0], e * jet, [0.0]))))))
+        rounding = float(np.sum(slack * np.abs(e) * size))
+        err = math.ulp(1.0) * (2.0 * rounding + (x.size + 2) * tv)
+        m, allowance = m + (tv + err), allowance + err
+    return TailMajorant(sigma=sigma, order=order, m=m, error=allowance)

@@ -176,7 +176,9 @@ def _cmd_zeta(args) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def _count_tables(args):
+def _count_tables(args, snf: bool):
+    """Count and orbit tables for --max, and the Smith forms of F^n - I only
+    when snf is set: they cost ~90 % of the work at g = 4."""
     w = _load_datum(args.input)
     if args.max < 1:
         raise InputError("--max must be >= 1, got %d" % args.max)
@@ -185,25 +187,29 @@ def _count_tables(args):
     model = frobenius_model(w)
     ct = build_count_table(model, args.max)
     ot = orbit_table(ct)
-    groups = [fixed_point_group(model, n) for n in range(1, args.max + 1)]
-    doc = {
+    groups = [fixed_point_group(model, n) for n in range(1, args.max + 1)] if snf else None
+    return w, ct, ot, groups
+
+
+def _count_doc(w, ct, ot, groups) -> str:
+    n_max = ct.n_max
+    return _dumps({
         "q": w.q,
         "g": w.g,
-        "N": {str(n): str(ct.counts[n - 1]) for n in range(1, args.max + 1)},
-        "a": {str(d): str(ct.closed_points[d - 1]) for d in range(1, args.max + 1)},
+        "N": {str(n): str(ct.counts[n - 1]) for n in range(1, n_max + 1)},
+        "a": {str(d): str(ct.closed_points[d - 1]) for d in range(1, n_max + 1)},
         "orbits": {
             str(nu): {"count": str(ot.counts[nu - 1]), "length": ot.lengths[nu - 1]}
-            for nu in range(1, args.max + 1)
+            for nu in range(1, n_max + 1)
         },
         "snf": {str(fg.n): [str(d) for d in fg.divisors] for fg in groups},
-    }
-    return w, ct, ot, groups, doc
+    })
 
 
 def _cmd_count(args) -> tuple[int, str]:
-    w, ct, ot, groups, doc = _count_tables(args)
+    w, ct, ot, groups = _count_tables(args, snf=True)
     if args.format == "json":
-        return 0, _dumps(doc)
+        return 0, _count_doc(w, ct, ot, groups)
     if args.format == "csv":
         rows = [["n", "N_n", "a_n", "snf"]]
         for n in range(1, args.max + 1):
@@ -219,9 +225,10 @@ def _cmd_count(args) -> tuple[int, str]:
 
 
 def _cmd_orbits(args) -> tuple[int, str]:
-    w, ct, ot, groups, doc = _count_tables(args)
+    # text and csv print no Smith forms, so only json builds them
+    w, ct, ot, groups = _count_tables(args, snf=args.format == "json")
     if args.format == "json":
-        return 0, _dumps(doc)
+        return 0, _count_doc(w, ct, ot, groups)
     if args.format == "csv":
         rows = [["nu", "b_nu", "length"]]
         for nu in range(1, args.max + 1):

@@ -3,8 +3,9 @@
 Three independently computed quantities must coincide:
 
   1. the truncated zero sum: Phi summed with alternating sign over the zero
-     ladders of every P_j(q^{-s}), j = 0..2g, with a certified tau^-2 tail
-     bound per sublattice;
+     ladders of every P_j(q^{-s}), j = 0..2g, with a certified tau^-k tail
+     bound per sublattice (k = 2, or up to K_MAX where that shortens the
+     ladder);
   2. the resummed closed form: log q times extension point counts N_k
      weighting alpha(k log q) (with q^{gk} damping for k <= -1);
   3. the geometric side: log q times closed points weighted by degree, the
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bumps import TestFunction, combine_bumps, phi_ladder, tail_majorant
+from .bumps import K_MAX, TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
 from .errors import (
     CrossCheckFailure,
@@ -57,7 +58,8 @@ class TraceResult:
     tail_bound: float  # summed over sublattices
     quad_error: float  # summed per-zero doubling deltas
     zero_count: int
-    m2: float
+    order: int  # k of the majorant M_k / |tau|^k that set nu_max
+    majorant: float  # its M_k
     panels: int
 
 
@@ -118,10 +120,16 @@ def trace_j(
     """Truncated Phi sum over the zero ladders of P_j, with certificates.
 
     Each of the C(2g, j) sublattices is cut at the same nu_max, chosen so the
-    tau^-2 majorant tail 2 M2 (log q / 2 pi)^2 / (nu_max - 1/2) stays below
-    budget / (C(2g, j) * (2g + 1)); NU_FLOOR puts a lower bound on the ladder
-    regardless (truncation is monotone, so extra zeros only help). Ladders
-    demanding more than nu_cap points raise instead of truncating silently.
+    majorant tail stays below budget / (C(2g, j) * (2g + 1)). With
+    |Phi(j/2 + i tau)| <= M_k / |tau|^k the tail of one sublattice past
+    nu_max is at most 2 M_k (log q / 2 pi)^k / ((k - 1)(nu_max - 1/2)^(k-1)).
+    Order k = 2 is tried first; when it needs more than NU_FLOOR zeros,
+    k = 3, 4, ... K_MAX follow until one needs at most NU_FLOOR or the need
+    stops falling, and the order needing the fewest sets nu_max. The tail
+    reported is the smallest of the computed orders' tails at nu_max.
+    NU_FLOOR puts a lower bound on the ladder regardless (truncation is
+    monotone, so extra zeros only help). Ladders demanding more than nu_cap
+    points raise instead of truncating silently.
 
     Conjugate sublattices are mirrored rather than recomputed (exact under
     IEEE conjugation symmetry) and coincident base exponents are evaluated
@@ -136,17 +144,34 @@ def trace_j(
     sigma = j / 2.0
     logq = math.log(lat.q)
     beta = lat.period
-    tm = tail_majorant(tf, sigma)
-    kappa = (logq / (2.0 * math.pi)) ** 2
+    scale = logq / (2.0 * math.pi)
     sub_budget = budget / (m * (2 * lat.g + 1))
-    n_needed = int(math.ceil(0.5 + 2.0 * tm.m2 * kappa / sub_budget))
-    n = max(NU_FLOOR, n_needed, 1)
+
+    def tail(tm, n):
+        return 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * (n - 0.5) ** (tm.order - 1))
+
+    def needed(tm):
+        # the least n with tail(tm, n) <= sub_budget
+        root = 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * sub_budget)
+        return int(math.ceil(0.5 + root ** (1.0 / (tm.order - 1))))
+
+    majorants = {2: tail_majorant(tf, sigma)}
+    need = {2: needed(majorants[2])}
+    k = 2
+    while need[k] > NU_FLOOR and k < K_MAX:
+        k += 1
+        majorants[k] = tail_majorant(tf, sigma, k)
+        need[k] = needed(majorants[k])
+        if need[k] >= need[k - 1]:
+            break
+    order = min(need, key=need.get)
+    n = max(NU_FLOOR, need[order])
     if n > nu_cap:
         raise TruncationBudgetExceeded(
             "j = %d needs nu_max = %d per sublattice for budget %.3g, cap is %d"
             % (j, n, budget, nu_cap)
         )
-    tail_sub = 2.0 * tm.m2 * kappa / (n - 0.5)
+    tail_sub = min(tail(tm, n) for tm in majorants.values())
     count = 2 * n + 1
 
     values: dict[complex, np.ndarray] = {}
@@ -182,7 +207,8 @@ def trace_j(
         tail_bound=tail_bound,
         quad_error=quad_error,
         zero_count=m * count,
-        m2=tm.m2,
+        order=order,
+        majorant=majorants[order].m,
         panels=panels,
     )
 

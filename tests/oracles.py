@@ -9,6 +9,7 @@ mpmath tanh-sinh run at 30 digits) before the library internals existed.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -157,23 +158,35 @@ def sympy_det(rows):
     return int(Matrix(rows).det())
 
 
-def grid_variation_h1(sigma, bumps, n=1 << 18):
-    """Total variation of h' for h = e^{sigma t} alpha, on a uniform grid.
+@functools.lru_cache(maxsize=None)
+def _bump_derivative(i):
+    """d^i/dt^i of a e^{sigma t} exp(-w^2 / (w^2 - (t - c)^2)), by sympy,
+    as a numpy function of (t, sigma, c, w, a)."""
+    import sympy
 
-    h' = e^{sigma t} (alpha' + sigma alpha) is coded here from the chain rule,
-    independently of the package. A partition sum of |h'(t_{i+1}) - h'(t_i)|
-    is never above the true variation, which is integral |h''| dt, so this
-    is a lower bound that closes in on it as n grows (the gap at each
-    extremum of h' shrinks as the square of the grid step).
+    t, sigma, c, w, a = sympy.symbols("t sigma c w a", real=True)
+    h = a * sympy.exp(sigma * t - w**2 / (w**2 - (t - c) ** 2))
+    return sympy.lambdify((t, sigma, c, w, a), sympy.diff(h, t, i), "numpy", cse=True)
+
+
+def grid_variation(sigma, bumps, k, n=1 << 18):
+    """Total variation of h^{(k-1)} for h = e^{sigma t} alpha, on a uniform grid.
+
+    h^{(k-1)} is sympy's symbolic derivative, independent of the package's
+    numerator recurrence. A partition sum of |h^{(k-1)}(t_{i+1}) -
+    h^{(k-1)}(t_i)| is never above the true variation, which is integral
+    |h^{(k)}| dt, so this is a lower bound that closes in on it as n grows
+    (the gap at each extremum shrinks as the square of the grid step).
     """
     lo = min(c - w for c, w, _ in bumps)
     hi = max(c + w for c, w, _ in bumps)
     t = np.linspace(lo, hi, n + 1)
-    h1 = np.zeros_like(t)
+    deriv = _bump_derivative(k - 1)
+    total = np.zeros_like(t)
     for c, w, a in bumps:
-        s = t - c
-        inside = np.abs(s) < w
-        gap = np.where(inside, w * w - s * s, 1.0)
-        h = np.where(inside, a * np.exp(sigma * t - w * w / gap), 0.0)
-        h1 = h1 + h * (sigma - 2.0 * w * w * s / (gap * gap))
-    return float(np.sum(np.abs(np.diff(h1))))
+        inside = np.abs(t - c) < w
+        with np.errstate(all="ignore"):
+            # exp underflows to 0 first near the support ends; 0 * inf is nan there
+            values = np.nan_to_num(deriv(t[inside], sigma, c, w, a), nan=0.0)
+        total[inside] += values
+    return float(np.sum(np.abs(np.diff(total))))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from weilflow.bumps import (
+    K_MAX,
     BumpFunction,
     BumpSum,
     combine_bumps,
@@ -167,7 +168,7 @@ def test_ladder_matches_pointwise():
 def test_tail_majorant_spec_points():
     tm = tail_majorant(STD, 0.0)
     for tau in (5.0, 10.0, 50.0):
-        assert abs(phi(STD, 1j * tau).value) * tau * tau <= tm.m2
+        assert abs(phi(STD, 1j * tau).value) * tau * tau <= tm.m
 
 
 def test_tail_majorant_random_sampling():
@@ -180,19 +181,19 @@ def test_tail_majorant_random_sampling():
         sigma = rng.uniform(0.0, 2.0)
         tau = rng.uniform(1.0, 100.0)
         tm = tail_majorant(b, sigma)
-        assert abs(phi(b, complex(sigma, tau)).value) <= tm.m2 / (tau * tau) * (1 + 1e-9)
+        assert abs(phi(b, complex(sigma, tau)).value) <= tm.m / (tau * tau) * (1 + 1e-9)
 
 
 def test_tail_majorant_amplitude_linear():
-    m1 = tail_majorant(BumpFunction(width=0.8), 0.7).m2
-    m3 = tail_majorant(BumpFunction(width=0.8, amplitude=3.0), 0.7).m2
+    m1 = tail_majorant(BumpFunction(width=0.8), 0.7).m
+    m3 = tail_majorant(BumpFunction(width=0.8, amplitude=3.0), 0.7).m
     assert abs(m3 - 3 * m1) < 1e-5 * m3
 
 
 def test_tail_majorant_translation():
     sigma = 0.9
-    centered = tail_majorant(BumpFunction(width=0.6), sigma).m2
-    shifted = tail_majorant(BumpFunction(center=1.7, width=0.6), sigma).m2
+    centered = tail_majorant(BumpFunction(width=0.6), sigma).m
+    shifted = tail_majorant(BumpFunction(center=1.7, width=0.6), sigma).m
     assert abs(shifted - math.exp(sigma * 1.7) * centered) < 1e-5 * shifted
 
 
@@ -204,9 +205,59 @@ def test_tail_majorant_is_the_variation_of_h1():
     for w in widths:
         for sigma in np.arange(0.0, 8.01, 0.5):
             c, a = rng.uniform(-2, 2), rng.uniform(-3, 3)
-            m2 = tail_majorant(BumpFunction(center=c, width=w, amplitude=a), sigma).m2
-            grid = oracles.grid_variation_h1(sigma, [(c, w, a)])
+            m2 = tail_majorant(BumpFunction(center=c, width=w, amplitude=a), sigma).m
+            grid = oracles.grid_variation(sigma, [(c, w, a)], 2)
             assert grid <= m2 <= grid * (1 + 1e-6), (w, sigma)
+
+
+@pytest.mark.parametrize("k", range(3, K_MAX + 1))
+def test_tail_majorant_is_the_variation_of_the_jet(k):
+    # M_k against sympy's h^{(k-1)} on a grid; at k = K_MAX and w = 4 the
+    # grid's own gap is ~4e-7. The corners w = 0.05, 4 and sigma = 0, 8
+    # (sigma w = 32, where np.roots alone loses sign changes) are always in.
+    rng = random.Random(k)
+    for w in (0.05, 4.0, rng.uniform(0.05, 4.0)):
+        for sigma in (0.0, 8.0, rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)):
+            c, a = rng.uniform(-2, 2), rng.uniform(-3, 3)
+            tm = tail_majorant(BumpFunction(center=c, width=w, amplitude=a), sigma, k)
+            grid = oracles.grid_variation(sigma, [(c, w, a)], k)
+            assert tm.order == k and 0.0 < tm.error < 1e-8 * tm.m
+            assert grid <= tm.m <= grid * (1 + 1e-6), (w, sigma)
+
+
+def test_tail_majorant_wide_bumps_keep_every_sign_change():
+    # sigma w up to 600: N_k's sign changes crowd towards x = 1; the grid's
+    # own gap reaches ~2e-6 there
+    for k in (3, K_MAX):
+        for kappa in (100.0, 600.0):
+            tm = tail_majorant(BumpFunction(width=40.0), kappa / 40.0, k)
+            grid = oracles.grid_variation(kappa / 40.0, [(0.0, 40.0, 1.0)], k)
+            assert grid <= tm.m <= grid * (1 + 1e-5), (k, kappa)
+
+
+def test_tail_majorant_order_two_is_pinned():
+    # bitwise the values of the order-2 closed form before higher orders existed
+    pins = [
+        ((0.0, 1.0, 1.0), 0.0, "0x1.98cbc8d08eb86p+1"),
+        ((1.6094, 0.5, 1.0), 0.5, "0x1.d03b9cf03307dp+3"),
+        ((1.6094, 0.5, 1.0), 1.0, "0x1.0fc04d9a86a8cp+5"),
+        ((2.5, 0.8, 2.0), 1.5, "0x1.e177db8344384p+8"),
+        ((-1.2, 0.6, 1.5), 3.0, "0x1.e8af02b223e60p-2"),
+        ((0.3, 0.05, -2.0), 8.0, "0x1.6e50cf2b12ac1p+10"),
+        ((-2.0, 4.0, 0.7), 8.0, "0x1.7fbb781e86675p+14"),
+        ((1.0, 2.5, 1.0), 2.0, "0x1.fc86026958a3ap+7"),
+        ((0.0, 1.0, 1.0), 1e-303, "0x1.98cbc8d08eb86p+1"),
+    ]
+    for (c, w, a), sigma, want in pins:
+        assert tail_majorant(BumpFunction(c, w, a), sigma).m.hex() == want, (c, w, a, sigma)
+    two = combine_bumps([BumpFunction(1.6094, 0.5), BumpFunction(2.5, 0.8, 2.0)])
+    assert tail_majorant(two, 1.0).m.hex() == "0x1.26f26dc262585p+7"
+
+
+def test_tail_majorant_order_range():
+    for order in (1, K_MAX + 1):
+        with pytest.raises(ValueError):
+            tail_majorant(STD, 0.5, order)
 
 
 def test_tail_majorant_disjoint_sum_is_sum_of_parts():
@@ -215,10 +266,10 @@ def test_tail_majorant_disjoint_sum_is_sum_of_parts():
              BumpFunction(center=2.0, width=0.5, amplitude=0.7)]  # supports touch
     for sigma in (0.0, 0.5, 1.5, 3.0):
         whole = tail_majorant(combine_bumps(parts), sigma)
-        assert whole.m2 == sum(tail_majorant(b, sigma).m2 for b in parts)
-        grid = oracles.grid_variation_h1(
-            sigma, [(b.center, b.width, b.amplitude) for b in parts])
-        assert grid <= whole.m2 <= grid * (1 + 1e-6)
+        assert whole.m == sum(tail_majorant(b, sigma).m for b in parts)
+        grid = oracles.grid_variation(
+            sigma, [(b.center, b.width, b.amplitude) for b in parts], 2)
+        assert grid <= whole.m <= grid * (1 + 1e-6)
 
 
 def test_tail_majorant_overlapping_sum_still_bounds():
@@ -226,8 +277,8 @@ def test_tail_majorant_overlapping_sum_still_bounds():
     parts = [(0.0, 1.0, 1.0), (0.3, 0.8, -1.5), (0.2, 0.4, 0.5)]
     tf = combine_bumps([BumpFunction(c, w, a) for c, w, a in parts])
     for sigma in (0.0, 1.0, 2.5):
-        m2 = tail_majorant(tf, sigma).m2
-        assert oracles.grid_variation_h1(sigma, parts) <= m2
+        m2 = tail_majorant(tf, sigma).m
+        assert oracles.grid_variation(sigma, parts, 2) <= m2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -237,11 +288,12 @@ def test_tail_majorant_overlapping_sum_still_bounds():
     a=st.floats(0.1, 3.0),
     sigma=st.floats(0.0, 4.0),
     tau=st.floats(0.5, 200.0),
+    k=st.integers(2, K_MAX),
 )
-def test_tail_majorant_bounds_phi(c, w, a, sigma, tau):
+def test_tail_majorant_bounds_phi(c, w, a, sigma, tau, k):
     b = BumpFunction(center=c, width=w, amplitude=a)
     r = phi(b, complex(sigma, tau))
-    assert (abs(r.value) - r.error) * tau * tau <= tail_majorant(b, sigma).m2
+    assert (abs(r.value) - r.error) * tau**k <= tail_majorant(b, sigma, k).m
 
 
 def test_quadrature_refuses_absurd_frequency():

@@ -195,13 +195,14 @@ def test_verify_nonordinary_gate(capsys, datum):
 
 
 def test_verify_failure_exit_code(capsys, datum):
-    # unreachable truncation budget must yield the computation exit code
+    # unreachable truncation budget must yield the computation exit code;
+    # order K_MAX = 8 still needs nu_max = 825 for j = 0
     rc, _, err = run(
         capsys,
         [
             "verify", "--input", datum(E5A2),
             "--alpha", "c=1.6094,w=0.5",
-            "--trunc-budget", "1e-12", "--nu-max", "10000",
+            "--trunc-budget", "1e-12", "--nu-max", "500",
         ],
     )
     assert rc == 2
@@ -230,6 +231,21 @@ def test_input_error_paths(capsys, datum, tmp_path):
 
     rc, _, err = run(capsys, ["count", "--input", path, "--max", "101"])
     assert rc == 1
+
+
+def test_orbits_builds_smith_forms_only_for_json(capsys, datum, monkeypatch):
+    import weilflow.cli
+
+    calls = []
+    real = weilflow.cli.fixed_point_group
+    monkeypatch.setattr(weilflow.cli, "fixed_point_group",
+                        lambda model, n: calls.append(n) or real(model, n))
+    for fmt in ("text", "csv"):
+        rc, _, _ = run(capsys, ["orbits", "--input", datum(G2), "--max", "6", "--format", fmt])
+        assert rc == 0 and calls == []
+    rc, out, _ = run(capsys, ["orbits", "--input", datum(G2), "--max", "6", "--format", "json"])
+    assert rc == 0 and calls == [1, 2, 3, 4, 5, 6]
+    assert list(json.loads(out)["snf"]) == ["1", "2", "3", "4", "5", "6"]
 
 
 def test_dimension_cap_has_no_override(capsys, datum):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from weilflow.bumps import BumpFunction, combine_bumps
+from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, tail_majorant
 from weilflow.counting import build_count_table
 from weilflow.errors import (
     InsufficientCountRange,
@@ -88,8 +88,29 @@ def test_truncation_budget_drives_nu():
     tight = trace_j(LAT1, 1, tf, budget=5e-3)
     assert tight.nu_max >= loose.nu_max
     assert tight.tail_bound < loose.tail_bound or loose.tail_bound == 0.0
+    # at budget 1e-12 the best order, K_MAX = 8, still needs nu_max = 1025
     with pytest.raises(TruncationBudgetExceeded):
-        trace_j(LAT1, 1, tf, budget=1e-12, nu_cap=10_000)
+        trace_j(LAT1, 1, tf, budget=1e-12, nu_cap=500)
+
+
+def test_higher_orders_set_nu_max_only_above_the_floor():
+    tf = BumpFunction(center=LOG5, width=0.5)
+    at_floor = trace_j(LAT1, 1, tf, budget=0.25)
+    assert (at_floor.nu_max, at_floor.order) == (300, 2)
+    assert at_floor.majorant == tail_majorant(tf, 0.5).m
+    tight = trace_j(LAT1, 1, tf, budget=1e-12)
+    assert tight.order == K_MAX and tight.nu_max == 1025
+    assert tight.majorant == tail_majorant(tf, 0.5, K_MAX).m
+    assert tight.tail_bound <= 1e-12 / 3
+
+
+def test_g3_product_verifies_at_budget_1e6():
+    # order 2 alone needs ~2.9e9 zeros per sublattice here
+    w = parse_weil_datum({"q": 5, "g": 3, "weil_poly": [1, -6, 26, -66, 130, -150, 125]})
+    rep = verify(w, BumpFunction(center=LOG5, width=0.5), trunc_budget=1e-6)
+    assert rep.passed
+    assert rep.spectral.tail_bound <= 1e-6
+    assert max(t.nu_max for t in rep.spectral.per_j) <= 610
 
 
 def test_spectral_assembly_and_partial():
