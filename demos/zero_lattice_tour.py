@@ -2,7 +2,10 @@
 
 Each factor polynomial P_j pins its zeros to the vertical line
 Re s = j/2, spaced log-q-periodically. This prints the ladder layout
-and checks the observed density against 2g-choose-j per period.
+and checks the observed density against 2g-choose-j per period. It then
+groups each j's sublattices into classes: a pair {mu, q/mu} inside a
+subset contributes exactly q, conjugate classes mirror each other, and
+the fully paired subsets form the real class at s = j/2.
 
 Run:  python demos/zero_lattice_tour.py
 """
@@ -18,6 +21,7 @@ from weilflow import (
     zero_lattice,
     zeros_in_window,
 )
+from weilflow.exterior import subsets
 
 
 def main():
@@ -52,6 +56,21 @@ def main():
               f"max drift off Re = {j/2}: {drift:.1e}")
         for idx, z in zs[:3]:
             print(f"     sublattice {idx}: s = {z.real:.4f} {z.imag:+.6f}i")
+    print()
+
+    n = 2 * surface.g
+    for j, classes in enumerate(lat.classes):
+        pairs = [(i, c.partner) for i, c in enumerate(classes) if i < c.partner]
+        real = [c for c in classes if c.real]
+        print(f"j={j}: {len(lat.exps[j])} sublattices in {len(classes)} classes, "
+              f"{len(pairs)} conjugate pairs, "
+              f"{'a real class' if real else 'no real class'}: "
+              f"{len(pairs) + len(real)} ladders to evaluate")
+        for i, c in enumerate(classes):
+            members = " ".join(str(subsets(n, j)[k]) for k in c.members)
+            role = "real" if c.real else f"conjugate of class {c.partner}"
+            print(f"     class {i} ({role}): s = {c.exponent.real:.4f} "
+                  f"{c.exponent.imag:+.6f}i  subsets {members}")
     print()
 
     ok, dev = functional_equation_check(fam)

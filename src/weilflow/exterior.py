@@ -6,6 +6,11 @@ degree-C(2g, j) factor P_j(X) = prod_{|S|=j} (1 - lambda_S X) with
 lambda_S = prod_{i in S} mu_i. Each inverse root contributes a vertical
 ladder of zeros s_S + 2 pi i nu / log q of P_j(q^{-s}), all on Re s = j/2.
 
+The roots pair up as mu <-> q/mu = conj(mu), so many sublattices coincide or
+mirror each other exactly. zero_lattice groups the j-subsets into classes
+from the pairing alone (see ZeroClass), and trace_j evaluates one ladder per
+conjugate pair of classes.
+
 Everything exact-integer is cross-checked against the float route built from
 the polished roots; disagreement raises rather than warns.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +29,7 @@ from .errors import (
     FunctionalEquationViolation,
 )
 from .intlinalg import Matrix, charpoly, det_bareiss
-from .weil import FrobeniusModel
+from .weil import PAIRING_TOL, FrobeniusModel
 
 G_CAP = 8  # C(2g, g) is 12870 at g = 8 and grows ~4x per step after
 
@@ -56,6 +62,31 @@ class PjFamily:
     g: int
     polys: tuple[tuple[int, ...], ...]  # P_0 .. P_2g, ascending coefficients
     products: tuple[tuple[complex, ...], ...]  # lambda_S per j, lex order
+    roots: tuple[complex, ...]  # the mu_i the products are built from
+    pairing: tuple[int, ...]  # index of a root equal to q/mu_i, per i
+
+
+@dataclass(frozen=True)
+class ZeroClass:
+    """The j-subsets S whose sublattices are one and the same ladder.
+
+    A pair {mu, q/mu} inside S contributes exactly q to lambda_S, so S
+    reduces to c pairs and a rest R: lambda_S = q^c lambda_R and
+    s_S = c + log_q lambda_R. The class of S is R as a multiset of root
+    values; equal roots of a repeated factor are one value. The conjugate
+    class is pairing(R). A self-conjugate R holds only real roots +-sqrt q,
+    each at most once; when -sqrt q is not among them, lambda_R is real
+    positive and the class is the real class, based at s = j/2 exactly.
+    """
+    rest: tuple[int, ...]  # R: first index of each unpaired root value, sorted
+    members: tuple[int, ...]  # lex indices of the j-subsets that reduce to R
+    exponent: complex  # base exponent, Im in [-period/2, period/2]
+    partner: int  # index of the conjugate class in the same j; itself if self-conjugate
+    real: bool  # exponent is exactly j/2 + 0i
+
+    @property
+    def weight(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -64,6 +95,7 @@ class ZeroLattice:
     g: int
     period: float  # 2 pi / log q
     exps: tuple[tuple[complex, ...], ...]  # base exponents s_S per j, lex order
+    classes: tuple[tuple[ZeroClass, ...], ...]  # per j, by first member
 
 
 def _expand_products(lams: tuple[complex, ...]) -> list[complex]:
@@ -113,20 +145,99 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
         raise CrossCheckFailure("P_0 must be 1 - X, got %s" % (polys[0],))
     if polys[n] != (1, -(w.q**w.g)):
         raise CrossCheckFailure("P_2g must be 1 - q^g X, got %s" % (polys[n],))
-    return PjFamily(q=w.q, g=w.g, polys=tuple(polys), products=tuple(products))
+    return PjFamily(
+        q=w.q, g=w.g, polys=tuple(polys), products=tuple(products),
+        roots=model.roots, pairing=model.pairing,
+    )
+
+
+def _exponents(fam: PjFamily) -> tuple[tuple[complex, ...], ...]:
+    logq = math.log(fam.q)
+    return tuple(
+        tuple(cmath.log(lam) / logq for lam in lams) for lams in fam.products
+    )
+
+
+def _rest(s: tuple[int, ...], value: tuple[int, ...], conj: dict[int, int]) -> tuple[int, ...]:
+    # the root values of S left over once every pair {mu, q/mu} is taken out
+    held = Counter(value[i] for i in s)
+    rest = []
+    for v, k in held.items():
+        left = k % 2 if conj[v] == v else k - min(k, held[conj[v]])
+        rest.extend([v] * left)
+    return tuple(sorted(rest))
+
+
+def _zero_classes(fam: PjFamily, exps) -> tuple[tuple[ZeroClass, ...], ...]:
+    """Classes of every P_j's sublattices, from the root pairing alone.
+
+    Each class exponent is built from its rest R (j/2 for the real class, the
+    conjugate of the partner's exponent for the second class of a conjugate
+    pair), and every member's float exponent in exps must match it within
+    j * PAIRING_TOL / log q, modulo the period: each root of S may sit
+    PAIRING_TOL * sqrt(q) from its partner's q/mu. A mismatch means the
+    pairing does not describe the roots, and raises.
+    """
+    logq = math.log(fam.q)
+    period = 2 * math.pi / logq
+    first: dict[complex, int] = {}
+    value = tuple(first.setdefault(mu, i) for i, mu in enumerate(fam.roots))
+    conj = {v: value[fam.pairing[v]] for v in set(value)}
+    for v, c in conj.items():
+        if conj[c] != v or value.count(v) != value.count(c):
+            raise CrossCheckFailure(
+                "pairing is not an involution on the root values: %d -> %d -> %d"
+                % (v, c, conj[c])
+            )
+    n = 2 * fam.g
+    out = []
+    for j in range(n + 1):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k, s in enumerate(subsets(n, j)):
+            groups.setdefault(_rest(s, value, conj), []).append(k)
+        index = {rest: i for i, rest in enumerate(groups)}
+        tol = PAIRING_TOL * max(j, 1) / logq
+        classes: list[ZeroClass] = []
+        for rest, members in groups.items():
+            partner = index[tuple(sorted(conj[v] for v in rest))]
+            real = partner == len(classes) and all(fam.roots[v].real > 0 for v in rest)
+            if real:
+                base = complex(j / 2, 0.0)
+            elif partner < len(classes):
+                base = classes[partner].exponent.conjugate()
+            else:
+                lam = math.prod((fam.roots[v] for v in rest), start=complex(1.0))
+                base = (j - len(rest)) // 2 + cmath.log(lam) / logq
+            for k in members:
+                d = exps[j][k] - base
+                d_im = d.imag - period * round(d.imag / period)
+                if math.hypot(d.real, d_im) > tol:
+                    raise CrossCheckFailure(
+                        "j = %d subset %s: exponent %s is off its class exponent %s "
+                        "by %.3g (tolerance %.3g)"
+                        % (j, subsets(n, j)[k], exps[j][k], base,
+                           math.hypot(d.real, d_im), tol)
+                    )
+            classes.append(ZeroClass(
+                rest=rest, members=tuple(members), exponent=base,
+                partner=partner, real=real,
+            ))
+        out.append(tuple(classes))
+    return tuple(out)
 
 
 def zero_lattice(fam: PjFamily) -> ZeroLattice:
-    """Base exponents s_S = log_q lambda_S (principal branch) per j.
+    """Base exponents s_S = log_q lambda_S (principal branch) per j, and the
+    classes of sublattices that share a ladder.
 
     Re s_S = j/2 for every |S| = j; the full zero set of P_j(q^{-s}) is
     {s_S + 2 pi i nu / log q : nu in Z}.
     """
-    logq = math.log(fam.q)
-    exps = tuple(
-        tuple(cmath.log(lam) / logq for lam in lams) for lams in fam.products
+    exps = _exponents(fam)
+    return ZeroLattice(
+        q=fam.q, g=fam.g, period=2 * math.pi / math.log(fam.q), exps=exps,
+        classes=_zero_classes(fam, exps),
     )
-    return ZeroLattice(q=fam.q, g=fam.g, period=2 * math.pi / logq, exps=exps)
 
 
 def functional_equation_check(fam: PjFamily, tol: float = 1e-8):
@@ -137,14 +248,14 @@ def functional_equation_check(fam: PjFamily, tol: float = 1e-8):
     period. Returns (ok, max_deviation); deviation beyond tol means the input
     was not a genuine Weil polynomial despite passing validation.
     """
-    lat = zero_lattice(fam)
+    exps = _exponents(fam)
     n = 2 * fam.g
-    period = lat.period
+    period = 2 * math.pi / math.log(fam.q)
     worst = 0.0
     for j in range(n + 1):
         comp_index = {s: k for k, s in enumerate(subsets(n, n - j))}
-        exps_j = lat.exps[j]
-        exps_c = lat.exps[n - j]
+        exps_j = exps[j]
+        exps_c = exps[n - j]
         for k, s in enumerate(subsets(n, j)):
             sc = tuple(sorted(set(range(n)) - set(s)))
             mirrored = fam.g - exps_j[k]

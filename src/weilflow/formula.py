@@ -5,7 +5,9 @@ Three independently computed quantities must coincide:
   1. the truncated zero sum: Phi summed with alternating sign over the zero
      ladders of every P_j(q^{-s}), j = 0..2g, with a certified tau^-k tail
      bound per sublattice (k = 2, or up to K_MAX where that shortens the
-     ladder);
+     ladder). One ladder is evaluated per conjugate pair of sublattice
+     classes (exterior.ZeroClass) and half a ladder for the real class at
+     j/2, so each T_j comes out exactly real;
   2. the resummed closed form: log q times extension point counts N_k
      weighting alpha(k log q) (with q^{gk} damping for k <= -1);
   3. the geometric side: log q times closed points weighted by degree, the
@@ -19,6 +21,7 @@ discarded.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -29,7 +32,6 @@ import numpy as np
 from .bumps import K_MAX, TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
 from .errors import (
-    CrossCheckFailure,
     FunctionalEquationViolation,
     InsufficientCountRange,
     NonOrdinaryInput,
@@ -110,6 +112,11 @@ class VerificationReport:
     j_range_note: str = J_RANGE_NOTE
 
 
+def _fold(parts) -> float:
+    """Correctly rounded sum of every array in parts, each taken `times` times."""
+    return math.fsum(itertools.chain.from_iterable(np.tile(a, t).tolist() for a, t in parts))
+
+
 def trace_j(
     lat: ZeroLattice,
     j: int,
@@ -131,16 +138,20 @@ def trace_j(
     monotone, so extra zeros only help). Ladders demanding more than nu_cap
     points raise instead of truncating silently.
 
-    Conjugate sublattices are mirrored rather than recomputed (exact under
-    IEEE conjugation symmetry) and coincident base exponents are evaluated
-    once; the returned zero_count still counts every enumerated zero. The
-    ladders are folded with one correctly rounded math.fsum, so the result
-    does not depend on the order the zeros are visited in.
+    One ladder is evaluated per class of lat.classes[j], not per sublattice,
+    and weighted by the class size. The second class of a conjugate pair is
+    its partner's ladder conjugated and reversed, since
+    Phi(conj rho) = conj Phi(rho). The real class, based at j/2 exactly, gets
+    a half ladder tau = 0, beta, .., n beta, mirrored the same way. The
+    imaginary parts of the mirrored copies cancel, so T_j is exactly real
+    unless a root -sqrt q makes a self-conjugate class off the real axis.
+    zero_count and quad_error still count every enumerated zero. Every
+    enumerated zero's value is folded with one correctly rounded math.fsum,
+    so the result does not depend on the order the zeros are visited in.
     """
     if budget <= 0:
         raise ValueError("truncation budget must be positive")
-    exps = lat.exps[j]
-    m = len(exps)
+    m = len(lat.exps[j])
     sigma = j / 2.0
     logq = math.log(lat.q)
     beta = lat.period
@@ -174,32 +185,32 @@ def trace_j(
     tail_sub = min(tail(tm, n) for tm in majorants.values())
     count = 2 * n + 1
 
-    values: dict[complex, np.ndarray] = {}
-    errors: dict[complex, np.ndarray] = {}
+    # (array, times): each entry stands for `times` enumerated zeros
+    re_parts, im_parts, err_parts = [], [], []
     panels = 0
-    for s in dict.fromkeys(complex(s) for s in exps):
-        sc = s.conjugate()
-        if sc in values:
-            # Phi(conj rho) = conj Phi(rho): reverse the ladder and conjugate
-            values[s] = np.conj(values[sc][::-1])
-            errors[s] = errors[sc][::-1]
-            continue
-        v, e, p = phi_ladder(tf, s.real, s.imag - beta * n, beta, count)
-        values[s] = v
-        errors[s] = e
+    for i, cls in enumerate(lat.classes[j]):
+        if cls.partner < i:
+            continue  # folded in with its partner's ladder
+        w = cls.weight
+        if cls.real:
+            v, e, p = phi_ladder(tf, sigma, 0.0, beta, n + 1)
+            # Phi(sigma - i tau) = conj Phi(sigma + i tau): every rung but tau = 0 twice
+            re_parts += [(v.real[:1], w), (v.real[1:], 2 * w)]
+            err_parts += [(e[:1], w), (e[1:], 2 * w)]
+        else:
+            s = cls.exponent
+            v, e, p = phi_ladder(tf, s.real, s.imag - beta * n, beta, count)
+            if cls.partner == i:
+                im_parts.append((v.imag, w))
+            else:
+                w *= 2  # the partner's ladder conj(v[::-1]) cancels the imaginary parts
+            re_parts.append((v.real, w))
+            err_parts.append((e, w))
         panels = max(panels, p)
 
-    ladders = np.concatenate([values[complex(s)] for s in exps])
-    value = complex(math.fsum(ladders.real.tolist()), math.fsum(ladders.imag.tolist()))
-    quad_error = math.fsum(np.concatenate([errors[complex(s)] for s in exps]).tolist())
+    value = complex(_fold(re_parts), _fold(im_parts))
+    quad_error = _fold(err_parts)
     tail_bound = tail_sub * m
-
-    slack = 1e-12 * (1.0 + abs(value))
-    if abs(value.imag) > tail_bound + quad_error + slack:
-        raise CrossCheckFailure(
-            "Im T_%d = %.3g exceeds certified budget %.3g"
-            % (j, value.imag, tail_bound + quad_error)
-        )
     return TraceResult(
         j=j,
         value=value,

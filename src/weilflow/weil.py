@@ -31,6 +31,7 @@ from .intlinalg import Matrix, det_bareiss
 
 RH_TOLERANCE = 1e-9
 REFINE_FACTOR = 1e-13  # residual target is REFINE_FACTOR * sqrt(q)
+PAIRING_TOL = 1e-6  # a partner must sit within PAIRING_TOL * sqrt(q) of q/mu
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,7 @@ def compute_roots(w: WeilDatum):
     for mu in refined:
         partner = w.q / mu
         j = min(range(len(refined)), key=lambda k: abs(refined[k] - partner))
-        if abs(refined[j] - partner) > 1e-6 * math.sqrt(w.q):
+        if abs(refined[j] - partner) > PAIRING_TOL * math.sqrt(w.q):
             raise CrossCheckFailure(
                 "no partner for root %s: nearest candidate off by %.3g"
                 % (mu, abs(refined[j] - partner))

@@ -2,13 +2,14 @@
 
 import cmath
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 import oracles
 from test_weil import CORPUS
-from weilflow.errors import DimensionTooLarge
+from weilflow.errors import CrossCheckFailure, DimensionTooLarge
 from weilflow.exterior import (
     build_pj_family,
     exterior_power_matrix,
@@ -21,6 +22,8 @@ from weilflow.weil import frobenius_model, parse_weil_datum
 
 E5A2 = {"q": 5, "trace": 2}
 G2_PRODUCT = {"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]}
+G3_PRODUCT = {"q": 5, "g": 3, "weil_poly": [1, -6, 26, -66, 130, -150, 125]}
+REPEATED = {"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]}  # (1 - 2X + 5X^2)^2
 
 
 def _family(doc):
@@ -198,3 +201,85 @@ def test_dimension_cap():
     m = frobenius_model(w)
     with pytest.raises(DimensionTooLarge):
         build_pj_family(m)
+
+
+def _fully_paired(roots, q, s):
+    # S splits into pairs {mu, q/mu}: greedy matching on root values, no pairing table
+    left = list(s)
+    while left:
+        i = left.pop(0)
+        match = [k for k in left if abs(roots[k] - q / roots[i]) < 1e-6]
+        if not match:
+            return False
+        left.remove(match[0])
+    return True
+
+
+@pytest.mark.parametrize("doc", [E5A2, G2_PRODUCT, G3_PRODUCT, REPEATED],
+                         ids=["e5a2", "g2", "g3", "repeated"])
+def test_zero_classes(doc):
+    w = parse_weil_datum(doc)
+    model = frobenius_model(w)
+    lat = zero_lattice(build_pj_family(model))
+    n = 2 * w.g
+    for j, classes in enumerate(lat.classes):
+        assert sum(c.weight for c in classes) == math.comb(n, j)
+        assert sorted(k for c in classes for k in c.members) == list(range(math.comb(n, j)))
+        paired = {k for k, s in enumerate(subsets(n, j)) if _fully_paired(model.roots, w.q, s)}
+        real = [c for c in classes if c.real]
+        assert len(real) == (1 if paired else 0)
+        for c in real:
+            assert set(c.members) == paired
+            assert c.exponent.real == j / 2 and c.exponent.imag == 0.0
+        for i, c in enumerate(classes):
+            for k in c.members:
+                d = lat.exps[j][k] - c.exponent
+                d_im = d.imag - lat.period * round(d.imag / lat.period)
+                assert abs(d.real) < 1e-9 and abs(d_im) < 1e-9
+            if c.real:
+                assert c.partner == i
+                continue
+            partner = classes[c.partner]
+            assert c.partner != i and partner.partner == i
+            assert partner.weight == c.weight
+            assert partner.exponent == c.exponent.conjugate()
+
+
+def test_zero_class_ladders_per_j():
+    # one ladder per conjugate pair of classes plus the real class's half ladder
+    def ladders(doc):
+        lat = zero_lattice(_family(doc))
+        return [sum(c.partner >= i for i, c in enumerate(cs)) for cs in lat.classes]
+
+    assert ladders(E5A2) == [1, 1, 1]
+    assert ladders(G2_PRODUCT) == [1, 2, 3, 2, 1]
+    # mu, mu repeated: the j = 2 subsets {mu, mu} and {mu, mu'} share a class
+    assert ladders(REPEATED) == [1, 1, 2, 1, 1]
+    assert ladders(G3_PRODUCT) == [1, 3, 7, 7, 7, 3, 1]
+
+
+def test_zero_classes_real_roots():
+    # mu = 2 twice: the j = 1 class is real, based at 1/2 exactly
+    lat = zero_lattice(_family({"q": 4, "g": 1, "weil_poly": [1, -4, 4]}))
+    assert [(c.weight, c.real, c.exponent) for c in lat.classes[1]] == [(2, True, 0.5)]
+    # mu = -2 twice: self-conjugate, but based half a period off the axis
+    lat = zero_lattice(_family({"q": 4, "g": 1, "weil_poly": [1, 4, 4]}))
+    (c,) = lat.classes[1]
+    assert (c.weight, c.real, c.partner) == (2, False, 0)
+    assert abs(abs(c.exponent.imag) - lat.period / 2) < 1e-12
+
+
+def test_corrupted_pairing_raises():
+    model = frobenius_model(parse_weil_datum(G3_PRODUCT))
+    a = 0
+    b = next(i for i in range(6) if i not in (a, model.pairing[a]))
+    pa, pb = model.pairing[a], model.pairing[b]
+    swapped = list(model.pairing)
+    swapped[a], swapped[pb], swapped[b], swapped[pa] = pb, a, pa, b
+    fam = build_pj_family(replace(model, pairing=tuple(swapped)))
+    with pytest.raises(CrossCheckFailure, match="off its class exponent"):
+        zero_lattice(fam)
+
+    e5 = frobenius_model(parse_weil_datum(E5A2))
+    with pytest.raises(CrossCheckFailure, match="not an involution"):
+        zero_lattice(build_pj_family(replace(e5, pairing=(1, 1))))

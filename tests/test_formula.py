@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from weilflow import formula
 from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, tail_majorant
 from weilflow.counting import build_count_table
 from weilflow.errors import (
@@ -27,6 +28,8 @@ from weilflow.weil import frobenius_model, parse_weil_datum
 LOG5 = math.log(5)
 E5A2 = parse_weil_datum({"q": 5, "trace": 2})
 G2 = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]})
+G3 = parse_weil_datum({"q": 5, "g": 3, "weil_poly": [1, -6, 26, -66, 130, -150, 125]})
+REPEATED = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]})
 
 
 def _lattice(w):
@@ -59,7 +62,7 @@ def test_trace_imaginary_parts_certified():
     for lat in (LAT1, LAT2):
         for j in range(2 * lat.g + 1):
             r = trace_j(lat, j, tf, budget=0.25)
-            assert abs(r.value.imag) <= r.tail_bound + r.quad_error + 1e-12
+            assert r.value.imag == 0.0
 
 
 def test_trace_all_j_vs_symmetric_oracle():
@@ -80,6 +83,56 @@ def test_trace_all_j_vs_symmetric_oracle():
                 # the certified bound is crude; the floor of 300 rungs per
                 # ladder makes the actual agreement far tighter
                 assert abs(r.value - want) < 1e-8 * (1 + abs(want))
+
+
+def test_trace_all_j_vs_symmetric_oracle_past_the_floor():
+    # at budget 1e-6 the g = 3 product's ladders run past the 300-zero floor
+    bump = (LOG5, 0.5, 1.0)
+    tf = BumpFunction(center=LOG5, width=0.5)
+    for w, longest in ((REPEATED, 300), (G3, 324)):
+        roots = frobenius_model(w).roots
+        lat = _lattice(w)
+        per = [trace_j(lat, j, tf, budget=1e-6) for j in range(2 * w.g + 1)]
+        assert max(r.nu_max for r in per) == longest
+        for r in per:
+            want = oracles.symmetric_trace(roots, w.q, r.j, [bump])
+            assert abs(r.value - want) <= r.tail_bound + r.quad_error + 1e-9 * (1 + abs(want))
+            assert abs(r.value - want) < 1e-8 * (1 + abs(want))
+
+
+def test_ladder_work_per_verify(monkeypatch):
+    # one 601-point ladder per conjugate pair of classes, one 301-point half
+    # ladder per real class: E/F_5 is 301 + 601 + 301 (one ladder per
+    # sublattice would be 3 x 601), the g = 3 product 25 x 601 + 4 x 301
+    # (against 64 x 601)
+    counts = []
+    ladder = formula.phi_ladder
+
+    def counting(tf, sigma, f0, step, count):
+        counts.append(count)
+        return ladder(tf, sigma, f0, step, count)
+
+    monkeypatch.setattr(formula, "phi_ladder", counting)
+    for w, points in ((E5A2, 1203), (G3, 16229)):
+        counts.clear()
+        assert verify(w, BumpFunction(center=LOG5, width=0.5), trunc_budget=1.0).passed
+        assert sum(counts) == points
+
+
+def test_real_roots_verify():
+    # (1 - 5X^2)^2 has mu = +-sqrt 5, twice each: the classes holding -sqrt 5
+    # are self-conjugate but sit half a period off the axis, so their traces
+    # keep an imaginary part; 1 + 5X^2 (mu = +-i sqrt 5) pairs up fully
+    tf = BumpFunction(center=LOG5, width=0.5)
+    for poly, off_axis in (([1, 0, -10, 0, 25], True), ([1, 0, 5], False)):
+        w = parse_weil_datum({"q": 5, "g": len(poly) // 2, "weil_poly": poly})
+        rep = verify(w, tf, allow_non_ordinary=True)
+        assert rep.passed
+        lat = _lattice(w)
+        for t in rep.spectral.per_j:
+            if not any(c.partner == i and not c.real for i, c in enumerate(lat.classes[t.j])):
+                assert t.value.imag == 0.0
+        assert off_axis == any(t.value.imag != 0.0 for t in rep.spectral.per_j)
 
 
 def test_truncation_budget_drives_nu():
