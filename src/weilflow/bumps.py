@@ -7,12 +7,14 @@ Finite sums of bumps are first-class: everything downstream only needs
 pointwise values, the support hull, and a mass scale.
 
 Phi(s) = integral e^{t s} alpha(t) dt is entire in s. phi_ladder computes it
-along an arithmetic progression of imaginary parts in one shared composite
-Gauss-Legendre panelization (order 64, panels doubled until successive passes
-agree to RTOL = 1e-12 relative, with an envelope floor so near-zero values
-terminate); phi is a ladder of one point. This quadrature is the only
-approximation: the tail majorants M_k, k = 2..K_MAX, with |Phi(sigma + i tau)|
-<= M_k / |tau|^k are closed forms, exact up to a stated rounding allowance.
+along arithmetic progressions of imaginary parts, one row per start and all
+rows on one shared composite Gauss-Legendre panelization (order 64, panels
+doubled until successive passes agree to RTOL = 1e-12 relative in every
+row, with an envelope floor so near-zero values terminate). Each pass is a
+cache-blocked matrix product of node weights against rung phases; phi is a
+ladder of one point. This quadrature is the only approximation: the tail
+majorants M_k, k = 2..K_MAX, with |Phi(sigma + i tau)| <= M_k / |tau|^k are
+closed forms, exact up to a stated rounding allowance.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ K_MAX = 8  # highest tail majorant order; see tail_majorant
 _EXP_CUTOFF = -700.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BumpFunction:
     center: float = 0.0
     width: float = 1.0
@@ -74,7 +76,7 @@ class BumpFunction:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BumpSum:
     terms: tuple[BumpFunction, ...]
 
@@ -113,7 +115,7 @@ def combine_bumps(bumps) -> TestFunction:
     return BumpSum(terms=terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhiResult:
     value: complex
     error: float  # |last doubling delta|
@@ -121,7 +123,7 @@ class PhiResult:
     order: int = GL_ORDER
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TailMajorant:
     sigma: float
     order: int  # k: the bound decays as |tau|^-k
@@ -165,54 +167,85 @@ def _oscillation_panels(span: float, freq: float) -> int:
     return int(math.ceil(span * freq / (2.0 * math.pi * 8.0))) if freq > 0 else 0
 
 
-def _ladder_pass(tf: TestFunction, sigma: float, f0: float, step: float,
+_BLOCK_BYTES = 1 << 18  # cap on one slice of E: 256 KiB stays in L2
+_BLOCK = 16  # rungs per matrix product
+_ANCHOR = 512  # rungs between exact exp re-anchors of the phase
+
+
+def _ladder_pass(tf: TestFunction, sigma: float, f0: np.ndarray, step: float,
                  count: int, panels: int, lo: float, hi: float) -> np.ndarray:
     """One quadrature pass of F(f) = integral e^{sigma t} alpha(t) e^{i f t} dt
-    for f = f0, f0+step, ..., via phase recurrence re-anchored every 512 steps.
+    for f = f0_r + step k, k = 0..count-1, every row r on one shared grid.
+
+    Blocked as a matrix product (Goto and van de Geijn's GEMM blocking): the
+    nodes go in slices of at most _BLOCK_BYTES / (16 B) for B = _BLOCK rungs.
+    Per slice, E[b, n] = z_n^b, z = e^{i step t}, is built by recurrence, and
+    A[r, n] = w_n h(t_n) e^{i f t_n} at a block's first rung gives the block
+    as A @ E^T; A then moves on by z^B, with an exact exp re-anchor every
+    _ANCHOR rungs. Each slice's E and A stay in cache across its blocks.
     """
     t, wt = _grid(lo, hi, panels)
     base = wt * tf.values(t) * np.exp(sigma * t)
-    rot = np.exp(1j * step * t)
-    out = np.empty(count, dtype=complex)
-    cur = base * np.exp(1j * f0 * t)
-    for k in range(count):
-        if k and k % 512 == 0:
-            cur = base * np.exp(1j * (f0 + step * k) * t)
-        out[k] = cur.sum()
-        cur *= rot
+    block = min(count, _BLOCK)
+    width = _BLOCK_BYTES // (16 * block)
+    anchor = block * (_ANCHOR // block)
+    out = np.zeros((f0.size, count), dtype=complex)
+    for n in range(0, t.size, width):
+        tn, hn = t[n:n + width], base[n:n + width]
+        e = np.empty((block, tn.size), dtype=complex)
+        e[0] = 1.0
+        np.cumprod(np.broadcast_to(np.exp(1j * step * tn), (block - 1, tn.size)),
+                   axis=0, out=e[1:])
+        advance = np.exp(1j * (step * block) * tn)
+        for k in range(0, count, block):
+            if k % anchor == 0:
+                a = hn * np.exp(1j * np.multiply.outer(f0 + step * k, tn))
+            else:
+                a *= advance
+            b = min(block, count - k)
+            out[:, k:k + b] += a @ e[:b].T
     return out
 
 
-def phi_ladder(tf: TestFunction, sigma: float, f0: float, step: float, count: int):
+def phi_ladder(tf: TestFunction, sigma: float, f0, step: float, count: int):
     """Phi along s = sigma + i(f0 + step k), k = 0..count-1, with per-point
     error estimates from the final panel doubling.
 
-    Returns (values, errors, panels). Same convergence contract as phi().
+    f0 is one start or a 1-D array of row starts. All rows share one
+    Gauss-Legendre grid, its panels set by the largest |f| of any row, and
+    doubling stops once every row agrees with the previous pass to RTOL
+    against its own scale (max |Phi| over the row, floored by the envelope).
+    Returns (values, errors, panels): values and the per-point doubling
+    deltas have shape (count,) for a scalar f0 and (rows, count) for an
+    array. Same convergence contract as phi().
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    starts = np.asarray(f0, dtype=float)
+    rows = starts.reshape(-1)
     lo, hi = tf.support
     env = _envelope(tf, sigma) + 1e-300
-    fmax = max(abs(f0), abs(f0 + step * (count - 1)))
+    fmax = float(np.max(np.maximum(np.abs(rows), np.abs(rows + step * (count - 1)))))
     panels = max(8, _oscillation_panels(hi - lo, fmax))
     if panels * GL_ORDER > _MAX_NODES:
         raise QuadratureNonConvergence(
-            "ladder of %d points needs %d panels up front, past the node cap"
-            % (count, panels)
+            "ladder of %d x %d points needs %d panels up front, past the node cap"
+            % (rows.size, count, panels)
         )
-    prev = _ladder_pass(tf, sigma, f0, step, count, panels, lo, hi)
+    prev = _ladder_pass(tf, sigma, rows, step, count, panels, lo, hi)
     while True:
         panels *= 2
         if panels * GL_ORDER > _MAX_NODES:
             raise QuadratureNonConvergence(
-                "ladder of %d points still moving at %d panels"
-                % (count, panels // 2)
+                "ladder of %d x %d points still moving at %d panels"
+                % (rows.size, count, panels // 2)
             )
-        cur = _ladder_pass(tf, sigma, f0, step, count, panels, lo, hi)
+        cur = _ladder_pass(tf, sigma, rows, step, count, panels, lo, hi)
         err = np.abs(cur - prev)
-        scale = max(float(np.max(np.abs(cur))), env)
-        if float(err.max()) <= RTOL * scale:
-            return cur, err, panels
+        scale = np.maximum(np.abs(cur).max(axis=1), env)
+        if np.all(err.max(axis=1) <= RTOL * scale):
+            shape = starts.shape + (count,)
+            return cur.reshape(shape), err.reshape(shape), panels
         prev = cur
 
 

@@ -6,8 +6,9 @@ Three independently computed quantities must coincide:
      ladders of every P_j(q^{-s}), j = 0..2g, with a certified tau^-k tail
      bound per sublattice (k = 2, or up to K_MAX where that shortens the
      ladder). One ladder is evaluated per conjugate pair of sublattice
-     classes (exterior.ZeroClass) and half a ladder for the real class at
-     j/2, so each T_j comes out exactly real;
+     classes (exterior.ZeroClass), all of one j as rows of a single
+     phi_ladder call, and half a ladder for the real class at j/2, so each
+     T_j comes out exactly real;
   2. the resummed closed form: log q times extension point counts N_k
      weighting alpha(k log q) (with q^{gk} damping for k <= -1);
   3. the geometric side: log q times closed points weighted by degree, the
@@ -52,7 +53,7 @@ J_RANGE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceResult:
     j: int
     value: complex
@@ -65,7 +66,7 @@ class TraceResult:
     panels: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralResult:
     per_j: tuple[TraceResult, ...]
     alternating_full: complex  # sum over j = 0..2g of (-1)^j T_j
@@ -76,7 +77,7 @@ class SpectralResult:
     closed_form: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeometricCell:
     k: int
     d: int
@@ -87,7 +88,7 @@ class GeometricCell:
     contribution: float  # log q * weight * alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeometricResult:
     cells: tuple[GeometricCell, ...]
     positive_part: float  # k >= 1 cells
@@ -95,7 +96,7 @@ class GeometricResult:
     total: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     datum: WeilDatum
     ordinarity_is_ordinary: bool
@@ -139,12 +140,14 @@ def trace_j(
     points raise instead of truncating silently.
 
     One ladder is evaluated per class of lat.classes[j], not per sublattice,
-    and weighted by the class size. The second class of a conjugate pair is
-    its partner's ladder conjugated and reversed, since
+    and weighted by the class size. Every full ladder of this j is a row of
+    one phi_ladder call at sigma = j/2. The second class of a conjugate pair
+    is its partner's ladder conjugated and reversed, since
     Phi(conj rho) = conj Phi(rho). The real class, based at j/2 exactly, gets
-    a half ladder tau = 0, beta, .., n beta, mirrored the same way. The
-    imaginary parts of the mirrored copies cancel, so T_j is exactly real
-    unless a root -sqrt q makes a self-conjugate class off the real axis.
+    a half ladder tau = 0, beta, .., n beta in a call of its own, mirrored
+    the same way. The imaginary parts of the mirrored copies cancel, so T_j
+    is exactly real unless a root -sqrt q makes a self-conjugate class off
+    the real axis.
     zero_count and quad_error still count every enumerated zero. Every
     enumerated zero's value is folded with one correctly rounded math.fsum,
     so the result does not depend on the order the zeros are visited in.
@@ -185,28 +188,30 @@ def trace_j(
     tail_sub = min(tail(tm, n) for tm in majorants.values())
     count = 2 * n + 1
 
+    classes = lat.classes[j]
+    full = [i for i, cls in enumerate(classes) if not cls.real and cls.partner >= i]
     # (array, times): each entry stands for `times` enumerated zeros
     re_parts, im_parts, err_parts = [], [], []
     panels = 0
-    for i, cls in enumerate(lat.classes[j]):
-        if cls.partner < i:
-            continue  # folded in with its partner's ladder
-        w = cls.weight
+    if full:
+        starts = np.array([classes[i].exponent.imag for i in full]) - beta * n
+        v, e, panels = phi_ladder(tf, sigma, starts, beta, count)
+        for i, vr, er in zip(full, v, e):
+            w = classes[i].weight
+            if classes[i].partner == i:
+                im_parts.append((vr.imag, w))
+            else:
+                w *= 2  # the partner's ladder conj(vr[::-1]) cancels the imaginary parts
+            re_parts.append((vr.real, w))
+            err_parts.append((er, w))
+    for cls in classes:
         if cls.real:
             v, e, p = phi_ladder(tf, sigma, 0.0, beta, n + 1)
             # Phi(sigma - i tau) = conj Phi(sigma + i tau): every rung but tau = 0 twice
+            w = cls.weight
             re_parts += [(v.real[:1], w), (v.real[1:], 2 * w)]
             err_parts += [(e[:1], w), (e[1:], 2 * w)]
-        else:
-            s = cls.exponent
-            v, e, p = phi_ladder(tf, s.real, s.imag - beta * n, beta, count)
-            if cls.partner == i:
-                im_parts.append((v.imag, w))
-            else:
-                w *= 2  # the partner's ladder conj(v[::-1]) cancels the imaginary parts
-            re_parts.append((v.real, w))
-            err_parts.append((e, w))
-        panels = max(panels, p)
+            panels = max(panels, p)
 
     value = complex(_fold(re_parts), _fold(im_parts))
     quad_error = _fold(err_parts)

@@ -334,20 +334,26 @@ def compute_roots(w: WeilDatum):
 
     Returns (roots, pairing, precision): roots sorted by (principal argument,
     real part), pairing[i] the index of the partner q/mu_i, precision the
-    worst Newton residual.
+    worst Newton residual. pairing is an involution on the indices, also
+    where roots repeat.
     """
     _check_riemann_hypothesis(w)
     refined, worst = _refined_roots(w.coeffs, w.q)
-    pairing = []
-    for mu in refined:
+    pairing = [-1] * len(refined)
+    for i, mu in enumerate(refined):
+        if pairing[i] >= 0:
+            continue
+        # copies of a repeated root are equal floats: pair copies one to one,
+        # and a root equal to its own partner (mu = +-sqrt q) with itself
         partner = w.q / mu
-        j = min(range(len(refined)), key=lambda k: abs(refined[k] - partner))
+        free = [k for k, p in enumerate(pairing) if p < 0]
+        j = min(free, key=lambda k: abs(refined[k] - partner))
         if abs(refined[j] - partner) > PAIRING_TOL * math.sqrt(w.q):
             raise CrossCheckFailure(
                 "no partner for root %s: nearest candidate off by %.3g"
                 % (mu, abs(refined[j] - partner))
             )
-        pairing.append(j)
+        pairing[i], pairing[j] = j, i
     return refined, tuple(pairing), worst
 
 

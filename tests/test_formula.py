@@ -4,11 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
 from weilflow import formula
-from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, tail_majorant
+from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, phi, tail_majorant
 from weilflow.counting import build_count_table
 from weilflow.errors import (
     InsufficientCountRange,
@@ -101,22 +102,34 @@ def test_trace_all_j_vs_symmetric_oracle_past_the_floor():
 
 
 def test_ladder_work_per_verify(monkeypatch):
-    # one 601-point ladder per conjugate pair of classes, one 301-point half
-    # ladder per real class: E/F_5 is 301 + 601 + 301 (one ladder per
-    # sublattice would be 3 x 601), the g = 3 product 25 x 601 + 4 x 301
-    # (against 64 x 601)
-    counts = []
+    # one 601-point row per conjugate pair of classes, all rows of one j in
+    # one call, and one 301-point half ladder per real class: E/F_5 is
+    # 301 + 601 + 301 in 3 calls, the g = 3 product 25 x 601 + 4 x 301 in 9:
+    # j = 0..6 make 1, 1, 2, 1, 2, 1, 1 calls (one call per ladder took 29,
+    # one per sublattice 64 x 601 points)
+    calls = []
     ladder = formula.phi_ladder
 
     def counting(tf, sigma, f0, step, count):
-        counts.append(count)
+        calls.append(np.size(f0) * count)
         return ladder(tf, sigma, f0, step, count)
 
     monkeypatch.setattr(formula, "phi_ladder", counting)
-    for w, points in ((E5A2, 1203), (G3, 16229)):
-        counts.clear()
+    for w, points, n_calls in ((E5A2, 1203, 3), (G3, 16229, 9)):
+        calls.clear()
         assert verify(w, BumpFunction(center=LOG5, width=0.5), trunc_budget=1.0).passed
-        assert sum(counts) == points
+        assert (sum(calls), len(calls)) == (points, n_calls)
+
+
+def test_report_parts_have_no_instance_dict():
+    # result dataclasses are slotted: a caller that keeps many reports pays
+    # for their fields only
+    tf = BumpFunction(center=LOG5, width=0.5)
+    rep = verify(E5A2, tf)
+    parts = [rep, rep.spectral, rep.geometric, *rep.spectral.per_j, *rep.geometric.cells,
+             tf, combine_bumps([tf, tf]), phi(tf, 0.5 + 3j), tail_majorant(tf, 0.5)]
+    assert rep.geometric.cells
+    assert not [type(p).__name__ for p in parts if hasattr(p, "__dict__")]
 
 
 def test_real_roots_verify():

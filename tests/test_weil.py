@@ -153,12 +153,20 @@ def test_root_pairing_and_moduli():
             assert abs(abs(mu) ** 2 - w.q) <= 1e-9 * w.q
             partner = m.roots[m.pairing[i]]
             assert abs(partner - w.q / mu) < 1e-8 * math.sqrt(w.q)
-        # involution only when roots are simple; a double root makes both
-        # copies point at the same partner index, which is still correct
-        if len({(round(z.real, 9), round(z.imag, 9)) for z in m.roots}) == len(m.roots):
-            assert [m.pairing[m.pairing[i]] for i in range(len(m.roots))] == list(
-                range(len(m.roots))
-            )
+        # an involution on the indices, also where a root repeats
+        assert [m.pairing[m.pairing[i]] for i in range(len(m.roots))] == list(
+            range(len(m.roots))
+        )
+
+
+@pytest.mark.parametrize("doc, pairing", [
+    # (1 - 2X + 5X^2)^2: roots 1 - 2i, 1 - 2i, 1 + 2i, 1 + 2i, copies paired one to one
+    ({"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]}, (2, 3, 0, 1)),
+    # (1 - 2X)^2 over F_4: mu = 2 = q/mu, each copy its own partner
+    ({"q": 4, "g": 1, "weil_poly": [1, -4, 4]}, (0, 1)),
+])
+def test_repeated_root_pairing(doc, pairing):
+    assert compute_roots(parse_weil_datum(doc))[1] == pairing
 
 
 def test_repeated_roots_refine_cleanly():
