@@ -65,7 +65,7 @@ def main():
         print(f"j={j}: {len(lat.exps[j])} sublattices in {len(classes)} classes, "
               f"{len(pairs)} conjugate pairs, "
               f"{'a real class' if real else 'no real class'}: "
-              f"{len(pairs) + len(real)} ladders to evaluate")
+              f"{len(classes)} half-ladder rows in one call")
         for i, c in enumerate(classes):
             members = " ".join(str(subsets(n, j)[k]) for k in c.members)
             role = "real" if c.real else f"conjugate of class {c.partner}"

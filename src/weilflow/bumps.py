@@ -120,7 +120,6 @@ class PhiResult:
     value: complex
     error: float  # |last doubling delta|
     panels: int
-    order: int = GL_ORDER
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,18 +130,17 @@ class TailMajorant:
     error: float  # rounding allowance, already included in m
 
 
-@lru_cache(maxsize=8)
-def _gl(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+@lru_cache(maxsize=1)
+def _gl():
+    return np.polynomial.legendre.leggauss(GL_ORDER)
 
 
-def _grid(lo: float, hi: float, panels: int, order: int = GL_ORDER):
-    x, w = _gl(order)
+def _grid(lo: float, hi: float, panels: int):
+    x, w = _gl()
     half = (hi - lo) / panels / 2.0
     centers = lo + (2.0 * np.arange(panels) + 1.0) * half
     t = (centers[:, None] + half * x[None, :]).ravel()
-    wt = np.broadcast_to(w * half, (panels, order)).reshape(-1).copy()
+    wt = np.broadcast_to(w * half, (panels, GL_ORDER)).reshape(-1).copy()
     return t, wt
 
 

@@ -5,10 +5,10 @@ Three independently computed quantities must coincide:
   1. the truncated zero sum: Phi summed with alternating sign over the zero
      ladders of every P_j(q^{-s}), j = 0..2g, with a certified tau^-k tail
      bound per sublattice (k = 2, or up to K_MAX where that shortens the
-     ladder). One ladder is evaluated per conjugate pair of sublattice
-     classes (exterior.ZeroClass), all of one j as rows of a single
-     phi_ladder call, and half a ladder for the real class at j/2, so each
-     T_j comes out exactly real;
+     ladder). Each sublattice class (exterior.ZeroClass) is one half-ladder
+     row from its own base, all classes of one j rows of a single
+     phi_ladder call; conjugation supplies the other half, so each T_j
+     comes out exactly real on ordinary input;
   2. the resummed closed form: log q times extension point counts N_k
      weighting alpha(k log q) (with q^{gk} damping for k <= -1);
   3. the geometric side: log q times closed points weighted by degree, the
@@ -22,7 +22,6 @@ discarded.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -38,7 +37,9 @@ from .errors import (
     NonOrdinaryInput,
     TruncationBudgetExceeded,
 )
-from .exterior import ZeroLattice, build_pj_family, functional_equation_check, zero_lattice
+from .exterior import (
+    FE_TOLERANCE, ZeroLattice, build_pj_family, functional_equation_check, zero_lattice,
+)
 from .weil import WeilDatum, check_ordinary, frobenius_model
 
 NU_CAP = 10_000_000  # hard per-sublattice ladder cap; beyond it is an error
@@ -113,11 +114,6 @@ class VerificationReport:
     j_range_note: str = J_RANGE_NOTE
 
 
-def _fold(parts) -> float:
-    """Correctly rounded sum of every array in parts, each taken `times` times."""
-    return math.fsum(itertools.chain.from_iterable(np.tile(a, t).tolist() for a, t in parts))
-
-
 def trace_j(
     lat: ZeroLattice,
     j: int,
@@ -140,17 +136,20 @@ def trace_j(
     points raise instead of truncating silently.
 
     One ladder is evaluated per class of lat.classes[j], not per sublattice,
-    and weighted by the class size. Every full ladder of this j is a row of
-    one phi_ladder call at sigma = j/2. The second class of a conjugate pair
-    is its partner's ladder conjugated and reversed, since
-    Phi(conj rho) = conj Phi(rho). The real class, based at j/2 exactly, gets
-    a half ladder tau = 0, beta, .., n beta in a call of its own, mirrored
-    the same way. The imaginary parts of the mirrored copies cancel, so T_j
-    is exactly real unless a root -sqrt q makes a self-conjugate class off
-    the real axis.
-    zero_count and quad_error still count every enumerated zero. Every
-    enumerated zero's value is folded with one correctly rounded math.fsum,
-    so the result does not depend on the order the zeros are visited in.
+    and weighted by the class size. Every class is a row of one phi_ladder
+    call at sigma = j/2: the half ladder tau = theta + beta k, k = 0..n, from
+    its base theta = Im(exponent). Since Phi(conj rho) = conj Phi(rho) and a
+    partner's base is the exact conjugate of its class's, the partner's rungs
+    -k are this row's rungs k conjugated: rung 0 counts once, rungs 1..n
+    twice, and only real parts are summed. The real class (theta = 0)
+    follows the same rule, so T_j is exactly real on ordinary input. A
+    self-conjugate class off the axis, theta = +-beta/2 from a root -sqrt q,
+    starts its row at |theta|; rungs 0..n-1 count twice and the top rung
+    once, with sign(theta) Im.
+    zero_count and quad_error still count every enumerated zero. The value
+    and quad_error are each one correctly rounded math.fsum over every
+    enumerated zero, so they do not depend on the order the zeros are
+    visited in.
     """
     if budget <= 0:
         raise ValueError("truncation budget must be positive")
@@ -186,35 +185,27 @@ def trace_j(
             % (j, n, budget, nu_cap)
         )
     tail_sub = min(tail(tm, n) for tm in majorants.values())
-    count = 2 * n + 1
 
+    # each class is one half-ladder row; times[i, k] counts the zeros rung k
+    # of row i stands for
     classes = lat.classes[j]
-    full = [i for i, cls in enumerate(classes) if not cls.real and cls.partner >= i]
-    # (array, times): each entry stands for `times` enumerated zeros
-    re_parts, im_parts, err_parts = [], [], []
-    panels = 0
-    if full:
-        starts = np.array([classes[i].exponent.imag for i in full]) - beta * n
-        v, e, panels = phi_ladder(tf, sigma, starts, beta, count)
-        for i, vr, er in zip(full, v, e):
-            w = classes[i].weight
-            if classes[i].partner == i:
-                im_parts.append((vr.imag, w))
-            else:
-                w *= 2  # the partner's ladder conj(vr[::-1]) cancels the imaginary parts
-            re_parts.append((vr.real, w))
-            err_parts.append((er, w))
-    for cls in classes:
-        if cls.real:
-            v, e, p = phi_ladder(tf, sigma, 0.0, beta, n + 1)
-            # Phi(sigma - i tau) = conj Phi(sigma + i tau): every rung but tau = 0 twice
-            w = cls.weight
-            re_parts += [(v.real[:1], w), (v.real[1:], 2 * w)]
-            err_parts += [(e[:1], w), (e[1:], 2 * w)]
-            panels = max(panels, p)
-
-    value = complex(_fold(re_parts), _fold(im_parts))
-    quad_error = _fold(err_parts)
+    times = np.full((len(classes), n + 1), 2)
+    times[:, 0] = 1
+    starts, tops = [], []
+    for i, cls in enumerate(classes):
+        theta = cls.exponent.imag
+        if cls.partner == i and not cls.real:  # off the axis, theta = +-beta/2
+            times[i, 0], times[i, n] = 2, 1
+            tops.append((i, math.copysign(1.0, theta)))
+            theta = abs(theta)
+        starts.append(theta)
+        times[i] *= cls.weight
+    v, e, panels = phi_ladder(tf, sigma, np.array(starts), beta, n + 1)
+    value = complex(
+        math.fsum(np.repeat(v.real.ravel(), times.ravel()).tolist()),
+        math.fsum(sign * v[i, n].imag for i, sign in tops for _ in range(times[i, n])),
+    )
+    quad_error = math.fsum(np.repeat(e.ravel(), times.ravel()).tolist())
     tail_bound = tail_sub * m
     return TraceResult(
         j=j,
@@ -222,7 +213,7 @@ def trace_j(
         nu_max=n,
         tail_bound=tail_bound,
         quad_error=quad_error,
-        zero_count=m * count,
+        zero_count=m * (2 * n + 1),
         order=order,
         majorant=majorants[order].m,
         panels=panels,
@@ -362,7 +353,8 @@ def verify(
     ok, deviation = functional_equation_check(fam)
     if not ok:
         raise FunctionalEquationViolation(
-            "zero symmetry s -> g - s off by %.3g (tolerance 1e-8)" % deviation
+            "zero symmetry s -> g - s off by %.3g (tolerance %s)"
+            % (deviation, np.format_float_scientific(FE_TOLERANCE, trim="-", exp_digits=1))
         )
     lat = zero_lattice(fam)
 

@@ -32,6 +32,7 @@ from .intlinalg import Matrix, det_bareiss
 RH_TOLERANCE = 1e-9
 REFINE_FACTOR = 1e-13  # residual target is REFINE_FACTOR * sqrt(q)
 PAIRING_TOL = 1e-6  # a partner must sit within PAIRING_TOL * sqrt(q) of q/mu
+NEWTON_MAX_ITER = 80  # Newton steps a root gets to reach the residual target
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,7 @@ def _horner(coeffs_asc: list[float], z: complex) -> complex:
 
 
 @lru_cache(maxsize=256)
-def _refined_roots(coeffs: tuple[int, ...], q: int, max_iter: int = 80):
+def _refined_roots(coeffs: tuple[int, ...], q: int):
     """Newton-polished roots of the monic char polynomial, multiplicity-aware.
 
     Refinement runs against the square-free part containing each root (so
@@ -302,7 +303,7 @@ def _refined_roots(coeffs: tuple[int, ...], q: int, max_iter: int = 80):
         for z0 in guesses:
             z = complex(z0)
             resid = None
-            for _ in range(max_iter):
+            for _ in range(NEWTON_MAX_ITER):
                 pv = _horner(factor, z)
                 dv = _horner(deriv, z)
                 if dv == 0:

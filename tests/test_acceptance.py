@@ -155,7 +155,7 @@ def test_criterion_7_functional_equation():
     worst = 0.0
     for doc in CORPUS:
         fam = build_pj_family(frobenius_model(parse_weil_datum(doc)))
-        ok, dev = functional_equation_check(fam, tol=1e-8)
+        ok, dev = functional_equation_check(fam)
         assert ok, (doc, dev)
         worst = max(worst, dev)
     print(f"PASS criterion 7: functional equation on all inputs, "

@@ -120,6 +120,15 @@ def test_functional_equation_examples():
     assert min(diff, period - diff) < 1e-12 and abs((lhs - rhs).real) < 1e-12
 
 
+def test_complements_are_reverse_lex():
+    # functional_equation_check pairs the k-th j-subset with the k-th
+    # (n - j)-subset from the end
+    for n in range(13):
+        for j in range(n + 1):
+            comps = [tuple(sorted(set(range(n)) - set(s))) for s in subsets(n, j)]
+            assert comps == subsets(n, n - j)[::-1]
+
+
 def test_functional_equation_corpus():
     for doc in CORPUS:
         ok, dev = functional_equation_check(_family(doc))

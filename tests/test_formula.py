@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 
 import oracles
 from weilflow import formula
-from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, phi, tail_majorant
+from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, phi, phi_ladder, tail_majorant
 from weilflow.counting import build_count_table
 from weilflow.errors import (
+    FunctionalEquationViolation,
     InsufficientCountRange,
     NonOrdinaryInput,
     TruncationBudgetExceeded,
@@ -102,11 +104,11 @@ def test_trace_all_j_vs_symmetric_oracle_past_the_floor():
 
 
 def test_ladder_work_per_verify(monkeypatch):
-    # one 601-point row per conjugate pair of classes, all rows of one j in
-    # one call, and one 301-point half ladder per real class: E/F_5 is
-    # 301 + 601 + 301 in 3 calls, the g = 3 product 25 x 601 + 4 x 301 in 9:
-    # j = 0..6 make 1, 1, 2, 1, 2, 1, 1 calls (one call per ladder took 29,
-    # one per sublattice 64 x 601 points)
+    # one 301-point half-ladder row per class, all classes of one j as rows
+    # of one call: E/F_5 has 1 + 2 + 1 classes, 1,204 points in 3 calls, and
+    # the g = 3 product 25 conjugate pairs and 4 real classes, 54 rows or
+    # 16,254 points in 7 calls (one call per ladder took 29, one ladder per
+    # sublattice 64 x 601 points)
     calls = []
     ladder = formula.phi_ladder
 
@@ -115,7 +117,7 @@ def test_ladder_work_per_verify(monkeypatch):
         return ladder(tf, sigma, f0, step, count)
 
     monkeypatch.setattr(formula, "phi_ladder", counting)
-    for w, points, n_calls in ((E5A2, 1203, 3), (G3, 16229, 9)):
+    for w, points, n_calls in ((E5A2, 1204, 3), (G3, 16254, 7)):
         calls.clear()
         assert verify(w, BumpFunction(center=LOG5, width=0.5), trunc_budget=1.0).passed
         assert (sum(calls), len(calls)) == (points, n_calls)
@@ -146,6 +148,65 @@ def test_real_roots_verify():
             if not any(c.partner == i and not c.real for i, c in enumerate(lat.classes[t.j])):
                 assert t.value.imag == 0.0
         assert off_axis == any(t.value.imag != 0.0 for t in rep.spectral.per_j)
+
+
+NON_ORDINARY = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, 0, -10, 0, 25]})
+OFF_AXIS_BUMPS = ((LOG5, 0.5, 1.0), (2 * LOG5, 0.6, 1.3), (-LOG5, 0.4, 0.8))
+
+
+def _off_axis(lat, j):
+    return [i for i, c in enumerate(lat.classes[j]) if c.partner == i and not c.real]
+
+
+def test_off_axis_classes_vs_symmetric_oracle():
+    # (1 - 5X^2)^2: the classes holding -sqrt 5 are rows from |theta| = beta/2
+    # whose top rung counts once; the truncated trace's imaginary part is the
+    # unpaired rungs' and stays within the certificate of the real oracle value
+    lat = _lattice(NON_ORDINARY)
+    roots = frobenius_model(NON_ORDINARY).roots
+    assert any(_off_axis(lat, j) for j in range(5))
+    for c, width, amp in OFF_AXIS_BUMPS:
+        tf = BumpFunction(center=c, width=width, amplitude=amp)
+        for j in range(5):
+            r = trace_j(lat, j, tf, budget=0.25)
+            want = oracles.symmetric_trace(roots, 5, j, [(c, width, amp)])
+            assert want.imag == 0.0
+            assert abs(r.value.real - want.real) <= r.tail_bound + r.quad_error
+            assert abs(r.value.imag) <= r.tail_bound + r.quad_error
+
+
+def test_trace_counts_every_sublattice_zero_once():
+    # against full ladders theta_S + beta k, k = -n..n, of every sublattice
+    # of lat.exps, without the classes; the narrow bump keeps every rung, an
+    # off-axis row's top rung included, far above quad_error
+    tf = BumpFunction(center=LOG5, width=0.15)
+    for w in (G2, NON_ORDINARY):
+        lat = _lattice(w)
+        for j in range(5):
+            r = trace_j(lat, j, tf, budget=0.25)
+            starts = np.array([s.imag for s in lat.exps[j]]) - lat.period * r.nu_max
+            v, _, _ = phi_ladder(tf, j / 2, starts, lat.period, 2 * r.nu_max + 1)
+            want = complex(math.fsum(v.real.ravel().tolist()), math.fsum(v.imag.ravel().tolist()))
+            assert abs(r.value - want) <= r.quad_error
+
+
+def test_conjugating_off_axis_classes_conjugates_the_trace():
+    # theta -> -theta leaves an off-axis row at |theta| and flips the sign its
+    # top rung's imaginary part enters with: Re T_j bitwise equal, Im negated
+    lat = _lattice(NON_ORDINARY)
+    flipped = replace(lat, classes=tuple(
+        tuple(replace(c, exponent=c.exponent.conjugate()) if i in _off_axis(lat, j) else c
+              for i, c in enumerate(classes))
+        for j, classes in enumerate(lat.classes)
+    ))
+    moved = 0
+    for c, width, amp in OFF_AXIS_BUMPS:
+        tf = BumpFunction(center=c, width=width, amplitude=amp)
+        for j in range(5):
+            r, s = trace_j(lat, j, tf, budget=0.25), trace_j(flipped, j, tf, budget=0.25)
+            assert s.value.real == r.value.real and s.value.imag == -r.value.imag
+            moved += r.value.imag != 0.0
+    assert moved
 
 
 def test_truncation_budget_drives_nu():
@@ -339,6 +400,12 @@ def test_verify_ordinarity_gate():
     assert not rep.ordinarity_is_ordinary
     # N_1 = 1 - 0 + 5 = 6 for the supersingular trace
     assert abs(rep.geometric.total - 6 * LOG5 * math.exp(-1)) < 1e-13
+
+
+def test_functional_equation_violation_names_the_tolerance(monkeypatch):
+    monkeypatch.setattr(formula, "functional_equation_check", lambda fam: (False, 2e-8))
+    with pytest.raises(FunctionalEquationViolation, match=r"off by 2e-08 \(tolerance 1e-8\)$"):
+        verify(E5A2, BumpFunction(center=LOG5, width=0.5))
 
 
 def test_verify_count_cap():
