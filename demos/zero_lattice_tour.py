@@ -3,7 +3,7 @@
 Each factor polynomial P_j pins its zeros to the vertical line
 Re s = j/2, spaced log-q-periodically. This prints the ladder layout
 and checks the observed density against 2g-choose-j per period. It then
-groups each j's sublattices into classes: a pair {mu, q/mu} inside a
+groups each j's sublattices into classes: a pair {mu, conj(mu)} inside a
 subset contributes exactly q, conjugate classes mirror each other, and
 the fully paired subsets form the real class at s = j/2.
 

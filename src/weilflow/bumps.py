@@ -48,8 +48,8 @@ class BumpFunction:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (self.width > 0):
-            raise InputError("bump width must be positive, got %r" % (self.width,))
+        if not 0 < self.width < math.inf:
+            raise InputError("bump width must be positive and finite, got %r" % (self.width,))
         if not math.isfinite(self.center) or not math.isfinite(self.amplitude):
             raise InputError("bump parameters must be finite")
 
@@ -381,6 +381,7 @@ def _sign_changes(order: int, k: float) -> np.ndarray:
     return x
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajorant:
     """Certified M_k(sigma), k = order, with |Phi(sigma + i tau)| <= M_k / |tau|^k.
 
@@ -405,7 +406,8 @@ def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajoran
     per value. Each value enters two
     differences; forming and summing the n + 1 differences adds (n + 2) eps
     relative. An ulp's error in z_i costs only second order, as h^{(k)}
-    vanishes there.
+    vanishes there. Where w^{k-1} P^{2k-2} underflows (a tiny w) or e jet
+    overflows, m is +inf, a valid bound, never NaN.
     """
     if not 2 <= order <= K_MAX:
         raise ValueError("tail majorant order must lie in 2..%d, got %r" % (K_MAX, order))
@@ -430,4 +432,6 @@ def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajoran
         rounding = float(np.sum(slack * np.abs(e) * size))
         err = math.ulp(1.0) * (2.0 * rounding + (x.size + 2) * tv)
         m, allowance = m + (tv + err), allowance + err
+    if not math.isfinite(m):
+        m = allowance = math.inf
     return TailMajorant(sigma=sigma, order=order, m=m, error=allowance)

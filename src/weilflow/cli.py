@@ -20,7 +20,7 @@ from .bumps import BumpFunction, combine_bumps
 from .counting import build_count_table, fixed_point_group, orbit_table
 from .errors import ComputationError, InputError, WeilflowError
 from .exterior import build_pj_family, functional_equation_check, zero_lattice, zeros_in_window
-from .formula import COUNT_CAP, NU_CAP, verify
+from .formula import COUNT_CAP, verify
 from .weil import check_ordinary, frobenius_model, parse_weil_datum
 
 
@@ -244,8 +244,8 @@ def _cmd_orbits(args) -> tuple[int, str]:
 
 def _cmd_spectrum(args) -> tuple[int, str]:
     w = _load_datum(args.input)
-    if args.window < 0:
-        raise InputError("--window must be >= 0, got %r" % args.window)
+    if not 0 <= args.window < math.inf:
+        raise InputError("--window must be finite and >= 0, got %r" % args.window)
     model = frobenius_model(w)
     fam = build_pj_family(model)
     lat = zero_lattice(fam)
@@ -282,18 +282,11 @@ def _cmd_verify(args) -> tuple[int, str]:
     w = _load_datum(args.input)
     if not args.alpha:
         raise InputError("verify needs at least one --alpha c=..,w=..[,A=..]")
-    if args.tol <= 0:
-        raise InputError("--tol must be positive, got %r" % args.tol)
-    if args.trunc_budget <= 0:
-        raise InputError("--trunc-budget must be positive, got %r" % args.trunc_budget)
-    if args.nu_max < 1:
-        raise InputError("--nu-max must be >= 1, got %d" % args.nu_max)
     tf = combine_bumps([_parse_alpha(raw) for raw in args.alpha])
     report = verify(
         w, tf,
         tol=args.tol,
         trunc_budget=args.trunc_budget,
-        nu_cap=args.nu_max,
         allow_non_ordinary=args.allow_non_ordinary,
     )
     sp = report.spectral
@@ -402,8 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="relative residual tolerance (default 1e-6)")
             p.add_argument("--trunc-budget", type=float, default=0.25,
                            help="certified zero-sum truncation budget (default 0.25)")
-            p.add_argument("--nu-max", type=int, default=NU_CAP,
-                           help="hard cap on the per-sublattice ladder half-length")
             p.add_argument("--allow-non-ordinary", action="store_true",
                            help="verify even when p divides the middle coefficient")
 

@@ -6,10 +6,10 @@ degree-C(2g, j) factor P_j(X) = prod_{|S|=j} (1 - lambda_S X) with
 lambda_S = prod_{i in S} mu_i. Each inverse root contributes a vertical
 ladder of zeros s_S + 2 pi i nu / log q of P_j(q^{-s}), all on Re s = j/2.
 
-The roots pair up as mu <-> q/mu = conj(mu), so many sublattices coincide or
-mirror each other exactly. zero_lattice groups the j-subsets into classes
-from the pairing alone (see ZeroClass), and trace_j evaluates one half-ladder
-row per class.
+The partner q/mu of a root is its exact conjugate conj(mu), so many
+sublattices coincide or mirror each other exactly. zero_lattice groups the
+j-subsets into classes by conjugation alone (see ZeroClass), and trace_j
+evaluates one half-ladder row per class.
 
 Everything exact-integer is cross-checked against the float route built from
 the polished roots; disagreement raises rather than warns.
@@ -21,11 +21,12 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import CrossCheckFailure, DimensionTooLarge
 from .intlinalg import Matrix, charpoly, det_bareiss
-from .weil import PAIRING_TOL, FrobeniusModel
+from .weil import RH_TOLERANCE, FrobeniusModel, check_conjugate_closed
 
 G_CAP = 8  # C(2g, g) is 12870 at g = 8 and grows ~4x per step after
 FE_TOLERANCE = 1e-8  # largest deviation functional_equation_check accepts
@@ -60,19 +61,27 @@ class PjFamily:
     polys: tuple[tuple[int, ...], ...]  # P_0 .. P_2g, ascending coefficients
     products: tuple[tuple[complex, ...], ...]  # lambda_S per j, lex order
     roots: tuple[complex, ...]  # the mu_i the products are built from
-    pairing: tuple[int, ...]  # index of a root equal to q/mu_i, per i
+
+    @cached_property
+    def exps(self) -> tuple[tuple[complex, ...], ...]:
+        """Base exponents s_S = log_q lambda_S (principal branch) per j, lex
+        order; computed once per family."""
+        logq = math.log(self.q)
+        return tuple(
+            tuple(cmath.log(lam) / logq for lam in lams) for lams in self.products
+        )
 
 
 @dataclass(frozen=True)
 class ZeroClass:
     """The j-subsets S whose sublattices are one and the same ladder.
 
-    A pair {mu, q/mu} inside S contributes exactly q to lambda_S, so S
+    A pair {mu, conj(mu)} inside S contributes exactly q to lambda_S, so S
     reduces to c pairs and a rest R: lambda_S = q^c lambda_R and
     s_S = c + log_q lambda_R. The class of S is R as a multiset of root
-    values; equal roots of a repeated factor are one value. The conjugate
-    class is pairing(R). A self-conjugate R holds only real roots +-sqrt q,
-    each at most once; when -sqrt q is not among them, lambda_R is real
+    values; equal roots of a repeated factor are one value. The partner
+    class is conj(R), the exact conjugates of R's values. A self-conjugate
+    R holds only real roots +-sqrt q, each at most once; when -sqrt q is not among them, lambda_R is real
     positive and the class is the real class, based at s = j/2 exactly.
     """
     rest: tuple[int, ...]  # R: first index of each unpaired root value, sorted
@@ -144,19 +153,12 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
         raise CrossCheckFailure("P_2g must be 1 - q^g X, got %s" % (polys[n],))
     return PjFamily(
         q=w.q, g=w.g, polys=tuple(polys), products=tuple(products),
-        roots=model.roots, pairing=model.pairing,
-    )
-
-
-def _exponents(fam: PjFamily) -> tuple[tuple[complex, ...], ...]:
-    logq = math.log(fam.q)
-    return tuple(
-        tuple(cmath.log(lam) / logq for lam in lams) for lams in fam.products
+        roots=model.roots,
     )
 
 
 def _rest(s: tuple[int, ...], value: tuple[int, ...], conj: dict[int, int]) -> tuple[int, ...]:
-    # the root values of S left over once every pair {mu, q/mu} is taken out
+    # the root values of S left over once every pair {mu, conj(mu)} is taken out
     held = Counter(value[i] for i in s)
     rest = []
     for v, k in held.items():
@@ -165,27 +167,28 @@ def _rest(s: tuple[int, ...], value: tuple[int, ...], conj: dict[int, int]) -> t
     return tuple(sorted(rest))
 
 
-def _zero_classes(fam: PjFamily, exps) -> tuple[tuple[ZeroClass, ...], ...]:
-    """Classes of every P_j's sublattices, from the root pairing alone.
+def _zero_classes(fam: PjFamily) -> tuple[tuple[ZeroClass, ...], ...]:
+    """Classes of every P_j's sublattices, from exact root conjugation alone.
 
     Each class exponent is built from its rest R (j/2 for the real class, the
     conjugate of the partner's exponent for the second class of a conjugate
-    pair), and every member's float exponent in exps must match it within
-    j * PAIRING_TOL / log q, modulo the period: each root of S may sit
-    PAIRING_TOL * sqrt(q) from its partner's q/mu. A mismatch means the
-    pairing does not describe the roots, and raises.
+    pair), and every member's float exponent must match it modulo the period
+    within (pairs RH_TOLERANCE + rounding) / log q. A pair's product
+    |mu|^2 = q (1 + delta), |delta| <= RH_TOLERANCE (parse enforces it),
+    moves Re s by log(1 + delta). pairs counts the c pairs, plus 1/2 per
+    root of R on the real class, whose base j/2 ignores R's modulus.
+    rounding = 8 (j + 2) eps (log q + pi) covers the <= 2j complex products
+    (sqrt 5 u each), the two logs (a few ulps of |Re| <= j log q / 2 and
+    |Im| <= pi), dividing by log q, adding c and the period reduction. A
+    mismatch means the products do not come from the roots, and raises.
     """
     logq = math.log(fam.q)
     period = 2 * math.pi / logq
+    check_conjugate_closed(fam.roots)
     first: dict[complex, int] = {}
     value = tuple(first.setdefault(mu, i) for i, mu in enumerate(fam.roots))
-    conj = {v: value[fam.pairing[v]] for v in set(value)}
-    for v, c in conj.items():
-        if conj[c] != v or value.count(v) != value.count(c):
-            raise CrossCheckFailure(
-                "pairing is not an involution on the root values: %d -> %d -> %d"
-                % (v, c, conj[c])
-            )
+    conj = {v: first[fam.roots[v].conjugate()] for v in set(value)}
+    exps = fam.exps
     n = 2 * fam.g
     out = []
     for j in range(n + 1):
@@ -193,7 +196,7 @@ def _zero_classes(fam: PjFamily, exps) -> tuple[tuple[ZeroClass, ...], ...]:
         for k, s in enumerate(subsets(n, j)):
             groups.setdefault(_rest(s, value, conj), []).append(k)
         index = {rest: i for i, rest in enumerate(groups)}
-        tol = PAIRING_TOL * max(j, 1) / logq
+        rounding = 8 * (j + 2) * math.ulp(1.0) * (logq + math.pi)
         classes: list[ZeroClass] = []
         for rest, members in groups.items():
             partner = index[tuple(sorted(conj[v] for v in rest))]
@@ -205,6 +208,8 @@ def _zero_classes(fam: PjFamily, exps) -> tuple[tuple[ZeroClass, ...], ...]:
             else:
                 lam = math.prod((fam.roots[v] for v in rest), start=complex(1.0))
                 base = (j - len(rest)) // 2 + cmath.log(lam) / logq
+            pairs = j / 2 if real else (j - len(rest)) // 2
+            tol = (pairs * RH_TOLERANCE + rounding) / logq
             for k in members:
                 d = exps[j][k] - base
                 d_im = d.imag - period * round(d.imag / period)
@@ -230,10 +235,9 @@ def zero_lattice(fam: PjFamily) -> ZeroLattice:
     Re s_S = j/2 for every |S| = j; the full zero set of P_j(q^{-s}) is
     {s_S + 2 pi i nu / log q : nu in Z}.
     """
-    exps = _exponents(fam)
     return ZeroLattice(
-        q=fam.q, g=fam.g, period=2 * math.pi / math.log(fam.q), exps=exps,
-        classes=_zero_classes(fam, exps),
+        q=fam.q, g=fam.g, period=2 * math.pi / math.log(fam.q), exps=fam.exps,
+        classes=_zero_classes(fam),
     )
 
 
@@ -248,7 +252,7 @@ def functional_equation_check(fam: PjFamily):
     FE_TOLERANCE means the input was not a genuine Weil polynomial despite
     passing validation.
     """
-    exps = _exponents(fam)
+    exps = fam.exps
     n = 2 * fam.g
     period = 2 * math.pi / math.log(fam.q)
     worst = 0.0

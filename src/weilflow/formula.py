@@ -33,6 +33,7 @@ from .bumps import K_MAX, TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
 from .errors import (
     FunctionalEquationViolation,
+    InputError,
     InsufficientCountRange,
     NonOrdinaryInput,
     TruncationBudgetExceeded,
@@ -119,7 +120,6 @@ def trace_j(
     j: int,
     tf: TestFunction,
     budget: float,
-    nu_cap: int = NU_CAP,
 ) -> TraceResult:
     """Truncated Phi sum over the zero ladders of P_j, with certificates.
 
@@ -132,8 +132,9 @@ def trace_j(
     stops falling, and the order needing the fewest sets nu_max. The tail
     reported is the smallest of the computed orders' tails at nu_max.
     NU_FLOOR puts a lower bound on the ladder regardless (truncation is
-    monotone, so extra zeros only help). Ladders demanding more than nu_cap
-    points raise instead of truncating silently.
+    monotone, so extra zeros only help). Ladders demanding more than NU_CAP
+    points (infinitely many when no M_k is finite) raise instead of
+    truncating silently.
 
     One ladder is evaluated per class of lat.classes[j], not per sublattice,
     and weighted by the class size. Every class is a row of one phi_ladder
@@ -151,7 +152,7 @@ def trace_j(
     enumerated zero, so they do not depend on the order the zeros are
     visited in.
     """
-    if budget <= 0:
+    if not budget > 0:
         raise ValueError("truncation budget must be positive")
     m = len(lat.exps[j])
     sigma = j / 2.0
@@ -164,9 +165,10 @@ def trace_j(
         return 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * (n - 0.5) ** (tm.order - 1))
 
     def needed(tm):
-        # the least n with tail(tm, n) <= sub_budget
+        # the least n with tail(tm, n) <= sub_budget, inf for M_k = inf
         root = 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * sub_budget)
-        return int(math.ceil(0.5 + root ** (1.0 / (tm.order - 1))))
+        need = 0.5 + root ** (1.0 / (tm.order - 1))
+        return math.ceil(need) if need < math.inf else math.inf
 
     majorants = {2: tail_majorant(tf, sigma)}
     need = {2: needed(majorants[2])}
@@ -179,10 +181,10 @@ def trace_j(
             break
     order = min(need, key=need.get)
     n = max(NU_FLOOR, need[order])
-    if n > nu_cap:
+    if n > NU_CAP:
         raise TruncationBudgetExceeded(
-            "j = %d needs nu_max = %d per sublattice for budget %.3g, cap is %d"
-            % (j, n, budget, nu_cap)
+            "j = %d needs nu_max = %s per sublattice for budget %.3g, cap is %d"
+            % (j, n, budget, NU_CAP)
         )
     tail_sub = min(tail(tm, n) for tm in majorants.values())
 
@@ -224,11 +226,10 @@ def spectral_side_zero_sum(
     lat: ZeroLattice,
     tf: TestFunction,
     budget: float,
-    nu_cap: int = NU_CAP,
 ) -> SpectralResult:
     """All traces T_0..T_2g and both alternating renderings, each an exactly
     rounded sum."""
-    per = [trace_j(lat, j, tf, budget, nu_cap=nu_cap) for j in range(2 * lat.g + 1)]
+    per = [trace_j(lat, j, tf, budget) for j in range(2 * lat.g + 1)]
     alt_re = math.fsum((-1.0) ** t.j * t.value.real for t in per)
     alt_im = math.fsum((-1.0) ** t.j * t.value.imag for t in per)
     full = complex(alt_re, alt_im)
@@ -331,16 +332,21 @@ def verify(
     bumps,
     tol: float = 1e-6,
     trunc_budget: float = 0.25,
-    nu_cap: int = NU_CAP,
     allow_non_ordinary: bool = False,
 ) -> VerificationReport:
     """Full three-way verification for one datum and one test function.
 
     Pass iff every pairwise residual between {zero sum, closed form,
     geometric side} stays within tol * (1 + |geometric|) plus the certified
-    truncation-plus-quadrature budget of the zero sum.
+    truncation-plus-quadrature budget of the zero sum. tol must be positive
+    and finite; trunc_budget positive, where inf means floor-only ladders
+    with their honest tail. Anything else, NaN included, is an InputError.
     """
     t_start = time.perf_counter()
+    if not 0 < tol < math.inf:
+        raise InputError("tol must be positive and finite, got %r" % (tol,))
+    if not trunc_budget > 0:
+        raise InputError("trunc_budget must be positive, got %r" % (trunc_budget,))
     tf = combine_bumps(bumps)
     verdict = check_ordinary(w)
     if not verdict.is_ordinary and not allow_non_ordinary:
@@ -365,7 +371,7 @@ def verify(
         )
     ct = build_count_table(model, n_max)
 
-    spectral = spectral_side_zero_sum(lat, tf, trunc_budget, nu_cap=nu_cap)
+    spectral = spectral_side_zero_sum(lat, tf, trunc_budget)
     closed_value, _ = spectral_side_closed_form(ct, tf)
     spectral = replace(spectral, closed_form=closed_value)
     geo = geometric_side(ct, tf)

@@ -4,13 +4,14 @@ A datum is the coefficient list of a degree-2g Weil q-polynomial
 P(X) = c_0 + c_1 X + ... + c_2g X^2g with c_0 = 1 and c_2g = q^g, q = p^f.
 Read as descending coefficients of a monic polynomial in T, the same list is
 the characteristic polynomial of the Frobenius matrix; its roots mu_1..mu_2g
-all satisfy |mu| = sqrt(q) (checked, not assumed) and pair up as mu <-> q/mu.
+all satisfy |mu| = sqrt(q) (checked, not assumed), so q/mu = conj(mu).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +32,6 @@ from .intlinalg import Matrix, det_bareiss
 
 RH_TOLERANCE = 1e-9
 REFINE_FACTOR = 1e-13  # residual target is REFINE_FACTOR * sqrt(q)
-PAIRING_TOL = 1e-6  # a partner must sit within PAIRING_TOL * sqrt(q) of q/mu
 NEWTON_MAX_ITER = 80  # Newton steps a root gets to reach the residual target
 
 
@@ -69,7 +69,6 @@ class FrobeniusModel:
     datum: WeilDatum
     matrix: tuple[tuple[int, ...], ...]
     roots: tuple[complex, ...]  # sorted by (principal argument, real part)
-    pairing: tuple[int, ...]  # index of the partner q/mu for each root
     precision: float  # worst Newton residual |p(mu)/p'(mu)| achieved
 
 
@@ -330,38 +329,30 @@ def _refined_roots(coeffs: tuple[int, ...], q: int):
     return tuple(refined), worst
 
 
-def compute_roots(w: WeilDatum):
-    """Polished Frobenius eigenvalues with the mu <-> q/mu pairing.
+def check_conjugate_closed(roots) -> None:
+    """Raise CrossCheckFailure unless the root multiset is closed under exact
+    conjugation, the float form of the pairing mu <-> q/mu = conj(mu)."""
+    if Counter(roots) != Counter(mu.conjugate() for mu in roots):
+        raise CrossCheckFailure("roots are not closed under complex conjugation: %s" % (roots,))
 
-    Returns (roots, pairing, precision): roots sorted by (principal argument,
-    real part), pairing[i] the index of the partner q/mu_i, precision the
-    worst Newton residual. pairing is an involution on the indices, also
-    where roots repeat.
+
+def compute_roots(w: WeilDatum):
+    """Polished Frobenius eigenvalues: (roots, precision), roots sorted by
+    (principal argument, real part), precision the worst Newton residual.
+    np.roots of a real polynomial returns exact conjugate pairs and the
+    Newton polish is sign-symmetric in IEEE arithmetic, so each root's
+    partner q/mu is its exact conjugate, repeated roots included (checked).
     """
     _check_riemann_hypothesis(w)
     refined, worst = _refined_roots(w.coeffs, w.q)
-    pairing = [-1] * len(refined)
-    for i, mu in enumerate(refined):
-        if pairing[i] >= 0:
-            continue
-        # copies of a repeated root are equal floats: pair copies one to one,
-        # and a root equal to its own partner (mu = +-sqrt q) with itself
-        partner = w.q / mu
-        free = [k for k, p in enumerate(pairing) if p < 0]
-        j = min(free, key=lambda k: abs(refined[k] - partner))
-        if abs(refined[j] - partner) > PAIRING_TOL * math.sqrt(w.q):
-            raise CrossCheckFailure(
-                "no partner for root %s: nearest candidate off by %.3g"
-                % (mu, abs(refined[j] - partner))
-            )
-        pairing[i], pairing[j] = j, i
-    return refined, tuple(pairing), worst
+    check_conjugate_closed(refined)
+    return refined, worst
 
 
 def frobenius_model(w: WeilDatum) -> FrobeniusModel:
     """Companion matrix plus polished roots, with float/exact cross-checks."""
     mat = companion_matrix(w)
-    roots, pairing, precision = compute_roots(w)
+    roots, precision = compute_roots(w)
 
     # float product of (1 - mu_i) against the exact char(1) = det(I - F)
     prod = complex(1.0)
@@ -383,6 +374,5 @@ def frobenius_model(w: WeilDatum) -> FrobeniusModel:
         datum=w,
         matrix=tuple(tuple(row) for row in mat),
         roots=roots,
-        pairing=pairing,
         precision=precision,
     )

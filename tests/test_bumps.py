@@ -44,6 +44,9 @@ def test_bump_parameters():
         BumpFunction(width=-1.0)
     with pytest.raises(InputError):
         BumpFunction(center=math.inf)
+    for width in (math.inf, math.nan):
+        with pytest.raises(InputError):
+            BumpFunction(width=width)
 
 
 def test_mass_scale_matches_quadrature():
@@ -321,6 +324,15 @@ def test_tail_majorant_order_range():
     for order in (1, K_MAX + 1):
         with pytest.raises(ValueError):
             tail_majorant(STD, 0.5, order)
+
+
+@pytest.mark.parametrize("width", [1e-60, 1e-100, 1e-320])
+def test_tail_majorant_never_nan(width):
+    # w^{k-1} P^{2k-2} underflows: the majorant is +inf, a valid bound, not NaN
+    tf = BumpFunction(center=0.0, width=width)
+    ms = [tail_majorant(tf, 0.5, k).m for k in range(2, K_MAX + 1)]
+    assert not any(math.isnan(m) for m in ms)
+    assert all(m > 0 for m in ms) and ms[-1] == math.inf
 
 
 def test_tail_majorant_disjoint_sum_is_sum_of_parts():

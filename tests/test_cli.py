@@ -196,17 +196,40 @@ def test_verify_nonordinary_gate(capsys, datum):
 
 def test_verify_failure_exit_code(capsys, datum):
     # unreachable truncation budget must yield the computation exit code;
-    # order K_MAX = 8 still needs nu_max = 825 for j = 0
+    # every order needs more than NU_CAP zeros, so no ladder runs
     rc, _, err = run(
         capsys,
         [
             "verify", "--input", datum(E5A2),
             "--alpha", "c=1.6094,w=0.5",
-            "--trunc-budget", "1e-12", "--nu-max", "500",
+            "--trunc-budget", "1e-60",
         ],
     )
     assert rc == 2
     assert "TruncationBudgetExceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--alpha", "c=0,w=inf"],
+    ["verify", "--alpha", "c=0,w=nan"],
+    ["verify", "--alpha", "c=1.6,w=0.5", "--trunc-budget", "nan"],
+    ["verify", "--alpha", "c=1.6,w=0.5", "--tol", "nan"],
+    ["verify", "--alpha", "c=1.6,w=0.5", "--tol", "inf"],
+    ["spectrum", "--window", "inf"],
+    ["spectrum", "--window", "nan"],
+])
+def test_non_finite_input_is_an_input_error(capsys, datum, argv):
+    rc, out, err = run(capsys, argv + ["--input", datum(E5A2)])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: InputError: ")
+
+
+@pytest.mark.parametrize("width", ["1e-60", "1e-100", "1e-320"])
+def test_vanishing_width_exceeds_the_budget(capsys, datum, width):
+    # M_k is astronomically large or infinite: a named limit, not a traceback
+    rc, out, err = run(capsys, ["verify", "--input", datum(E5A2), "--alpha", "c=0,w=" + width])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: TruncationBudgetExceeded: ")
 
 
 def test_input_error_paths(capsys, datum, tmp_path):

@@ -2,15 +2,19 @@
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from test_weil import CORPUS
 from weilflow.errors import CrossCheckFailure, DimensionTooLarge
 from weilflow.exterior import (
+    PjFamily,
     build_pj_family,
     exterior_power_matrix,
     functional_equation_check,
@@ -18,7 +22,7 @@ from weilflow.exterior import (
     zero_lattice,
     zeros_in_window,
 )
-from weilflow.weil import frobenius_model, parse_weil_datum
+from weilflow.weil import RH_TOLERANCE, frobenius_model, parse_weil_datum
 
 E5A2 = {"q": 5, "trace": 2}
 G2_PRODUCT = {"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]}
@@ -279,16 +283,88 @@ def test_zero_classes_real_roots():
 
 
 def test_corrupted_pairing_raises():
-    model = frobenius_model(parse_weil_datum(G3_PRODUCT))
-    a = 0
-    b = next(i for i in range(6) if i not in (a, model.pairing[a]))
-    pa, pb = model.pairing[a], model.pairing[b]
-    swapped = list(model.pairing)
-    swapped[a], swapped[pb], swapped[b], swapped[pa] = pb, a, pa, b
-    fam = build_pj_family(replace(model, pairing=tuple(swapped)))
+    fam = _family(G3_PRODUCT)
+    j1 = list(fam.products[1])
+    j1[0] *= 1 + 1e-10  # lambda of {mu_0} off mu_0: the class tolerance is rounding only
     with pytest.raises(CrossCheckFailure, match="off its class exponent"):
-        zero_lattice(fam)
+        zero_lattice(replace(fam, products=(fam.products[0], tuple(j1)) + fam.products[2:]))
+    j2 = list(fam.products[2])
+    pair = next(k for k, (a, b) in enumerate(subsets(6, 2))
+                if fam.roots[a] == fam.roots[b].conjugate())
+    j2[pair] *= 1 + 1e-7  # |lambda| of a pair {mu, conj mu} off q beyond RH_TOLERANCE
+    with pytest.raises(CrossCheckFailure, match="off its class exponent"):
+        zero_lattice(replace(fam, products=fam.products[:2] + (tuple(j2),) + fam.products[3:]))
 
-    e5 = frobenius_model(parse_weil_datum(E5A2))
-    with pytest.raises(CrossCheckFailure, match="not an involution"):
-        zero_lattice(build_pj_family(replace(e5, pairing=(1, 1))))
+    e5 = _family(E5A2)
+    mu = e5.roots[0]
+    # one ulp off the exact conjugate, then a repeated value without its conjugate copy
+    for roots in ((mu, complex(mu.real, math.nextafter(-mu.imag, 0.0))), (mu, mu)):
+        with pytest.raises(CrossCheckFailure, match="not closed under complex conjugation"):
+            zero_lattice(replace(e5, roots=roots))
+    rep_fam = _family(REPEATED)
+    with pytest.raises(CrossCheckFailure, match="not closed under complex conjugation"):
+        zero_lattice(replace(rep_fam, roots=rep_fam.roots[:3] + rep_fam.roots[:1]))
+
+
+def _family_from_roots(q, roots):
+    # the products exactly as build_pj_family forms them, with no polys
+    n = len(roots)
+    products = tuple(
+        tuple(math.prod((roots[i] for i in s), start=complex(1.0)) for s in subsets(n, j))
+        for j in range(n + 1)
+    )
+    return PjFamily(q=q, g=n // 2, polys=(), products=products, roots=tuple(roots))
+
+
+@pytest.mark.parametrize("delta, accepted", [(0.9 * RH_TOLERANCE, True), (1.5 * RH_TOLERANCE, False)])
+def test_class_tolerance_is_the_rh_tolerance(delta, accepted):
+    # roots with |mu|^2 = q (1 + delta): a pair moves Re s by log(1 + delta) / log q,
+    # a lone sqrt q in the real class by half that; parse admits delta <= RH_TOLERANCE
+    s = math.sqrt(1 + delta)
+    for q, roots in ((5, (complex(s, -2 * s), complex(s, 2 * s))), (4, (2 * s, 2 * s))):
+        fam = _family_from_roots(q, [complex(mu) for mu in roots])
+        if accepted:
+            zero_lattice(fam)
+        else:
+            with pytest.raises(CrossCheckFailure, match="off its class exponent"):
+                zero_lattice(fam)
+
+
+@st.composite
+def _weil_products(draw):
+    # prod (1 - a X + q X^2), |a| <= 2 sqrt q, g <= 3: repeated factors, a = 0
+    # and p | a (supersingular) and a = +-2 sqrt q (real roots) all occur
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25, 27, 49]))
+    bound = math.isqrt(4 * q)
+    traces = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=3))
+    poly = [1]
+    for a in traces:
+        nxt = [0] * (len(poly) + 2)
+        for i, c in enumerate(poly):
+            for k, f in enumerate((1, -a, q)):
+                nxt[i + k] += c * f
+        poly = nxt
+    return {"q": q, "g": len(traces), "weil_poly": poly}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(doc=_weil_products())
+def test_conjugation_builds_the_zero_lattice(doc):
+    # products as build_pj_family forms them, but without its exact P_j stage:
+    # that stage's fixed 1e-8 cross-check rejects valid draws such as
+    # (1 - X + 49X^2)(1 + X + 49X^2) (ROADMAP item 6)
+    fam = _family_from_roots(doc["q"], frobenius_model(parse_weil_datum(doc)).roots)
+    n = len(fam.roots)
+    assert Counter(fam.roots) == Counter(mu.conjugate() for mu in fam.roots)
+    lat = zero_lattice(fam)
+    for j, classes in enumerate(lat.classes):
+        assert sum(c.weight for c in classes) == math.comb(n, j)
+        for i, c in enumerate(classes):
+            if c.real:
+                continue
+            partner = classes[c.partner]
+            assert partner.weight == c.weight and partner.partner == i
+            d = partner.exponent - c.exponent.conjugate()
+            # a self-conjugate class sits at theta = +-beta/2, its own conjugate mod the period
+            assert d == 0 if c.partner != i else (
+                d.real == 0 and abs(abs(d.imag) - lat.period) < 1e-12)

@@ -14,6 +14,7 @@ from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, phi, phi_ladder, 
 from weilflow.counting import build_count_table
 from weilflow.errors import (
     FunctionalEquationViolation,
+    InputError,
     InsufficientCountRange,
     NonOrdinaryInput,
     TruncationBudgetExceeded,
@@ -215,9 +216,33 @@ def test_truncation_budget_drives_nu():
     tight = trace_j(LAT1, 1, tf, budget=5e-3)
     assert tight.nu_max >= loose.nu_max
     assert tight.tail_bound < loose.tail_bound or loose.tail_bound == 0.0
-    # at budget 1e-12 the best order, K_MAX = 8, still needs nu_max = 1025
+    # at budget 1e-60 every order needs more than NU_CAP zeros
+    with pytest.raises(TruncationBudgetExceeded, match="cap is"):
+        trace_j(LAT1, 1, tf, budget=1e-60)
+
+
+@pytest.mark.parametrize("width", [1e-60, 1e-100, 1e-320])
+def test_vanishing_width_raises_a_named_limit(width):
+    # the majorants overflow or underflow to M_k = inf; need is never NaN
+    tf = BumpFunction(center=0.0, width=width)
     with pytest.raises(TruncationBudgetExceeded):
-        trace_j(LAT1, 1, tf, budget=1e-12, nu_cap=500)
+        trace_j(LAT1, 0, tf, budget=0.25)
+    with pytest.raises(TruncationBudgetExceeded):
+        verify(E5A2, tf)
+
+
+def test_trace_with_an_infinite_budget_stays_at_the_floor():
+    r = trace_j(LAT1, 1, BumpFunction(center=LOG5, width=0.5), budget=math.inf)
+    assert r.nu_max == formula.NU_FLOOR and math.isfinite(r.tail_bound)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
+    {"trunc_budget": math.nan}, {"trunc_budget": -1.0},
+])
+def test_verify_rejects_bad_tolerances(kwargs):
+    with pytest.raises(InputError):
+        verify(E5A2, BumpFunction(center=LOG5, width=0.5), **kwargs)
 
 
 def test_higher_orders_set_nu_max_only_above_the_floor():

@@ -2,13 +2,16 @@
 
 import cmath
 import math
+from collections import Counter
 
 import pytest
 
 import oracles
+import weilflow.weil
 from weilflow.errors import (
     BadLength,
     BadNormalization,
+    CrossCheckFailure,
     InputError,
     NotPrimePower,
     RiemannHypothesisViolation,
@@ -133,9 +136,9 @@ def test_companion_det_is_qg():
 
 def test_roots_gaussian_values():
     w = parse_weil_datum({"q": 5, "trace": 2})
-    roots, pairing, precision = compute_roots(w)
+    roots, precision = compute_roots(w)
     assert precision < 1e-13 * math.sqrt(5)
-    assert pairing == (1, 0)  # the two roots are conjugate partners
+    assert roots[1] == roots[0].conjugate()  # partners are exact conjugates
     got = sorted(frobenius_model(w).roots, key=lambda z: z.imag)
     assert abs(got[0] - (1 - 2j)) < 1e-12
     assert abs(got[1] - (1 + 2j)) < 1e-12
@@ -145,18 +148,26 @@ def test_roots_gaussian_values():
     assert abs(got[1] - (2 + 1j)) < 1e-12
 
 
+def _conjugate_matching(roots):
+    # each root's partner: the first unmatched index holding its exact conjugate
+    match = [-1] * len(roots)
+    for i, mu in enumerate(roots):
+        if match[i] < 0:
+            k = next(k for k, nu in enumerate(roots) if match[k] < 0 and nu == mu.conjugate())
+            match[i], match[k] = k, i
+    return tuple(match)
+
+
 def test_root_pairing_and_moduli():
     for doc in CORPUS:
         w = parse_weil_datum(doc)
         m = frobenius_model(w)
-        for i, mu in enumerate(m.roots):
+        # the multiset is closed under exact conjugation, copies included
+        assert Counter(m.roots) == Counter(mu.conjugate() for mu in m.roots)
+        for mu in m.roots:
             assert abs(abs(mu) ** 2 - w.q) <= 1e-9 * w.q
-            partner = m.roots[m.pairing[i]]
-            assert abs(partner - w.q / mu) < 1e-8 * math.sqrt(w.q)
-        # an involution on the indices, also where a root repeats
-        assert [m.pairing[m.pairing[i]] for i in range(len(m.roots))] == list(
-            range(len(m.roots))
-        )
+            # so the partner q/mu is the conjugate
+            assert abs(mu.conjugate() - w.q / mu) < 1e-8 * math.sqrt(w.q)
 
 
 @pytest.mark.parametrize("doc, pairing", [
@@ -166,7 +177,16 @@ def test_root_pairing_and_moduli():
     ({"q": 4, "g": 1, "weil_poly": [1, -4, 4]}, (0, 1)),
 ])
 def test_repeated_root_pairing(doc, pairing):
-    assert compute_roots(parse_weil_datum(doc))[1] == pairing
+    roots, _ = compute_roots(parse_weil_datum(doc))
+    assert _conjugate_matching(roots) == pairing
+
+
+def test_roots_not_closed_under_conjugation_raise(monkeypatch):
+    # one ulp off the exact conjugate is a different root value
+    nudged = (complex(1.0, -2.0), complex(1.0, math.nextafter(2.0, 3.0)))
+    monkeypatch.setattr(weilflow.weil, "_refined_roots", lambda coeffs, q: (nudged, 0.0))
+    with pytest.raises(CrossCheckFailure, match="not closed under complex conjugation"):
+        compute_roots(parse_weil_datum({"q": 5, "trace": 2}))
 
 
 def test_repeated_roots_refine_cleanly():
