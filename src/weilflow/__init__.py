@@ -2,10 +2,12 @@
 ordinary abelian varieties over finite fields.
 
 The pipeline: parse a Weil polynomial, build the Frobenius companion model
-and its exterior-power factor family P_j, enumerate the zero lattices on the
-critical lines Re s = j/2, and check that the alternating zero sum of a test
-function's transform matches both its Poisson closed form and the geometric
-sum over closed points, within a certified truncation budget.
+and its polished roots (checked against the input by Vieta), form the zero
+lattices of the exterior-power factors P_j on the critical lines Re s = j/2
+from products of those roots, and check that the alternating zero sum of a
+test function's transform matches both its Poisson closed form and the
+geometric sum over closed points, within a certified truncation budget. The
+exact P_j (build_pj_family) are built only where they are printed.
 """
 
 from .bumps import (

@@ -6,13 +6,14 @@ degree-C(2g, j) factor P_j(X) = prod_{|S|=j} (1 - lambda_S X) with
 lambda_S = prod_{i in S} mu_i. Each inverse root contributes a vertical
 ladder of zeros s_S + 2 pi i nu / log q of P_j(q^{-s}), all on Re s = j/2.
 
+The zero lattice needs only the products lambda_S of the polished roots,
+which frobenius_model has checked against the input. Only `zeta` builds the
+exact P_j (build_pj_family), cross-checked against the same products.
+
 The partner q/mu of a root is its exact conjugate conj(mu), so many
 sublattices coincide or mirror each other exactly. zero_lattice groups the
 j-subsets into classes by conjugation alone (see ZeroClass), and trace_j
 evaluates one half-ladder row per class.
-
-Everything exact-integer is cross-checked against the float route built from
-the polished roots; disagreement raises rather than warns.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
-from .errors import CrossCheckFailure, DimensionTooLarge
+import numpy as np
+
+from .errors import CrossCheckFailure, DimensionTooLarge, FunctionalEquationViolation
 from .intlinalg import Matrix, charpoly, det_bareiss
-from .weil import RH_TOLERANCE, FrobeniusModel, check_conjugate_closed
+from .weil import RH_TOLERANCE, FrobeniusModel, _expand_products, check_conjugate_closed
 
 G_CAP = 8  # C(2g, g) is 12870 at g = 8 and grows ~4x per step after
 FE_TOLERANCE = 1e-8  # largest deviation functional_equation_check accepts
@@ -60,16 +62,6 @@ class PjFamily:
     g: int
     polys: tuple[tuple[int, ...], ...]  # P_0 .. P_2g, ascending coefficients
     products: tuple[tuple[complex, ...], ...]  # lambda_S per j, lex order
-    roots: tuple[complex, ...]  # the mu_i the products are built from
-
-    @cached_property
-    def exps(self) -> tuple[tuple[complex, ...], ...]:
-        """Base exponents s_S = log_q lambda_S (principal branch) per j, lex
-        order; computed once per family."""
-        logq = math.log(self.q)
-        return tuple(
-            tuple(cmath.log(lam) / logq for lam in lams) for lams in self.products
-        )
 
 
 @dataclass(frozen=True)
@@ -104,15 +96,17 @@ class ZeroLattice:
     classes: tuple[tuple[ZeroClass, ...], ...]  # per j, by first member
 
 
-def _expand_products(lams: tuple[complex, ...]) -> list[complex]:
-    poly = [complex(1.0)]
-    for lam in lams:
-        nxt = [complex(0.0)] * (len(poly) + 1)
-        for k, c in enumerate(poly):
-            nxt[k] += c
-            nxt[k + 1] -= c * lam
-        poly = nxt
-    return poly
+def _subset_products(model: FrobeniusModel) -> tuple[tuple[complex, ...], ...]:
+    """lambda_S = prod_{i in S} mu_i for every j-subset S, per j in lex order,
+    from the polished roots; g above G_CAP is refused."""
+    w = model.datum
+    if w.g > G_CAP:
+        raise DimensionTooLarge("g = %d exceeds the cap %d" % (w.g, G_CAP))
+    n = 2 * w.g
+    return tuple(
+        tuple(math.prod((model.roots[i] for i in s), start=complex(1.0)) for s in subsets(n, j))
+        for j in range(n + 1)
+    )
 
 
 def build_pj_family(model: FrobeniusModel) -> PjFamily:
@@ -123,22 +117,13 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
     additionally pinned to their closed forms.
     """
     w = model.datum
-    if w.g > G_CAP:
-        raise DimensionTooLarge("g = %d exceeds the cap %d" % (w.g, G_CAP))
+    products = _subset_products(model)
     f = [list(row) for row in model.matrix]
     n = 2 * w.g
     polys: list[tuple[int, ...]] = []
-    products: list[tuple[complex, ...]] = []
     for j in range(n + 1):
-        ext = exterior_power_matrix(f, j)
-        cp = charpoly(ext)
-        pj = tuple(reversed(cp))
-        lams = tuple(
-            math.prod((model.roots[i] for i in s), start=complex(1.0))
-            for s in subsets(n, j)
-        )
-        approx = _expand_products(lams)
-        for k, (ci, cf) in enumerate(zip(pj, approx)):
+        pj = tuple(reversed(charpoly(exterior_power_matrix(f, j))))
+        for k, (ci, cf) in enumerate(zip(pj, _expand_products(products[j]))):
             scale = max(1.0, abs(ci))
             if abs(cf - ci) > 1e-8 * scale:
                 raise CrossCheckFailure(
@@ -146,15 +131,11 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
                     % (j, k, ci, cf, abs(cf - ci) / scale)
                 )
         polys.append(pj)
-        products.append(lams)
     if polys[0] != (1, -1):
         raise CrossCheckFailure("P_0 must be 1 - X, got %s" % (polys[0],))
     if polys[n] != (1, -(w.q**w.g)):
         raise CrossCheckFailure("P_2g must be 1 - q^g X, got %s" % (polys[n],))
-    return PjFamily(
-        q=w.q, g=w.g, polys=tuple(polys), products=tuple(products),
-        roots=model.roots,
-    )
+    return PjFamily(q=w.q, g=w.g, polys=tuple(polys), products=products)
 
 
 def _rest(s: tuple[int, ...], value: tuple[int, ...], conj: dict[int, int]) -> tuple[int, ...]:
@@ -167,7 +148,7 @@ def _rest(s: tuple[int, ...], value: tuple[int, ...], conj: dict[int, int]) -> t
     return tuple(sorted(rest))
 
 
-def _zero_classes(fam: PjFamily) -> tuple[tuple[ZeroClass, ...], ...]:
+def _zero_classes(q: int, roots: tuple[complex, ...], exps) -> tuple[tuple[ZeroClass, ...], ...]:
     """Classes of every P_j's sublattices, from exact root conjugation alone.
 
     Each class exponent is built from its rest R (j/2 for the real class, the
@@ -180,16 +161,15 @@ def _zero_classes(fam: PjFamily) -> tuple[tuple[ZeroClass, ...], ...]:
     rounding = 8 (j + 2) eps (log q + pi) covers the <= 2j complex products
     (sqrt 5 u each), the two logs (a few ulps of |Re| <= j log q / 2 and
     |Im| <= pi), dividing by log q, adding c and the period reduction. A
-    mismatch means the products do not come from the roots, and raises.
+    mismatch means the exponents do not come from the roots, and raises.
     """
-    logq = math.log(fam.q)
+    logq = math.log(q)
     period = 2 * math.pi / logq
-    check_conjugate_closed(fam.roots)
+    check_conjugate_closed(roots)
     first: dict[complex, int] = {}
-    value = tuple(first.setdefault(mu, i) for i, mu in enumerate(fam.roots))
-    conj = {v: first[fam.roots[v].conjugate()] for v in set(value)}
-    exps = fam.exps
-    n = 2 * fam.g
+    value = tuple(first.setdefault(mu, i) for i, mu in enumerate(roots))
+    conj = {v: first[roots[v].conjugate()] for v in set(value)}
+    n = len(roots)
     out = []
     for j in range(n + 1):
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -200,13 +180,13 @@ def _zero_classes(fam: PjFamily) -> tuple[tuple[ZeroClass, ...], ...]:
         classes: list[ZeroClass] = []
         for rest, members in groups.items():
             partner = index[tuple(sorted(conj[v] for v in rest))]
-            real = partner == len(classes) and all(fam.roots[v].real > 0 for v in rest)
+            real = partner == len(classes) and all(roots[v].real > 0 for v in rest)
             if real:
                 base = complex(j / 2, 0.0)
             elif partner < len(classes):
                 base = classes[partner].exponent.conjugate()
             else:
-                lam = math.prod((fam.roots[v] for v in rest), start=complex(1.0))
+                lam = math.prod((roots[v] for v in rest), start=complex(1.0))
                 base = (j - len(rest)) // 2 + cmath.log(lam) / logq
             pairs = j / 2 if real else (j - len(rest)) // 2
             tol = (pairs * RH_TOLERANCE + rounding) / logq
@@ -228,44 +208,53 @@ def _zero_classes(fam: PjFamily) -> tuple[tuple[ZeroClass, ...], ...]:
     return tuple(out)
 
 
-def zero_lattice(fam: PjFamily) -> ZeroLattice:
+def zero_lattice(model: FrobeniusModel) -> ZeroLattice:
     """Base exponents s_S = log_q lambda_S (principal branch) per j, and the
-    classes of sublattices that share a ladder.
+    classes of sublattices that share a ladder, from the polished roots.
 
     Re s_S = j/2 for every |S| = j; the full zero set of P_j(q^{-s}) is
     {s_S + 2 pi i nu / log q : nu in Z}.
     """
+    q = model.datum.q
+    logq = math.log(q)
+    exps = tuple(
+        tuple(cmath.log(lam) / logq for lam in lams) for lams in _subset_products(model)
+    )
     return ZeroLattice(
-        q=fam.q, g=fam.g, period=2 * math.pi / math.log(fam.q), exps=fam.exps,
-        classes=_zero_classes(fam),
+        q=q, g=model.datum.g, period=2 * math.pi / logq, exps=exps,
+        classes=_zero_classes(q, model.roots, exps),
     )
 
 
-def functional_equation_check(fam: PjFamily):
+def functional_equation_check(lat: ZeroLattice) -> float:
     """Zero symmetry s -> g - s between P_j and P_{2g - j}.
 
     The complement bijection S -> S^c realizes the multiset identity:
     lambda_{S^c} = q^g / lambda_S, so g - s_S = s_{S^c} modulo the imaginary
     period. The complements of the lex-ordered j-subsets are the
     (2g - j)-subsets in reverse lex order, so S^c of the k-th j-subset is
-    the k-th from the end. Returns (ok, max_deviation); deviation beyond
+    the k-th from the end. Returns the largest deviation; one beyond
     FE_TOLERANCE means the input was not a genuine Weil polynomial despite
-    passing validation.
+    passing validation, and raises FunctionalEquationViolation.
     """
-    exps = fam.exps
-    n = 2 * fam.g
-    period = 2 * math.pi / math.log(fam.q)
+    exps = lat.exps
+    n = 2 * lat.g
     worst = 0.0
     for j in range(n + 1):
         exps_c = exps[n - j]
         for k, s in enumerate(exps[j]):
-            mirrored = fam.g - s
+            mirrored = lat.g - s
             target = exps_c[-1 - k]
             d_re = mirrored.real - target.real
             d_im = mirrored.imag - target.imag
-            d_im -= period * round(d_im / period)
+            d_im -= lat.period * round(d_im / lat.period)
             worst = max(worst, math.hypot(d_re, d_im))
-    return worst <= FE_TOLERANCE, worst
+    if not worst <= FE_TOLERANCE:
+        raise FunctionalEquationViolation(
+            "zero symmetry s -> g - s off by %.3g (tolerance %s)"
+            % (worst, np.format_float_scientific(FE_TOLERANCE, trim="-", exp_digits=1))
+        )
+    return worst
 
 
 def zeros_in_window(lat: ZeroLattice, j: int, height: float) -> tuple[tuple[int, complex], ...]:

@@ -31,16 +31,8 @@ import numpy as np
 
 from .bumps import K_MAX, TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
-from .errors import (
-    FunctionalEquationViolation,
-    InputError,
-    InsufficientCountRange,
-    NonOrdinaryInput,
-    TruncationBudgetExceeded,
-)
-from .exterior import (
-    FE_TOLERANCE, ZeroLattice, build_pj_family, functional_equation_check, zero_lattice,
-)
+from .errors import InputError, InsufficientCountRange, NonOrdinaryInput, TruncationBudgetExceeded
+from .exterior import ZeroLattice, functional_equation_check, zero_lattice
 from .weil import WeilDatum, check_ordinary, frobenius_model
 
 NU_CAP = 10_000_000  # hard per-sublattice ladder cap; beyond it is an error
@@ -355,14 +347,8 @@ def verify(
             "to verify anyway" % (w.p, verdict.middle_coefficient)
         )
     model = frobenius_model(w)
-    fam = build_pj_family(model)
-    ok, deviation = functional_equation_check(fam)
-    if not ok:
-        raise FunctionalEquationViolation(
-            "zero symmetry s -> g - s off by %.3g (tolerance %s)"
-            % (deviation, np.format_float_scientific(FE_TOLERANCE, trim="-", exp_digits=1))
-        )
-    lat = zero_lattice(fam)
+    lat = zero_lattice(model)
+    deviation = functional_equation_check(lat)
 
     n_max = _support_count_range(tf, w.q)
     if n_max > COUNT_CAP:

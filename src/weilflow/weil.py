@@ -349,27 +349,43 @@ def compute_roots(w: WeilDatum):
     return refined, worst
 
 
+def _expand_products(lams) -> list[complex]:
+    """Ascending coefficients of prod (1 - lam X), one factor per step."""
+    poly = [complex(1.0)]
+    for lam in lams:
+        poly = [a - b * lam for a, b in zip(poly + [0j], [0j] + poly)]
+    return poly
+
+
 def frobenius_model(w: WeilDatum) -> FrobeniusModel:
-    """Companion matrix plus polished roots, with float/exact cross-checks."""
+    """Companion matrix plus polished roots, with Vieta's check of the roots.
+
+    prod (1 - mu X), expanded from the polished roots, must match each input
+    coefficient c_k = (-1)^k e_k(mu) within gamma_k C(2g, k) q^(k/2), where
+    C(2g, k) q^(k/2) = e_k(|mu|) is the exact absolute majorant (|mu| = sqrt q).
+    A polished root is within rho sqrt q of the true one, rho = REFINE_FACTOR
+    (the accepted Newton step), so a product of k is off by at most
+    ((1 + rho)^k - 1) q^(k/2). Each of the 2g expansion steps a - b lam, and
+    the final subtraction of c_k, costs at most theta = (sqrt 5 + 1)(1 + u) u
+    of the majorant (sqrt 5 u for a complex product, u for an addition):
+    gamma_k = (1 + rho)^k - 1 + ((1 + theta)^(2g + 1) - 1)(1 + rho)^k.
+    P(1) = prod (1 - mu) and c_2g = prod mu are linear in the c_k.
+    """
     mat = companion_matrix(w)
     roots, precision = compute_roots(w)
-
-    # float product of (1 - mu_i) against the exact char(1) = det(I - F)
-    prod = complex(1.0)
-    for mu in roots:
-        prod *= 1.0 - mu
-    exact = sum(w.coeffs)  # P(1) with ascending X coefficients
-    if abs(prod - exact) > 1e-9 * max(1.0, abs(exact)):
-        raise CrossCheckFailure(
-            "prod(1 - mu) = %s but exact det(I - F) = %d" % (prod, exact)
-        )
-    prod_all = complex(1.0)
-    for mu in roots:
-        prod_all *= mu
-    if abs(prod_all - w.q**w.g) > 1e-9 * w.q**w.g:
-        raise CrossCheckFailure(
-            "prod(mu) = %s but q^g = %d" % (prod_all, w.q**w.g)
-        )
+    n = 2 * w.g
+    u = math.ulp(1.0) / 2
+    theta = (math.sqrt(5) + 1) * (1 + u) * u
+    rounding = math.expm1((n + 1) * math.log1p(theta))
+    for k, (c, approx) in enumerate(zip(w.coeffs, _expand_products(roots))):
+        drift = k * math.log1p(REFINE_FACTOR)
+        gamma = math.expm1(drift) + rounding * math.exp(drift)
+        tol = gamma * math.comb(n, k) * w.q ** (k / 2)
+        if abs(approx - c) > tol:
+            raise CrossCheckFailure(
+                "coefficient %d of prod(1 - mu X) is %s, the input has %d "
+                "(off %.3g, tolerance %.3g)" % (k, approx, c, abs(approx - c), tol)
+            )
     return FrobeniusModel(
         datum=w,
         matrix=tuple(tuple(row) for row in mat),

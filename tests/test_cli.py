@@ -5,10 +5,15 @@ import math
 
 import pytest
 
+from weilflow import cli, exterior, intlinalg
 from weilflow.cli import main
 
 E5A2 = {"q": 5, "trace": 2}
 G2 = {"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]}
+G3 = {"q": 5, "g": 3, "weil_poly": [1, -6, 26, -66, 130, -150, 125]}
+# (1 - X + 49X^2)(1 + X + 49X^2): P_3 has a zero coefficient whose float
+# value fails build_pj_family's fixed 1e-8 cross-check
+Q49_PAIR = {"q": 49, "g": 2, "weil_poly": [1, 0, 97, 0, 2401]}
 BAD = {"q": 5, "g": 1, "weil_poly": [1, -5, 5]}
 SUPERSINGULAR = {"q": 5, "g": 1, "weil_poly": [1, 0, 5]}
 
@@ -278,10 +283,74 @@ def test_dimension_cap_has_no_override(capsys, datum):
     for k in range(g + 1):
         coeffs[2 * k] = math.comb(g, k) * 2 ** k
     path = datum({"q": 2, "g": g, "weil_poly": coeffs}, "g9.json")
-    rc, _, err = run(capsys, ["zeta", "--input", path])
-    assert rc == 1
-    assert err == "error: DimensionTooLarge: g = 9 exceeds the cap 8\n"
+    for argv in (["zeta"], ["validate"], ["spectrum"],
+                 ["verify", "--alpha", "c=1,w=0.5", "--allow-non-ordinary"]):
+        rc, _, err = run(capsys, argv + ["--input", path])
+        assert rc == 1, argv
+        assert err == "error: DimensionTooLarge: g = 9 exceeds the cap 8\n", argv
 
     rc, _, err = run(capsys, ["validate", "--input", path, "--allow-large"])
     assert rc == 1
     assert err.startswith("error: InputError: ") and "--allow-large" in err
+
+
+def test_functional_equation_violation_exits_2_everywhere(capsys, datum, monkeypatch):
+    # a negative tolerance fails any deviation: each command that runs the
+    # check stops with exit 2 instead of reporting "ok"
+    monkeypatch.setattr(exterior, "FE_TOLERANCE", -1e-8)
+    path = datum(E5A2)
+    for argv in (["validate"], ["zeta"], ["verify", "--alpha", "c=1.6094,w=0.5"]):
+        rc, out, err = run(capsys, argv + ["--input", path])
+        assert rc == 2, argv
+        assert out == ""
+        assert err.startswith("error: FunctionalEquationViolation: zero symmetry s -> g - s off by ")
+        assert err.endswith("(tolerance -1e-8)\n")
+
+
+def test_spectrum_window_cap(capsys, datum):
+    rc, out, err = run(capsys, ["spectrum", "--input", datum(E5A2), "--window", "1e12"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: InputError: --window 1000000000000.0 holds up to ")
+    assert err.endswith(" zeros, the cap is %d\n" % cli.SPECTRUM_ZERO_CAP)
+
+
+def test_spectrum_zero_bound_covers_the_listing(capsys, datum, monkeypatch):
+    # the up-front bound holds every listed zero, with at most one spare per
+    # ladder; a cap just under it refuses the window
+    path = datum(G2)
+    rc, out, _ = run(capsys, ["spectrum", "--input", path, "--window", "25", "--format", "json"])
+    assert rc == 0
+    doc = json.loads(out)
+    bound = (2 * 25.0 / doc["period"] + 1) * 2 ** 4
+    assert bound - 2 ** 4 <= len(doc["zeros"]) <= bound
+    monkeypatch.setattr(cli, "SPECTRUM_ZERO_CAP", math.floor(bound) - 1)
+    rc, _, err = run(capsys, ["spectrum", "--input", path, "--window", "25"])
+    assert rc == 1 and "InputError: --window 25.0 holds up to" in err
+
+
+def test_lattice_commands_pass_where_the_exact_route_fails(capsys, datum):
+    path = datum(Q49_PAIR)
+    for argv in (["validate"], ["spectrum"], ["verify", "--alpha", "c=1.6094,w=0.5"]):
+        rc, out, err = run(capsys, argv + ["--input", path])
+        assert rc == 0 and err == "", (argv, err)
+    assert out.rstrip().endswith("PASS")
+    # only zeta prints the exact P_j, and its fixed cross-check still refuses
+    rc, _, err = run(capsys, ["zeta", "--input", path])
+    assert rc == 2 and err.startswith("error: CrossCheckFailure: P_3 coefficient 3: exact 0 ")
+
+
+def test_only_zeta_builds_the_exact_factors(capsys, datum, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exact P_j stage reached")
+
+    for module in (exterior, intlinalg):
+        monkeypatch.setattr(module, "charpoly", refuse)
+    monkeypatch.setattr(exterior, "exterior_power_matrix", refuse)
+    for doc in (E5A2, G3):
+        rc, out, _ = run(capsys, ["verify", "--input", datum(doc), "--alpha", "c=1.6094,w=0.5"])
+        assert rc == 0 and out.rstrip().endswith("PASS")
+    for argv in (["spectrum"], ["validate"]):
+        rc, _, err = run(capsys, argv + ["--input", datum(G3)])
+        assert rc == 0 and err == "", argv
+    with pytest.raises(AssertionError, match="exact P_j stage reached"):
+        main(["zeta", "--input", datum(E5A2)])

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from test_weil import CORPUS
+from weilflow import exterior
 from weilflow.errors import CrossCheckFailure, DimensionTooLarge
 from weilflow.exterior import (
-    PjFamily,
     build_pj_family,
     exterior_power_matrix,
     functional_equation_check,
@@ -30,8 +30,16 @@ G3_PRODUCT = {"q": 5, "g": 3, "weil_poly": [1, -6, 26, -66, 130, -150, 125]}
 REPEATED = {"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]}  # (1 - 2X + 5X^2)^2
 
 
+def _model(doc):
+    return frobenius_model(parse_weil_datum(doc))
+
+
 def _family(doc):
-    return build_pj_family(frobenius_model(parse_weil_datum(doc)))
+    return build_pj_family(_model(doc))
+
+
+def _lattice(doc):
+    return zero_lattice(_model(doc))
 
 
 def test_subsets_lexicographic():
@@ -112,9 +120,8 @@ def test_lambda_moduli():
 
 
 def test_functional_equation_examples():
-    fam = _family(E5A2)
-    ok, dev = functional_equation_check(fam)
-    assert ok and dev < 1e-12
+    dev = functional_equation_check(_lattice(E5A2))
+    assert dev < 1e-12
     # hand identity: 1 - log_5(1+2i) = log_5(1-2i) mod the vertical period
     logq = math.log(5)
     lhs = 1 - cmath.log(1 + 2j) / logq
@@ -135,13 +142,11 @@ def test_complements_are_reverse_lex():
 
 def test_functional_equation_corpus():
     for doc in CORPUS:
-        ok, dev = functional_equation_check(_family(doc))
-        assert ok, doc
-        assert dev < 1e-8
+        assert functional_equation_check(_lattice(doc)) < 1e-8, doc
 
 
 def test_zero_lattice_window_examples():
-    lat = zero_lattice(_family(E5A2))
+    lat = _lattice(E5A2)
     period = 2 * math.pi / math.log(5)
     assert abs(lat.period - period) < 1e-15
 
@@ -161,15 +166,14 @@ def test_zero_lattice_window_examples():
 
 def test_zeros_on_critical_lines():
     for doc in CORPUS:
-        fam = _family(doc)
-        lat = zero_lattice(fam)
-        for j in range(2 * fam.g + 1):
+        lat = _lattice(doc)
+        for j in range(2 * lat.g + 1):
             for _, rho in zeros_in_window(lat, j, 12.0):
                 assert abs(rho.real - j / 2) < 1e-9
 
 
 def test_window_count_density():
-    lat = zero_lattice(_family(G2_PRODUCT))
+    lat = _lattice(G2_PRODUCT)
     t = 25.0
     for j in range(5):
         n = len(zeros_in_window(lat, j, t))
@@ -179,7 +183,7 @@ def test_window_count_density():
 
 
 def test_window_sorted_and_tagged():
-    lat = zero_lattice(_family(G2_PRODUCT))
+    lat = _lattice(G2_PRODUCT)
     zs = zeros_in_window(lat, 2, 9.0)
     ims = [rho.imag for _, rho in zs]
     assert ims == sorted(ims)
@@ -204,16 +208,17 @@ def test_k0_cancellation_and_power_sums():
 
 
 def test_dimension_cap():
-    # (1 + q X^2)^9 is a valid Weil polynomial for g = 9; the exterior stage
-    # must refuse it
+    # (1 + q X^2)^9 is a valid Weil polynomial for g = 9; both routes to the
+    # subset products must refuse it
     q, g = 2, 9
     coeffs = [0] * (2 * g + 1)
     for k in range(g + 1):
         coeffs[2 * k] = math.comb(g, k) * q ** k
     w = parse_weil_datum({"q": q, "g": g, "weil_poly": coeffs})
     m = frobenius_model(w)
-    with pytest.raises(DimensionTooLarge):
-        build_pj_family(m)
+    for stage in (build_pj_family, zero_lattice):
+        with pytest.raises(DimensionTooLarge, match="^g = 9 exceeds the cap 8$"):
+            stage(m)
 
 
 def _fully_paired(roots, q, s):
@@ -233,7 +238,7 @@ def _fully_paired(roots, q, s):
 def test_zero_classes(doc):
     w = parse_weil_datum(doc)
     model = frobenius_model(w)
-    lat = zero_lattice(build_pj_family(model))
+    lat = zero_lattice(model)
     n = 2 * w.g
     for j, classes in enumerate(lat.classes):
         assert sum(c.weight for c in classes) == math.comb(n, j)
@@ -261,7 +266,7 @@ def test_zero_classes(doc):
 def test_zero_class_ladders_per_j():
     # one ladder per conjugate pair of classes plus the real class's half ladder
     def ladders(doc):
-        lat = zero_lattice(_family(doc))
+        lat = _lattice(doc)
         return [sum(c.partner >= i for i, c in enumerate(cs)) for cs in lat.classes]
 
     assert ladders(E5A2) == [1, 1, 1]
@@ -273,47 +278,49 @@ def test_zero_class_ladders_per_j():
 
 def test_zero_classes_real_roots():
     # mu = 2 twice: the j = 1 class is real, based at 1/2 exactly
-    lat = zero_lattice(_family({"q": 4, "g": 1, "weil_poly": [1, -4, 4]}))
+    lat = _lattice({"q": 4, "g": 1, "weil_poly": [1, -4, 4]})
     assert [(c.weight, c.real, c.exponent) for c in lat.classes[1]] == [(2, True, 0.5)]
     # mu = -2 twice: self-conjugate, but based half a period off the axis
-    lat = zero_lattice(_family({"q": 4, "g": 1, "weil_poly": [1, 4, 4]}))
+    lat = _lattice({"q": 4, "g": 1, "weil_poly": [1, 4, 4]})
     (c,) = lat.classes[1]
     assert (c.weight, c.real, c.partner) == (2, False, 0)
     assert abs(abs(c.exponent.imag) - lat.period / 2) < 1e-12
 
 
-def test_corrupted_pairing_raises():
-    fam = _family(G3_PRODUCT)
-    j1 = list(fam.products[1])
-    j1[0] *= 1 + 1e-10  # lambda of {mu_0} off mu_0: the class tolerance is rounding only
-    with pytest.raises(CrossCheckFailure, match="off its class exponent"):
-        zero_lattice(replace(fam, products=(fam.products[0], tuple(j1)) + fam.products[2:]))
-    j2 = list(fam.products[2])
-    pair = next(k for k, (a, b) in enumerate(subsets(6, 2))
-                if fam.roots[a] == fam.roots[b].conjugate())
-    j2[pair] *= 1 + 1e-7  # |lambda| of a pair {mu, conj mu} off q beyond RH_TOLERANCE
-    with pytest.raises(CrossCheckFailure, match="off its class exponent"):
-        zero_lattice(replace(fam, products=fam.products[:2] + (tuple(j2),) + fam.products[3:]))
+def _corrupt(monkeypatch, j, k, factor):
+    # zero_lattice's products with lambda_S of the k-th j-subset scaled by factor
+    products = exterior._subset_products
 
-    e5 = _family(E5A2)
+    def corrupted(model):
+        out = [list(level) for level in products(model)]
+        out[j][k] *= factor
+        return tuple(tuple(level) for level in out)
+
+    monkeypatch.setattr(exterior, "_subset_products", corrupted)
+
+
+def test_corrupted_pairing_raises(monkeypatch):
+    model = _model(G3_PRODUCT)
+    with monkeypatch.context() as m:
+        _corrupt(m, 1, 0, 1 + 1e-10)  # lambda of {mu_0} off mu_0: the class tolerance is rounding only
+        with pytest.raises(CrossCheckFailure, match="off its class exponent"):
+            zero_lattice(model)
+    pair = next(k for k, (a, b) in enumerate(subsets(6, 2))
+                if model.roots[a] == model.roots[b].conjugate())
+    with monkeypatch.context() as m:
+        _corrupt(m, 2, pair, 1 + 1e-7)  # |lambda| of a pair {mu, conj mu} off q beyond RH_TOLERANCE
+        with pytest.raises(CrossCheckFailure, match="off its class exponent"):
+            zero_lattice(model)
+
+    e5 = _model(E5A2)
     mu = e5.roots[0]
     # one ulp off the exact conjugate, then a repeated value without its conjugate copy
     for roots in ((mu, complex(mu.real, math.nextafter(-mu.imag, 0.0))), (mu, mu)):
         with pytest.raises(CrossCheckFailure, match="not closed under complex conjugation"):
             zero_lattice(replace(e5, roots=roots))
-    rep_fam = _family(REPEATED)
+    rep = _model(REPEATED)
     with pytest.raises(CrossCheckFailure, match="not closed under complex conjugation"):
-        zero_lattice(replace(rep_fam, roots=rep_fam.roots[:3] + rep_fam.roots[:1]))
-
-
-def _family_from_roots(q, roots):
-    # the products exactly as build_pj_family forms them, with no polys
-    n = len(roots)
-    products = tuple(
-        tuple(math.prod((roots[i] for i in s), start=complex(1.0)) for s in subsets(n, j))
-        for j in range(n + 1)
-    )
-    return PjFamily(q=q, g=n // 2, polys=(), products=products, roots=tuple(roots))
+        zero_lattice(replace(rep, roots=rep.roots[:3] + rep.roots[:1]))
 
 
 @pytest.mark.parametrize("delta, accepted", [(0.9 * RH_TOLERANCE, True), (1.5 * RH_TOLERANCE, False)])
@@ -321,13 +328,14 @@ def test_class_tolerance_is_the_rh_tolerance(delta, accepted):
     # roots with |mu|^2 = q (1 + delta): a pair moves Re s by log(1 + delta) / log q,
     # a lone sqrt q in the real class by half that; parse admits delta <= RH_TOLERANCE
     s = math.sqrt(1 + delta)
-    for q, roots in ((5, (complex(s, -2 * s), complex(s, 2 * s))), (4, (2 * s, 2 * s))):
-        fam = _family_from_roots(q, [complex(mu) for mu in roots])
+    for doc, roots in ((E5A2, (complex(s, -2 * s), complex(s, 2 * s))),
+                       ({"q": 4, "g": 1, "weil_poly": [1, -4, 4]}, (2 * s, 2 * s))):
+        model = replace(_model(doc), roots=tuple(complex(mu) for mu in roots))
         if accepted:
-            zero_lattice(fam)
+            zero_lattice(model)
         else:
             with pytest.raises(CrossCheckFailure, match="off its class exponent"):
-                zero_lattice(fam)
+                zero_lattice(model)
 
 
 @st.composite
@@ -350,13 +358,12 @@ def _weil_products(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(doc=_weil_products())
 def test_conjugation_builds_the_zero_lattice(doc):
-    # products as build_pj_family forms them, but without its exact P_j stage:
-    # that stage's fixed 1e-8 cross-check rejects valid draws such as
-    # (1 - X + 49X^2)(1 + X + 49X^2) (ROADMAP item 6)
-    fam = _family_from_roots(doc["q"], frobenius_model(parse_weil_datum(doc)).roots)
-    n = len(fam.roots)
-    assert Counter(fam.roots) == Counter(mu.conjugate() for mu in fam.roots)
-    lat = zero_lattice(fam)
+    # includes draws such as (1 - X + 49X^2)(1 + X + 49X^2) that build_pj_family's
+    # fixed 1e-8 cross-check rejects (ROADMAP item 6); the lattice never runs it
+    model = _model(doc)
+    n = len(model.roots)
+    assert Counter(model.roots) == Counter(mu.conjugate() for mu in model.roots)
+    lat = zero_lattice(model)
     for j, classes in enumerate(lat.classes):
         assert sum(c.weight for c in classes) == math.comb(n, j)
         for i, c in enumerate(classes):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from weilflow import formula
+from weilflow import exterior, formula
 from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, phi, phi_ladder, tail_majorant
 from weilflow.counting import build_count_table
 from weilflow.errors import (
@@ -19,7 +19,7 @@ from weilflow.errors import (
     NonOrdinaryInput,
     TruncationBudgetExceeded,
 )
-from weilflow.exterior import build_pj_family, zero_lattice
+from weilflow.exterior import zero_lattice
 from weilflow.formula import (
     geometric_side,
     spectral_side_closed_form,
@@ -37,7 +37,7 @@ REPEATED = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]})
 
 
 def _lattice(w):
-    return zero_lattice(build_pj_family(frobenius_model(w)))
+    return zero_lattice(frobenius_model(w))
 
 
 LAT1 = _lattice(E5A2)
@@ -428,9 +428,25 @@ def test_verify_ordinarity_gate():
 
 
 def test_functional_equation_violation_names_the_tolerance(monkeypatch):
-    monkeypatch.setattr(formula, "functional_equation_check", lambda fam: (False, 2e-8))
-    with pytest.raises(FunctionalEquationViolation, match=r"off by 2e-08 \(tolerance 1e-8\)$"):
-        verify(E5A2, BumpFunction(center=LOG5, width=0.5))
+    # any deviation fails a negative tolerance; the check raises inside verify
+    deviation = exterior.functional_equation_check(LAT2)
+    monkeypatch.setattr(exterior, "FE_TOLERANCE", -1e-8)
+    with pytest.raises(FunctionalEquationViolation,
+                       match=r"off by %s \(tolerance -1e-8\)$" % ("%.3g" % deviation)):
+        verify(G2, BumpFunction(center=LOG5, width=0.5))
+
+
+def test_verify_g5_product():
+    # prod (1 - a X + 5X^2), a = 1, 2, 3, 4, -1: verify reads only the roots,
+    # so no exterior power of the 10 x 10 companion matrix is built
+    poly = [1]
+    for a in (1, 2, 3, 4, -1):
+        poly = [x - a * y + 5 * z
+                for x, y, z in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+    w = parse_weil_datum({"q": 5, "g": 5, "weil_poly": poly})
+    rep = verify(w, BumpFunction(center=LOG5, width=0.5))
+    assert rep.passed
+    assert len(rep.spectral.per_j) == 11
 
 
 def test_verify_count_cap():

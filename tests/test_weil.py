@@ -189,6 +189,31 @@ def test_roots_not_closed_under_conjugation_raise(monkeypatch):
         compute_roots(parse_weil_datum({"q": 5, "trace": 2}))
 
 
+def test_wrong_root_multiset_fails_vieta(monkeypatch):
+    # closed under conjugation and on |mu| = sqrt 5, but the roots of
+    # 1 - 4X + 5X^2, not of the input 1 - 2X + 5X^2
+    wrong = (complex(2.0, -1.0), complex(2.0, 1.0))
+    monkeypatch.setattr(weilflow.weil, "_refined_roots", lambda coeffs, q: (wrong, 0.0))
+    with pytest.raises(CrossCheckFailure, match=r"^coefficient 1 of prod\(1 - mu X\) is \(-4"):
+        frobenius_model(parse_weil_datum({"q": 5, "trace": 2}))
+
+
+@pytest.mark.parametrize("drift, accepted", [(0.5, True), (3.0, False)])
+def test_vieta_tolerance_is_the_refinement_accuracy(monkeypatch, drift, accepted):
+    # scaling both roots of 1 - 2X + 5X^2 by 1 + drift * REFINE_FACTOR moves
+    # e_1 by drift * REFINE_FACTOR * |e_1|, against REFINE_FACTOR * 2 sqrt 5
+    # allowed; |mu|^2 stays well inside RH_TOLERANCE
+    scale = 1 + drift * weilflow.weil.REFINE_FACTOR
+    roots = (complex(scale, -2 * scale), complex(scale, 2 * scale))
+    monkeypatch.setattr(weilflow.weil, "_refined_roots", lambda coeffs, q: (roots, 0.0))
+    w = parse_weil_datum({"q": 5, "trace": 2})
+    if accepted:
+        assert frobenius_model(w).roots == roots
+    else:
+        with pytest.raises(CrossCheckFailure, match="^coefficient 1 of prod"):
+            frobenius_model(w)
+
+
 def test_repeated_roots_refine_cleanly():
     # (1 - 2X + 5X^2)^2: raw eigenvalue estimates are sqrt(eps)-accurate at
     # a double root, refinement against the square-free part must recover
