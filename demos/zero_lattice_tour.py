@@ -3,9 +3,9 @@
 Each factor polynomial P_j pins its zeros to the vertical line
 Re s = j/2, spaced log-q-periodically. This prints the ladder layout
 and checks the observed density against 2g-choose-j per period. It then
-groups each j's sublattices into classes: a pair {mu, conj(mu)} inside a
-subset contributes exactly q, conjugate classes mirror each other, and
-the fully paired subsets form the real class at s = j/2. Everything here
+prints the g angles theta_i = |arg mu_i| / log q of the conjugate pairs
+and the Lefschetz weights L_j(t) = sum_{|S|=j} e^{i theta_S t}, which are
+real: each T_j integrates alpha L_j along one ladder. Everything here
 comes from the polished Frobenius roots; the exact P_j are not needed.
 
 Run:  python demos/zero_lattice_tour.py
@@ -21,7 +21,7 @@ from weilflow import (
     zero_lattice,
     zeros_in_window,
 )
-from weilflow.exterior import subsets
+from weilflow.exterior import lefschetz_weight
 
 
 def main():
@@ -57,19 +57,16 @@ def main():
             print(f"     sublattice {idx}: s = {z.real:.4f} {z.imag:+.6f}i")
     print()
 
-    n = 2 * surface.g
-    for j, classes in enumerate(lat.classes):
-        pairs = [(i, c.partner) for i, c in enumerate(classes) if i < c.partner]
-        real = [c for c in classes if c.real]
-        print(f"j={j}: {len(lat.exps[j])} sublattices in {len(classes)} classes, "
-              f"{len(pairs)} conjugate pairs, "
-              f"{'a real class' if real else 'no real class'}: "
-              f"{len(classes)} half-ladder rows in one call")
-        for i, c in enumerate(classes):
-            members = " ".join(str(subsets(n, j)[k]) for k in c.members)
-            role = "real" if c.real else f"conjugate of class {c.partner}"
-            print(f"     class {i} ({role}): s = {c.exponent.real:.4f} "
-                  f"{c.exponent.imag:+.6f}i  subsets {members}")
+    print("angles theta_i = |arg mu_i| / log q:",
+          "  ".join(f"{theta:.6f}" for theta in lat.angles))
+    times = [0.0, 0.5, 1.0, 2.0, 3.0]
+    print("t:         " + "".join(f"{t:>10.2f}" for t in times))
+    for j in range(2 * surface.g + 1):
+        row = lefschetz_weight(lat.angles, j, times)
+        print(f"L_{j}(t):    " + "".join(f"{x:>10.5f}" for x in row))
+    # the leafwise Lefschetz number prod (2 - 2 cos theta_i t) = sum_j (-1)^j L_j(t)
+    lefschetz = [math.prod(2 - 2 * math.cos(theta * t) for theta in lat.angles) for t in times]
+    print("Lefschetz: " + "".join(f"{x:>10.5f}" for x in lefschetz))
     print()
 
     dev = functional_equation_check(lat)  # raises when violated

@@ -10,17 +10,18 @@ The zero lattice needs only the products lambda_S of the polished roots,
 which frobenius_model has checked against the input. Only `zeta` builds the
 exact P_j (build_pj_family), cross-checked against the same products.
 
-The partner q/mu of a root is its exact conjugate conj(mu), so many
-sublattices coincide or mirror each other exactly. zero_lattice groups the
-j-subsets into classes by conjugation alone (see ZeroClass), and trace_j
-evaluates one half-ladder row per class.
+The partner q/mu of a root is its exact conjugate conj(mu), so H^1 splits
+into g conjugate pairs with angles +-theta_i, theta_i = |arg mu_i| / log q
+(ZeroLattice.angles). Unreduced, the base of S is j/2 + i theta_S with
+theta_S the sum of the signed angles of S, and the j-th sublattices together
+weigh a test function by sum_{|S|=j} e^{i theta_S t} = L_j(t), the real
+lefschetz_weight. trace_j evaluates one ladder of alpha L_j per j.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import CrossCheckFailure, DimensionTooLarge, FunctionalEquationViolation
 from .intlinalg import Matrix, charpoly, det_bareiss
-from .weil import RH_TOLERANCE, FrobeniusModel, _expand_products, check_conjugate_closed
+from .weil import FrobeniusModel, _expand_products
 
 G_CAP = 8  # C(2g, g) is 12870 at g = 8 and grows ~4x per step after
 FE_TOLERANCE = 1e-8  # largest deviation functional_equation_check accepts
@@ -65,35 +66,12 @@ class PjFamily:
 
 
 @dataclass(frozen=True)
-class ZeroClass:
-    """The j-subsets S whose sublattices are one and the same ladder.
-
-    A pair {mu, conj(mu)} inside S contributes exactly q to lambda_S, so S
-    reduces to c pairs and a rest R: lambda_S = q^c lambda_R and
-    s_S = c + log_q lambda_R. The class of S is R as a multiset of root
-    values; equal roots of a repeated factor are one value. The partner
-    class is conj(R), the exact conjugates of R's values. A self-conjugate
-    R holds only real roots +-sqrt q, each at most once; when -sqrt q is not among them, lambda_R is real
-    positive and the class is the real class, based at s = j/2 exactly.
-    """
-    rest: tuple[int, ...]  # R: first index of each unpaired root value, sorted
-    members: tuple[int, ...]  # lex indices of the j-subsets that reduce to R
-    exponent: complex  # base exponent, Im in [-period/2, period/2]
-    partner: int  # index of the conjugate class in the same j; itself if self-conjugate
-    real: bool  # exponent is exactly j/2 + 0i
-
-    @property
-    def weight(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class ZeroLattice:
     q: int
     g: int
     period: float  # 2 pi / log q
     exps: tuple[tuple[complex, ...], ...]  # base exponents s_S per j, lex order
-    classes: tuple[tuple[ZeroClass, ...], ...]  # per j, by first member
+    angles: tuple[float, ...]  # theta_i = |arg mu_i| / log q, one per conjugate pair, ascending
 
 
 def _subset_products(model: FrobeniusModel) -> tuple[tuple[complex, ...], ...]:
@@ -138,92 +116,48 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
     return PjFamily(q=w.q, g=w.g, polys=tuple(polys), products=products)
 
 
-def _rest(s: tuple[int, ...], value: tuple[int, ...], conj: dict[int, int]) -> tuple[int, ...]:
-    # the root values of S left over once every pair {mu, conj(mu)} is taken out
-    held = Counter(value[i] for i in s)
-    rest = []
-    for v, k in held.items():
-        left = k % 2 if conj[v] == v else k - min(k, held[conj[v]])
-        rest.extend([v] * left)
-    return tuple(sorted(rest))
-
-
-def _zero_classes(q: int, roots: tuple[complex, ...], exps) -> tuple[tuple[ZeroClass, ...], ...]:
-    """Classes of every P_j's sublattices, from exact root conjugation alone.
-
-    Each class exponent is built from its rest R (j/2 for the real class, the
-    conjugate of the partner's exponent for the second class of a conjugate
-    pair), and every member's float exponent must match it modulo the period
-    within (pairs RH_TOLERANCE + rounding) / log q. A pair's product
-    |mu|^2 = q (1 + delta), |delta| <= RH_TOLERANCE (parse enforces it),
-    moves Re s by log(1 + delta). pairs counts the c pairs, plus 1/2 per
-    root of R on the real class, whose base j/2 ignores R's modulus.
-    rounding = 8 (j + 2) eps (log q + pi) covers the <= 2j complex products
-    (sqrt 5 u each), the two logs (a few ulps of |Re| <= j log q / 2 and
-    |Im| <= pi), dividing by log q, adding c and the period reduction. A
-    mismatch means the exponents do not come from the roots, and raises.
-    """
-    logq = math.log(q)
-    period = 2 * math.pi / logq
-    check_conjugate_closed(roots)
-    first: dict[complex, int] = {}
-    value = tuple(first.setdefault(mu, i) for i, mu in enumerate(roots))
-    conj = {v: first[roots[v].conjugate()] for v in set(value)}
-    n = len(roots)
-    out = []
-    for j in range(n + 1):
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for k, s in enumerate(subsets(n, j)):
-            groups.setdefault(_rest(s, value, conj), []).append(k)
-        index = {rest: i for i, rest in enumerate(groups)}
-        rounding = 8 * (j + 2) * math.ulp(1.0) * (logq + math.pi)
-        classes: list[ZeroClass] = []
-        for rest, members in groups.items():
-            partner = index[tuple(sorted(conj[v] for v in rest))]
-            real = partner == len(classes) and all(roots[v].real > 0 for v in rest)
-            if real:
-                base = complex(j / 2, 0.0)
-            elif partner < len(classes):
-                base = classes[partner].exponent.conjugate()
-            else:
-                lam = math.prod((roots[v] for v in rest), start=complex(1.0))
-                base = (j - len(rest)) // 2 + cmath.log(lam) / logq
-            pairs = j / 2 if real else (j - len(rest)) // 2
-            tol = (pairs * RH_TOLERANCE + rounding) / logq
-            for k in members:
-                d = exps[j][k] - base
-                d_im = d.imag - period * round(d.imag / period)
-                if math.hypot(d.real, d_im) > tol:
-                    raise CrossCheckFailure(
-                        "j = %d subset %s: exponent %s is off its class exponent %s "
-                        "by %.3g (tolerance %.3g)"
-                        % (j, subsets(n, j)[k], exps[j][k], base,
-                           math.hypot(d.real, d_im), tol)
-                    )
-            classes.append(ZeroClass(
-                rest=rest, members=tuple(members), exponent=base,
-                partner=partner, real=real,
-            ))
-        out.append(tuple(classes))
-    return tuple(out)
-
-
 def zero_lattice(model: FrobeniusModel) -> ZeroLattice:
     """Base exponents s_S = log_q lambda_S (principal branch) per j, and the
-    classes of sublattices that share a ladder, from the polished roots.
+    g angles theta_i of the conjugate pairs, from the polished roots.
 
     Re s_S = j/2 for every |S| = j; the full zero set of P_j(q^{-s}) is
-    {s_S + 2 pi i nu / log q : nu in Z}.
+    {s_S + 2 pi i nu / log q : nu in Z}. The roots are closed under exact
+    conjugation (compute_roots checks it), and the real roots +-sqrt q have
+    even multiplicity: prod mu = q^g > 0 and every non-real pair gives q. So
+    the sorted |arg mu| come in equal pairs, and every second one is an angle.
     """
     q = model.datum.q
     logq = math.log(q)
     exps = tuple(
         tuple(cmath.log(lam) / logq for lam in lams) for lams in _subset_products(model)
     )
+    phases = sorted(abs(cmath.phase(mu)) for mu in model.roots)
     return ZeroLattice(
         q=q, g=model.datum.g, period=2 * math.pi / logq, exps=exps,
-        classes=_zero_classes(q, model.roots, exps),
+        angles=tuple(x / logq for x in phases[::2]),
     )
+
+
+def lefschetz_weight(angles, j: int, t) -> np.ndarray:
+    """L_j(t) = [y^j] prod_i (1 + 2 y cos(theta_i t) + y^2) at every t.
+
+    This is sum_{|S|=j} e^{i theta_S t} over the j-subsets of the 2g roots,
+    whose angles come in pairs +-theta_i, so it is real: the trace of the
+    flow on Lambda^j H^1 with the e^{t j/2} taken out. |L_j| <= C(2g, j) =
+    L_j(0), and sum_j (-1)^j L_j(t) = prod_i (2 - 2 cos theta_i t), the
+    leafwise Lefschetz number. Each factor is palindromic in y, so L_j =
+    L_{2g-j}; one recurrence of g steps over the coefficients up to
+    min(j, 2g - j).
+    """
+    t = np.asarray(t, dtype=float)
+    d = min(j, 2 * len(angles) - j)
+    coef = np.zeros((d + 1,) + t.shape)
+    coef[0] = 1.0
+    for theta in angles:
+        step = 2.0 * np.cos(theta * t) * coef[:-1]
+        coef[2:] += coef[:-2]
+        coef[1:] += step
+    return coef[d]
 
 
 def functional_equation_check(lat: ZeroLattice) -> float:

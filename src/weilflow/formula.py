@@ -5,10 +5,10 @@ Three independently computed quantities must coincide:
   1. the truncated zero sum: Phi summed with alternating sign over the zero
      ladders of every P_j(q^{-s}), j = 0..2g, with a certified tau^-k tail
      bound per sublattice (k = 2, or up to K_MAX where that shortens the
-     ladder). Each sublattice class (exterior.ZeroClass) is one half-ladder
-     row from its own base, all classes of one j rows of a single
-     phi_ladder call; conjugation supplies the other half, so each T_j
-     comes out exactly real on ordinary input;
+     ladder). The C(2g, j) sublattices of one j are one integrand: alpha
+     times the real Lefschetz weight L_j of the Frobenius angles
+     (exterior.lefschetz_weight), so each T_j is one half ladder of a real
+     function, exactly real on every input;
   2. the resummed closed form: log q times extension point counts N_k
      weighting alpha(k log q) (with q^{gk} damping for k <= -1);
   3. the geometric side: log q times closed points weighted by degree, the
@@ -32,7 +32,7 @@ import numpy as np
 from .bumps import K_MAX, TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
 from .errors import InputError, InsufficientCountRange, NonOrdinaryInput, TruncationBudgetExceeded
-from .exterior import ZeroLattice, functional_equation_check, zero_lattice
+from .exterior import ZeroLattice, functional_equation_check, lefschetz_weight, zero_lattice
 from .weil import WeilDatum, check_ordinary, frobenius_model
 
 NU_CAP = 10_000_000  # hard per-sublattice ladder cap; beyond it is an error
@@ -53,7 +53,7 @@ class TraceResult:
     value: complex
     nu_max: int  # shared by all C(2g, j) sublattices of this j
     tail_bound: float  # summed over sublattices
-    quad_error: float  # summed per-zero doubling deltas
+    quad_error: float  # the row's doubling deltas, rungs 1..nu_max twice
     zero_count: int
     order: int  # k of the majorant M_k / |tau|^k that set nu_max
     majorant: float  # its M_k
@@ -107,6 +107,26 @@ class VerificationReport:
     j_range_note: str = J_RANGE_NOTE
 
 
+@dataclass(frozen=True, slots=True)
+class _LefschetzWeighted:
+    """alpha L_j as a test function: the transform of alpha L_j at j/2 + i tau
+    is the sum of alpha's over the j-th sublattices at j/2 + i(theta_S + tau)."""
+    alpha: TestFunction
+    angles: tuple[float, ...]
+    j: int
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.alpha.support
+
+    @property
+    def mass_scale(self) -> float:
+        return math.comb(2 * len(self.angles), self.j) * self.alpha.mass_scale  # |L_j| <= C(2g, j)
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        return self.alpha.values(t) * lefschetz_weight(self.angles, self.j, t)
+
+
 def trace_j(
     lat: ZeroLattice,
     j: int,
@@ -115,10 +135,17 @@ def trace_j(
 ) -> TraceResult:
     """Truncated Phi sum over the zero ladders of P_j, with certificates.
 
-    Each of the C(2g, j) sublattices is cut at the same nu_max, chosen so the
-    majorant tail stays below budget / (C(2g, j) * (2g + 1)). With
-    |Phi(j/2 + i tau)| <= M_k / |tau|^k the tail of one sublattice past
-    nu_max is at most 2 M_k (log q / 2 pi)^k / ((k - 1)(nu_max - 1/2)^(k-1)).
+    The angles +-theta_i of the conjugate pairs lie in [-beta/2, beta/2],
+    beta = 2 pi / log q, and sum to 0 over all 2g roots. So the unreduced
+    base theta_S of a j-subset, the sum of its signed angles, obeys
+    |theta_S| <= min(j, 2g - j) beta / 2 (S or its complement), and
+    rho_j = max(1, min(j, 2g - j)) / 2 bounds |theta_S| / beta for every j.
+
+    Each of the C(2g, j) sublattices keeps the rungs theta_S + beta nu,
+    |nu| <= nu_max, chosen so the majorant tail stays below budget /
+    (C(2g, j) * (2g + 1)). A dropped rung has |tau| >= beta (|nu| - rho_j),
+    so with |Phi(j/2 + i tau)| <= M_k / |tau|^k the tail of one sublattice is
+    at most 2 M_k (log q / 2 pi)^k / ((k - 1)(nu_max - rho_j)^(k-1)).
     Order k = 2 is tried first; when it needs more than NU_FLOOR zeros,
     k = 3, 4, ... K_MAX follow until one needs at most NU_FLOOR or the need
     stops falling, and the order needing the fewest sets nu_max. The tail
@@ -128,38 +155,30 @@ def trace_j(
     points (infinitely many when no M_k is finite) raise instead of
     truncating silently.
 
-    One ladder is evaluated per class of lat.classes[j], not per sublattice,
-    and weighted by the class size. Every class is a row of one phi_ladder
-    call at sigma = j/2: the half ladder tau = theta + beta k, k = 0..n, from
-    its base theta = Im(exponent). Since Phi(conj rho) = conj Phi(rho) and a
-    partner's base is the exact conjugate of its class's, the partner's rungs
-    -k are this row's rungs k conjugated: rung 0 counts once, rungs 1..n
-    twice, and only real parts are summed. The real class (theta = 0)
-    follows the same rule, so T_j is exactly real on ordinary input. A
-    self-conjugate class off the axis, theta = +-beta/2 from a root -sqrt q,
-    starts its row at |theta|; rungs 0..n-1 count twice and the top rung
-    once, with sign(theta) Im.
-    zero_count and quad_error still count every enumerated zero. The value
-    and quad_error are each one correctly rounded math.fsum over every
-    enumerated zero, so they do not depend on the order the zeros are
-    visited in.
+    Summed over S, the rungs nu of all sublattices are one transform: of
+    alpha L_j at j/2 + i beta nu, with L_j = sum_S e^{i theta_S t} real (see
+    exterior.lefschetz_weight). So T_j is one phi_ladder row from 0, rungs
+    k = 0..nu_max: rung -k is rung k conjugated, rung 0 counts once and rungs
+    1..nu_max twice, real parts only, and T_j is exactly real. quad_error
+    weighs the row's doubling deltas the same way. Both are correctly rounded
+    math.fsum sums; zero_count still counts every sublattice's zeros.
     """
     if not budget > 0:
         raise ValueError("truncation budget must be positive")
     m = len(lat.exps[j])
     sigma = j / 2.0
     logq = math.log(lat.q)
-    beta = lat.period
     scale = logq / (2.0 * math.pi)
+    rho = max(1, min(j, 2 * lat.g - j)) / 2.0
     sub_budget = budget / (m * (2 * lat.g + 1))
 
     def tail(tm, n):
-        return 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * (n - 0.5) ** (tm.order - 1))
+        return 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * (n - rho) ** (tm.order - 1))
 
     def needed(tm):
         # the least n with tail(tm, n) <= sub_budget, inf for M_k = inf
         root = 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * sub_budget)
-        need = 0.5 + root ** (1.0 / (tm.order - 1))
+        need = rho + root ** (1.0 / (tm.order - 1))
         return math.ceil(need) if need < math.inf else math.inf
 
     majorants = {2: tail_majorant(tf, sigma)}
@@ -180,33 +199,13 @@ def trace_j(
         )
     tail_sub = min(tail(tm, n) for tm in majorants.values())
 
-    # each class is one half-ladder row; times[i, k] counts the zeros rung k
-    # of row i stands for
-    classes = lat.classes[j]
-    times = np.full((len(classes), n + 1), 2)
-    times[:, 0] = 1
-    starts, tops = [], []
-    for i, cls in enumerate(classes):
-        theta = cls.exponent.imag
-        if cls.partner == i and not cls.real:  # off the axis, theta = +-beta/2
-            times[i, 0], times[i, n] = 2, 1
-            tops.append((i, math.copysign(1.0, theta)))
-            theta = abs(theta)
-        starts.append(theta)
-        times[i] *= cls.weight
-    v, e, panels = phi_ladder(tf, sigma, np.array(starts), beta, n + 1)
-    value = complex(
-        math.fsum(np.repeat(v.real.ravel(), times.ravel()).tolist()),
-        math.fsum(sign * v[i, n].imag for i, sign in tops for _ in range(times[i, n])),
-    )
-    quad_error = math.fsum(np.repeat(e.ravel(), times.ravel()).tolist())
-    tail_bound = tail_sub * m
+    v, e, panels = phi_ladder(_LefschetzWeighted(tf, lat.angles, j), sigma, 0.0, lat.period, n + 1)
     return TraceResult(
         j=j,
-        value=value,
+        value=complex(math.fsum([v[0].real, *(2.0 * v[1:].real).tolist()])),
         nu_max=n,
-        tail_bound=tail_bound,
-        quad_error=quad_error,
+        tail_bound=tail_sub * m,
+        quad_error=math.fsum([e[0], *(2.0 * e[1:]).tolist()]),
         zero_count=m * (2 * n + 1),
         order=order,
         majorant=majorants[order].m,
@@ -236,10 +235,25 @@ def spectral_side_zero_sum(
     )
 
 
+def _lattice_times(lo: float, hi: float, step: float) -> range:
+    """The k with lo < k * step < hi, with the float product k * step as the
+    sides form it, as a range: k = 0 never contributes, and callers skip it.
+
+    The float quotients are a few ulps off, so each end lies within two of
+    floor(lo / step) and ceil(hi / step).
+    """
+    k_lo, k_hi = math.floor(lo / step), math.ceil(hi / step)
+    for _ in range(2):
+        k_lo += k_lo * step <= lo
+        k_hi -= k_hi * step >= hi
+    return range(k_lo, k_hi + 1)
+
+
 def _support_count_range(tf: TestFunction, q: int) -> int:
-    lo, hi = tf.support
-    reach = max(hi, -lo)
-    return max(1, int(math.floor(reach / math.log(q) + 1e-12)))
+    """The largest |k| != 0 with k log q inside the open support, at least 1:
+    the counts N_k and closed points a_d that both sides read."""
+    ks = _lattice_times(*tf.support, math.log(q))
+    return max(1, abs(ks[0]), abs(ks[-1])) if ks else 1
 
 
 def spectral_side_closed_form(ct: CountTable, tf: TestFunction):
@@ -252,14 +266,10 @@ def spectral_side_closed_form(ct: CountTable, tf: TestFunction):
     logq = math.log(ct.q)
     lo, hi = tf.support
     terms = []
-    k_hi = int(math.floor(hi / logq + 1e-12))
-    k_lo = int(math.ceil(lo / logq - 1e-12))
-    for k in range(k_lo, k_hi + 1):
+    for k in _lattice_times(lo, hi, logq):
         if k == 0:
             continue
         t = k * logq
-        if not (lo < t < hi):
-            continue
         if abs(k) > ct.n_max:
             raise InsufficientCountRange(
                 "closed form needs N_%d, table covers 1..%d" % (abs(k), ct.n_max)
@@ -282,11 +292,7 @@ def geometric_side(ct: CountTable, tf: TestFunction) -> GeometricResult:
     """
     logq = math.log(ct.q)
     lo, hi = tf.support
-    d_needed = 0
-    if hi > logq:
-        d_needed = max(d_needed, int(math.floor(hi / logq + 1e-12)))
-    if -lo > logq:
-        d_needed = max(d_needed, int(math.floor(-lo / logq + 1e-12)))
+    d_needed = _support_count_range(tf, ct.q)
     if d_needed > ct.n_max:
         raise InsufficientCountRange(
             "support reaches degree %d, count table covers 1..%d"
@@ -296,10 +302,10 @@ def geometric_side(ct: CountTable, tf: TestFunction) -> GeometricResult:
     for d in range(1, d_needed + 1):
         a_d = ct.closed_points[d - 1]
         step = d * logq
-        for k in range(math.floor(lo / step), math.ceil(hi / step) + 1):
-            t = k * step
-            if k == 0 or not lo < t < hi:
+        for k in _lattice_times(lo, hi, step):
+            if k == 0:
                 continue
+            t = k * step
             alpha = float(tf.values(np.array([t]))[0])
             weight = float(d * a_d)
             if k < 0:

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +33,7 @@ E5A2 = parse_weil_datum({"q": 5, "trace": 2})
 G2 = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]})
 G3 = parse_weil_datum({"q": 5, "g": 3, "weil_poly": [1, -6, 26, -66, 130, -150, 125]})
 REPEATED = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]})
+NON_ORDINARY = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, 0, -10, 0, 25]})  # (1 - 5X^2)^2
 
 
 def _lattice(w):
@@ -104,21 +104,36 @@ def test_trace_all_j_vs_symmetric_oracle_past_the_floor():
             assert abs(r.value - want) < 1e-8 * (1 + abs(want))
 
 
+def test_tail_covers_the_unreduced_bases():
+    # every j-subset's unreduced base theta_S lies within rho_j beta of the
+    # axis, rho_j = max(1, min(j, 2g - j)) / 2, and nu_max pays for that reach:
+    # with rho_j = 1/2 for all j, j = 2 and 3 would stop at 653 and 778
+    for w in (G3, NON_ORDINARY):
+        lat = _lattice(w)
+        signed = [sign * theta for theta in lat.angles for sign in (1, -1)]
+        for j in range(2 * w.g + 1):
+            rho = max(1, min(j, 2 * w.g - j)) / 2
+            reach = max(abs(math.fsum(signed[i] for i in s)) for s in exterior.subsets(2 * w.g, j))
+            assert reach <= rho * lat.period
+    lat = _lattice(G3)
+    tf = BumpFunction(center=LOG5, width=0.5)
+    assert [trace_j(lat, j, tf, 1e-9).nu_max for j in range(7)] == [347, 505, 654, 779, 858, 868, 776]
+
+
 def test_ladder_work_per_verify(monkeypatch):
-    # one 301-point half-ladder row per class, all classes of one j as rows
-    # of one call: E/F_5 has 1 + 2 + 1 classes, 1,204 points in 3 calls, and
-    # the g = 3 product 25 conjugate pairs and 4 real classes, 54 rows or
-    # 16,254 points in 7 calls (one call per ladder took 29, one ladder per
-    # sublattice 64 x 601 points)
+    # one 301-point half-ladder row from 0 per j: 903 points in 3 calls on
+    # E/F_5, 2,107 in 7 on the g = 3 product (one row per sublattice class
+    # took 1,204 and 16,254 points, one ladder per sublattice 64 x 601)
     calls = []
     ladder = formula.phi_ladder
 
     def counting(tf, sigma, f0, step, count):
-        calls.append(np.size(f0) * count)
+        assert np.shape(f0) == () and f0 == 0.0
+        calls.append(count)
         return ladder(tf, sigma, f0, step, count)
 
     monkeypatch.setattr(formula, "phi_ladder", counting)
-    for w, points, n_calls in ((E5A2, 1204, 3), (G3, 16254, 7)):
+    for w, points, n_calls in ((E5A2, 903, 3), (G3, 2107, 7)):
         calls.clear()
         assert verify(w, BumpFunction(center=LOG5, width=0.5), trunc_budget=1.0).passed
         assert (sum(calls), len(calls)) == (points, n_calls)
@@ -136,78 +151,51 @@ def test_report_parts_have_no_instance_dict():
 
 
 def test_real_roots_verify():
-    # (1 - 5X^2)^2 has mu = +-sqrt 5, twice each: the classes holding -sqrt 5
-    # are self-conjugate but sit half a period off the axis, so their traces
-    # keep an imaginary part; 1 + 5X^2 (mu = +-i sqrt 5) pairs up fully
+    # (1 - 5X^2)^2 has mu = +-sqrt 5 twice each, (1 - 2X)^2 over F_4 mu = 2
+    # twice, and 1 + 5X^2 mu = +-i sqrt 5: L_j is real, so every T_j is
     tf = BumpFunction(center=LOG5, width=0.5)
-    for poly, off_axis in (([1, 0, -10, 0, 25], True), ([1, 0, 5], False)):
-        w = parse_weil_datum({"q": 5, "g": len(poly) // 2, "weil_poly": poly})
+    for q, poly in ((5, [1, 0, -10, 0, 25]), (4, [1, -4, 4]), (5, [1, 0, 5])):
+        w = parse_weil_datum({"q": q, "g": len(poly) // 2, "weil_poly": poly})
         rep = verify(w, tf, allow_non_ordinary=True)
         assert rep.passed
-        lat = _lattice(w)
-        for t in rep.spectral.per_j:
-            if not any(c.partner == i and not c.real for i, c in enumerate(lat.classes[t.j])):
-                assert t.value.imag == 0.0
-        assert off_axis == any(t.value.imag != 0.0 for t in rep.spectral.per_j)
+        assert all(t.value.imag == 0.0 for t in rep.spectral.per_j)
 
 
-NON_ORDINARY = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, 0, -10, 0, 25]})
 OFF_AXIS_BUMPS = ((LOG5, 0.5, 1.0), (2 * LOG5, 0.6, 1.3), (-LOG5, 0.4, 0.8))
 
 
-def _off_axis(lat, j):
-    return [i for i, c in enumerate(lat.classes[j]) if c.partner == i and not c.real]
-
-
 def test_off_axis_classes_vs_symmetric_oracle():
-    # (1 - 5X^2)^2: the classes holding -sqrt 5 are rows from |theta| = beta/2
-    # whose top rung counts once; the truncated trace's imaginary part is the
-    # unpaired rungs' and stays within the certificate of the real oracle value
+    # (1 - 5X^2)^2: the roots -sqrt 5 sit half a period off the axis, angle
+    # beta/2; their sublattices are truncated around +-beta/2 and the traces
+    # stay within the certificate of the real oracle value
     lat = _lattice(NON_ORDINARY)
     roots = frobenius_model(NON_ORDINARY).roots
-    assert any(_off_axis(lat, j) for j in range(5))
+    assert lat.angles == (0.0, lat.period / 2)
     for c, width, amp in OFF_AXIS_BUMPS:
         tf = BumpFunction(center=c, width=width, amplitude=amp)
         for j in range(5):
             r = trace_j(lat, j, tf, budget=0.25)
             want = oracles.symmetric_trace(roots, 5, j, [(c, width, amp)])
-            assert want.imag == 0.0
+            assert want.imag == 0.0 and r.value.imag == 0.0
             assert abs(r.value.real - want.real) <= r.tail_bound + r.quad_error
-            assert abs(r.value.imag) <= r.tail_bound + r.quad_error
 
 
 def test_trace_counts_every_sublattice_zero_once():
-    # against full ladders theta_S + beta k, k = -n..n, of every sublattice
-    # of lat.exps, without the classes; the narrow bump keeps every rung, an
-    # off-axis row's top rung included, far above quad_error
+    # against full ladders theta_S + beta nu, |nu| <= n, of every sublattice
+    # from its unreduced base, the sum of the signed angles in S; the narrow
+    # bump keeps every rung far above quad_error. Each side is off its exact
+    # value by its own doubling deltas at most.
     tf = BumpFunction(center=LOG5, width=0.15)
     for w in (G2, NON_ORDINARY):
         lat = _lattice(w)
+        signed = [sign * theta for theta in lat.angles for sign in (1, -1)]
         for j in range(5):
             r = trace_j(lat, j, tf, budget=0.25)
-            starts = np.array([s.imag for s in lat.exps[j]]) - lat.period * r.nu_max
-            v, _, _ = phi_ladder(tf, j / 2, starts, lat.period, 2 * r.nu_max + 1)
+            n = r.nu_max
+            starts = np.array([math.fsum(signed[i] for i in s) for s in exterior.subsets(4, j)])
+            v, e, _ = phi_ladder(tf, j / 2, starts - lat.period * n, lat.period, 2 * n + 1)
             want = complex(math.fsum(v.real.ravel().tolist()), math.fsum(v.imag.ravel().tolist()))
-            assert abs(r.value - want) <= r.quad_error
-
-
-def test_conjugating_off_axis_classes_conjugates_the_trace():
-    # theta -> -theta leaves an off-axis row at |theta| and flips the sign its
-    # top rung's imaginary part enters with: Re T_j bitwise equal, Im negated
-    lat = _lattice(NON_ORDINARY)
-    flipped = replace(lat, classes=tuple(
-        tuple(replace(c, exponent=c.exponent.conjugate()) if i in _off_axis(lat, j) else c
-              for i, c in enumerate(classes))
-        for j, classes in enumerate(lat.classes)
-    ))
-    moved = 0
-    for c, width, amp in OFF_AXIS_BUMPS:
-        tf = BumpFunction(center=c, width=width, amplitude=amp)
-        for j in range(5):
-            r, s = trace_j(lat, j, tf, budget=0.25), trace_j(flipped, j, tf, budget=0.25)
-            assert s.value.real == r.value.real and s.value.imag == -r.value.imag
-            moved += r.value.imag != 0.0
-    assert moved
+            assert abs(r.value - want) <= r.quad_error + math.fsum(e.ravel().tolist())
 
 
 def test_truncation_budget_drives_nu():
@@ -454,6 +442,32 @@ def test_verify_count_cap():
     # support reaching past 64 log 2 would need counts beyond the cap
     with pytest.raises(InsufficientCountRange):
         verify(w, BumpFunction(center=46.0, width=0.5))
+
+
+def test_support_end_on_a_lattice_time_needs_no_count_past_it():
+    # hi = c + w is exactly 65 log 2 in floats: the open support holds
+    # k log 2 for |k| <= 64 only, so N_64 suffices and the cap of 64 holds.
+    # Both sides are ~4e18 here; a budget of 1e9 is 2.5e-10 of that
+    logq = math.log(2)
+    tf = BumpFunction(center=65 * logq - 0.5, width=0.5)
+    assert tf.support[1] == 65 * logq
+    assert formula._support_count_range(tf, 2) == 64
+    rep = verify(parse_weil_datum({"q": 2, "trace": 1}), tf, trunc_budget=1e9)
+    assert rep.passed
+    assert max(c.d for c in rep.geometric.cells) == 64
+
+
+def test_lattice_times_are_the_open_support_ones():
+    # against a brute-force scan, with support ends on, and one ulp either
+    # side of, a lattice time
+    rng = random.Random(11)
+    for _ in range(2000):
+        step = math.log(rng.choice([2, 3, 4, 5, 7, 9, 49])) * rng.randint(1, 4)
+        ends = sorted(rng.randint(-70, 70) * step for _ in range(2))
+        lo, hi = (math.nextafter(x, rng.choice([-math.inf, x, math.inf])) for x in ends)
+        brute = [k for k in range(-80, 81) if lo < k * step < hi]
+        assert list(formula._lattice_times(lo, hi, step)) == brute
+    assert formula._support_count_range(BumpFunction(center=0.0, width=0.5), 5) == 1
 
 
 def test_verify_report_contents():
