@@ -6,22 +6,29 @@ and checks the observed density against 2g-choose-j per period. It then
 prints the g angles theta_i = |arg mu_i| / log q of the conjugate pairs
 and the Lefschetz weights L_j(t) = sum_{|S|=j} e^{i theta_S t}, which are
 real: each T_j integrates alpha L_j along one ladder. Everything here
-comes from the polished Frobenius roots; the exact P_j are not needed.
+comes from the Frobenius roots, built from the exact Riemann hypothesis
+check on parse; the exact P_j are not needed. Last, it measures the zero
+symmetry s -> g - s in floats with the test suite's oracle, the float
+shadow of the functional equation that parse checks exactly.
 
 Run:  python demos/zero_lattice_tour.py
 """
 
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 from weilflow import (
     frobenius_model,
-    functional_equation_check,
     parse_weil_datum,
     zero_lattice,
     zeros_in_window,
 )
 from weilflow.exterior import lefschetz_weight
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import oracles  # noqa: E402
 
 
 def main():
@@ -48,11 +55,10 @@ def main():
         per_subset = Counter(idx for idx, _ in zs)
         # density: binom(2g, j) zeros per period on line Re s = j/2
         expect = math.comb(2 * surface.g, j) * (2 * height) / period
-        drift = max(abs(z.real - j / 2) for _, z in zs)
+        assert all(z.real == j / 2 for _, z in zs)
         print(f"j={j}: {len(zs):4d} zeros in |Im s| <= {height}  "
               f"(density predicts ~{expect:.0f}), "
-              f"{len(per_subset)} sublattices, "
-              f"max drift off Re = {j/2}: {drift:.1e}")
+              f"{len(per_subset)} sublattices, all on Re s = {j/2}")
         for idx, z in zs[:3]:
             print(f"     sublattice {idx}: s = {z.real:.4f} {z.imag:+.6f}i")
     print()
@@ -69,8 +75,8 @@ def main():
     print("Lefschetz: " + "".join(f"{x:>10.5f}" for x in lefschetz))
     print()
 
-    dev = functional_equation_check(lat)  # raises when violated
-    print(f"functional equation deviation across all j: {dev:.3e} (ok)")
+    dev = oracles.zero_symmetry_deviation(lat)
+    print(f"zero symmetry s -> g - s, largest float deviation across all j: {dev:.3e}")
 
 
 if __name__ == "__main__":

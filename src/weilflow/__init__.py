@@ -1,10 +1,11 @@
 """Certified verification of the explicit formula for zeta functions of
 ordinary abelian varieties over finite fields.
 
-The pipeline: parse a Weil polynomial, build the Frobenius companion model
-and its polished roots (checked against the input by Vieta), form the zero
-lattices of the exterior-power factors P_j on the critical lines Re s = j/2
-from products of those roots, and check that the alternating zero sum of a
+The pipeline: parse a Weil polynomial, deciding the Riemann hypothesis
+exactly, build the Frobenius companion model and its roots in exact
+conjugate pairs with proven angle brackets, form the zero lattices of the
+exterior-power factors P_j on the critical lines Re s = j/2 from products
+of those roots, and check that the alternating zero sum of a
 test function's transform matches both its Poisson closed form and the
 geometric sum over closed points, within a certified truncation budget. The
 exact P_j (build_pj_family) are built only where they are printed.
@@ -35,7 +36,6 @@ from .errors import (
     ComputationError,
     CrossCheckFailure,
     DimensionTooLarge,
-    FunctionalEquationViolation,
     InputError,
     InsufficientCountRange,
     NonIntegralInversion,
@@ -43,7 +43,6 @@ from .errors import (
     NotPrimePower,
     QuadratureNonConvergence,
     RiemannHypothesisViolation,
-    RootRefinementFailure,
     TruncationBudgetExceeded,
     WeilflowError,
 )
@@ -51,7 +50,6 @@ from .exterior import (
     PjFamily,
     ZeroLattice,
     build_pj_family,
-    functional_equation_check,
     zero_lattice,
     zeros_in_window,
 )
@@ -73,7 +71,6 @@ from .weil import (
     WeilDatum,
     check_ordinary,
     companion_matrix,
-    compute_roots,
     frobenius_model,
     parse_weil_datum,
     prime_power_decompose,
@@ -90,16 +87,16 @@ __all__ = [
     "WeilflowError", "InputError", "ComputationError",
     "NotPrimePower", "BadLength", "BadNormalization",
     "RiemannHypothesisViolation", "NonOrdinaryInput", "DimensionTooLarge",
-    "RootRefinementFailure", "CrossCheckFailure", "FunctionalEquationViolation",
+    "CrossCheckFailure",
     "NonIntegralInversion", "QuadratureNonConvergence",
     "TruncationBudgetExceeded", "InsufficientCountRange",
     "PjFamily", "ZeroLattice", "build_pj_family",
-    "functional_equation_check", "zero_lattice", "zeros_in_window",
+    "zero_lattice", "zeros_in_window",
     "GeometricCell", "GeometricResult", "SpectralResult", "TraceResult",
     "VerificationReport", "geometric_side", "spectral_side_closed_form",
     "spectral_side_zero_sum", "trace_j", "verify",
     "WeilDatum", "OrdinarityVerdict", "FrobeniusModel",
-    "check_ordinary", "companion_matrix", "compute_roots",
+    "check_ordinary", "companion_matrix",
     "frobenius_model", "parse_weil_datum", "prime_power_decompose",
     "__version__",
 ]

@@ -19,7 +19,7 @@ import sys
 from .bumps import BumpFunction, combine_bumps
 from .counting import build_count_table, fixed_point_group, orbit_table
 from .errors import ComputationError, InputError, WeilflowError
-from .exterior import build_pj_family, functional_equation_check, zero_lattice, zeros_in_window
+from .exterior import build_pj_family, zero_lattice, zeros_in_window
 from .formula import COUNT_CAP, verify
 from .weil import check_ordinary, frobenius_model, parse_weil_datum
 
@@ -112,7 +112,6 @@ def _cmd_validate(args) -> tuple[int, str]:
     w = _load_datum(args.input)
     verdict = check_ordinary(w)
     model = frobenius_model(w)
-    deviation = functional_equation_check(zero_lattice(model))
     doc = {
         "input": w.to_document(),
         "p": w.p,
@@ -123,8 +122,7 @@ def _cmd_validate(args) -> tuple[int, str]:
             "p_valuation": verdict.p_valuation,
         },
         "root_precision": model.precision,
-        "functional_equation_deviation": deviation,
-        "functional_equation_ok": True,  # a violation raises
+        "functional_equation_ok": True,  # parse raises on a violation
     }
     if args.format == "json":
         return 0, _dumps(doc)
@@ -134,8 +132,7 @@ def _cmd_validate(args) -> tuple[int, str]:
                 ["ordinary", verdict.is_ordinary],
                 ["middle_coefficient", str(verdict.middle_coefficient)],
                 ["p_valuation", verdict.p_valuation],
-                ["root_precision", _fmt_float(model.precision)],
-                ["functional_equation_deviation", _fmt_float(deviation)]]
+                ["root_precision", _fmt_float(model.precision)]]
         return 0, _csv_rows(rows)
     lines = [
         "datum: q=%d g=%d label=%s" % (w.q, w.g, w.label or "-"),
@@ -143,8 +140,7 @@ def _cmd_validate(args) -> tuple[int, str]:
         "prime power: p=%d f=%d" % (w.p, w.f),
         "ordinary: %s (middle coefficient %d, p-valuation %s)"
         % (verdict.is_ordinary, verdict.middle_coefficient, verdict.p_valuation),
-        "root refinement residual: %s" % _fmt_float(model.precision),
-        "functional equation deviation: %s" % _fmt_float(deviation),
+        "root angle radius: %s" % _fmt_float(model.precision),
         "ok",
     ]
     return 0, "\n".join(lines)
@@ -154,14 +150,12 @@ def _cmd_zeta(args) -> tuple[int, str]:
     w = _load_datum(args.input)
     model = frobenius_model(w)
     fam = build_pj_family(model)
-    deviation = functional_equation_check(zero_lattice(model))
     doc = {
         "q": w.q,
         "g": w.g,
         "P": [[str(c) for c in poly] for poly in fam.polys],
         "roots": [complex(r) for r in model.roots],
         "products_by_j": [[complex(z) for z in level] for level in fam.products],
-        "functional_equation_deviation": deviation,
     }
     if args.format == "json":
         return 0, _dumps(doc)
@@ -173,7 +167,6 @@ def _cmd_zeta(args) -> tuple[int, str]:
     lines = ["zeta factors for q=%d g=%d" % (w.q, w.g)]
     for j, poly in enumerate(fam.polys):
         lines.append("P_%d: %s" % (j, list(poly)))
-    lines.append("functional equation deviation: %s" % _fmt_float(deviation))
     return 0, "\n".join(lines)
 
 
@@ -298,7 +291,6 @@ def _cmd_verify(args) -> tuple[int, str]:
     doc = {
         "input": w.to_document(),
         "ordinary": report.ordinarity_is_ordinary,
-        "functional_equation_deviation": report.functional_equation_deviation,
         "spectral": {
             "per_j": [
                 {

@@ -71,7 +71,7 @@ class OrbitTable:
 def build_count_table(model: FrobeniusModel, n_max: int) -> CountTable:
     """N_n and a_d for 1 <= n <= n_max with exact cross-checks.
 
-    The float route prod(mu^n - 1) from the polished roots must agree with
+    The float route prod(mu^n - 1) from the roots must agree with
     each exact N_n to 1e-6 relative for n <= 20; every division of the
     Mobius inversion must be exact and every a_d non-negative.
     """

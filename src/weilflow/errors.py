@@ -30,7 +30,9 @@ class BadNormalization(InputError):
 
 
 class RiemannHypothesisViolation(InputError):
-    """Some inverse root has |mu|^2 off q beyond tolerance."""
+    """Proven: c_{2g-k} != q^{g-k} c_k for some k, or a root of the real
+    Weil polynomial h (T^g h(T + q/T) = char T) is not real in
+    [-2 sqrt q, 2 sqrt q], so some inverse root has |mu| != sqrt q."""
 
 
 class NonOrdinaryInput(InputError):
@@ -45,16 +47,8 @@ class ComputationError(WeilflowError):
     """A downstream computation violated its contract."""
 
 
-class RootRefinementFailure(ComputationError):
-    """Newton polishing did not reach the demanded residual."""
-
-
 class CrossCheckFailure(ComputationError):
     """Exact-integer and float routes disagree beyond tolerance."""
-
-
-class FunctionalEquationViolation(ComputationError):
-    """Zero multisets of P_j and P_{2g-j} fail s -> g - s symmetry."""
 
 
 class NonIntegralInversion(ComputationError):

@@ -6,9 +6,12 @@ degree-C(2g, j) factor P_j(X) = prod_{|S|=j} (1 - lambda_S X) with
 lambda_S = prod_{i in S} mu_i. Each inverse root contributes a vertical
 ladder of zeros s_S + 2 pi i nu / log q of P_j(q^{-s}), all on Re s = j/2.
 
-The zero lattice needs only the products lambda_S of the polished roots,
-which frobenius_model has checked against the input. Only `zeta` builds the
-exact P_j (build_pj_family), cross-checked against the same products.
+Parse has decided the Riemann hypothesis exactly (weil._weil_roots), so
+|lambda_S| = q^{j/2} is a theorem: the zero lattice sets Re s_S = j/2
+exactly and takes only Im s_S from the products lambda_S of the roots. The
+functional equation s -> g - s is the identity c_{2g-k} = q^{g-k} c_k,
+checked exactly on parse too. Only `zeta` builds the exact P_j
+(build_pj_family), cross-checked against the same products.
 
 The partner q/mu of a root is its exact conjugate conj(mu), so H^1 splits
 into g conjugate pairs with angles +-theta_i, theta_i = |arg mu_i| / log q
@@ -27,12 +30,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CrossCheckFailure, DimensionTooLarge, FunctionalEquationViolation
+from .errors import CrossCheckFailure, DimensionTooLarge
 from .intlinalg import Matrix, charpoly, det_bareiss
-from .weil import FrobeniusModel, _expand_products
+from .weil import FrobeniusModel
 
 G_CAP = 8  # C(2g, g) is 12870 at g = 8 and grows ~4x per step after
-FE_TOLERANCE = 1e-8  # largest deviation functional_equation_check accepts
 
 
 def subsets(n: int, j: int) -> list[tuple[int, ...]]:
@@ -76,7 +78,7 @@ class ZeroLattice:
 
 def _subset_products(model: FrobeniusModel) -> tuple[tuple[complex, ...], ...]:
     """lambda_S = prod_{i in S} mu_i for every j-subset S, per j in lex order,
-    from the polished roots; g above G_CAP is refused."""
+    from the roots; g above G_CAP is refused."""
     w = model.datum
     if w.g > G_CAP:
         raise DimensionTooLarge("g = %d exceeds the cap %d" % (w.g, G_CAP))
@@ -87,10 +89,18 @@ def _subset_products(model: FrobeniusModel) -> tuple[tuple[complex, ...], ...]:
     )
 
 
+def _expand_products(lams) -> list[complex]:
+    """Ascending coefficients of prod (1 - lam X), one factor per step."""
+    poly = [complex(1.0)]
+    for lam in lams:
+        poly = [a - b * lam for a, b in zip(poly + [0j], [0j] + poly)]
+    return poly
+
+
 def build_pj_family(model: FrobeniusModel) -> PjFamily:
     """All P_j from exact exterior-power char polynomials, float cross-checked.
 
-    The float route expands prod (1 - lambda_S X) from the polished roots and
+    The float route expands prod (1 - lambda_S X) from the roots and
     must match every integer coefficient to 1e-8 relative; P_0 and P_2g are
     additionally pinned to their closed forms.
     """
@@ -117,24 +127,22 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
 
 
 def zero_lattice(model: FrobeniusModel) -> ZeroLattice:
-    """Base exponents s_S = log_q lambda_S (principal branch) per j, and the
-    g angles theta_i of the conjugate pairs, from the polished roots.
+    """Base exponents s_S = j/2 + i arg(lambda_S) / log q (principal branch)
+    per j, and the g angles theta_i of the conjugate pairs.
 
-    Re s_S = j/2 for every |S| = j; the full zero set of P_j(q^{-s}) is
-    {s_S + 2 pi i nu / log q : nu in Z}. The roots are closed under exact
-    conjugation (compute_roots checks it), and the real roots +-sqrt q have
-    even multiplicity: prod mu = q^g > 0 and every non-real pair gives q. So
-    the sorted |arg mu| come in equal pairs, and every second one is an angle.
+    Re s_S = j/2 exactly for every |S| = j; the full zero set of P_j(q^{-s})
+    is {s_S + 2 pi i nu / log q : nu in Z}. The angles are the model's
+    |arg mu_i| over log q, one per conjugate pair.
     """
     q = model.datum.q
     logq = math.log(q)
     exps = tuple(
-        tuple(cmath.log(lam) / logq for lam in lams) for lams in _subset_products(model)
+        tuple(complex(j / 2, cmath.phase(lam) / logq) for lam in lams)
+        for j, lams in enumerate(_subset_products(model))
     )
-    phases = sorted(abs(cmath.phase(mu)) for mu in model.roots)
     return ZeroLattice(
         q=q, g=model.datum.g, period=2 * math.pi / logq, exps=exps,
-        angles=tuple(x / logq for x in phases[::2]),
+        angles=tuple(theta / logq for theta in model.angles),
     )
 
 
@@ -160,42 +168,10 @@ def lefschetz_weight(angles, j: int, t) -> np.ndarray:
     return coef[d]
 
 
-def functional_equation_check(lat: ZeroLattice) -> float:
-    """Zero symmetry s -> g - s between P_j and P_{2g - j}.
-
-    The complement bijection S -> S^c realizes the multiset identity:
-    lambda_{S^c} = q^g / lambda_S, so g - s_S = s_{S^c} modulo the imaginary
-    period. The complements of the lex-ordered j-subsets are the
-    (2g - j)-subsets in reverse lex order, so S^c of the k-th j-subset is
-    the k-th from the end. Returns the largest deviation; one beyond
-    FE_TOLERANCE means the input was not a genuine Weil polynomial despite
-    passing validation, and raises FunctionalEquationViolation.
-    """
-    exps = lat.exps
-    n = 2 * lat.g
-    worst = 0.0
-    for j in range(n + 1):
-        exps_c = exps[n - j]
-        for k, s in enumerate(exps[j]):
-            mirrored = lat.g - s
-            target = exps_c[-1 - k]
-            d_re = mirrored.real - target.real
-            d_im = mirrored.imag - target.imag
-            d_im -= lat.period * round(d_im / lat.period)
-            worst = max(worst, math.hypot(d_re, d_im))
-    if not worst <= FE_TOLERANCE:
-        raise FunctionalEquationViolation(
-            "zero symmetry s -> g - s off by %.3g (tolerance %s)"
-            % (worst, np.format_float_scientific(FE_TOLERANCE, trim="-", exp_digits=1))
-        )
-    return worst
-
-
 def zeros_in_window(lat: ZeroLattice, j: int, height: float) -> tuple[tuple[int, complex], ...]:
     """All zeros of P_j(q^{-s}) with |Im s| <= height, tagged by subset index.
 
-    Sorted by (imaginary part, subset index); each zero has Re = j/2 up to
-    root-refinement error.
+    Sorted by (imaginary part, subset index); each zero has Re = j/2.
     """
     out = []
     for idx, s in enumerate(lat.exps[j]):

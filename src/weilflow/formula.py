@@ -32,7 +32,7 @@ import numpy as np
 from .bumps import K_MAX, TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
 from .errors import InputError, InsufficientCountRange, NonOrdinaryInput, TruncationBudgetExceeded
-from .exterior import ZeroLattice, functional_equation_check, lefschetz_weight, zero_lattice
+from .exterior import ZeroLattice, lefschetz_weight, zero_lattice
 from .weil import WeilDatum, check_ordinary, frobenius_model
 
 NU_CAP = 10_000_000  # hard per-sublattice ladder cap; beyond it is an error
@@ -94,7 +94,6 @@ class GeometricResult:
 class VerificationReport:
     datum: WeilDatum
     ordinarity_is_ordinary: bool
-    functional_equation_deviation: float
     spectral: SpectralResult
     geometric: GeometricResult
     residuals: dict
@@ -354,7 +353,6 @@ def verify(
         )
     model = frobenius_model(w)
     lat = zero_lattice(model)
-    deviation = functional_equation_check(lat)
 
     n_max = _support_count_range(tf, w.q)
     if n_max > COUNT_CAP:
@@ -379,7 +377,6 @@ def verify(
     return VerificationReport(
         datum=w,
         ordinarity_is_ordinary=verdict.is_ordinary,
-        functional_equation_deviation=deviation,
         spectral=spectral,
         geometric=geo,
         residuals=residuals,

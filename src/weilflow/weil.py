@@ -4,35 +4,38 @@ A datum is the coefficient list of a degree-2g Weil q-polynomial
 P(X) = c_0 + c_1 X + ... + c_2g X^2g with c_0 = 1 and c_2g = q^g, q = p^f.
 Read as descending coefficients of a monic polynomial in T, the same list is
 the characteristic polynomial of the Frobenius matrix; its roots mu_1..mu_2g
-all satisfy |mu| = sqrt(q) (checked, not assumed), so q/mu = conj(mu).
+all satisfy |mu| = sqrt(q), so q/mu = conj(mu).
+
+That is decided exactly on parse, never in floats. P is a Weil q-polynomial
+iff c_{2g-k} = q^{g-k} c_k (the functional equation) and the monic integer h
+with T^g h(T + q/T) = char(T) has every root real in [-2 sqrt q, 2 sqrt q]
+(Kedlaya, "Search techniques for root-unitary polynomials", 2008). Sturm
+counts decide the second condition, with the signs at +-2 sqrt q evaluated
+exactly as A + B sqrt q. A root x_i of h is the pair mu + conj(mu) =
+2 sqrt(q) cos theta_i: roots at +-2 sqrt q are divided out exactly and give
+the real roots +-sqrt q (theta = 0, pi); every other root is held in a
+bracket of adjacent floats where h changes sign exactly, so theta_i comes
+with a proven radius and the roots sqrt(q) e^{+-i theta_i} are built as exact
+conjugate pairs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     BadLength,
     BadNormalization,
-    CrossCheckFailure,
     InputError,
     NotPrimePower,
     RiemannHypothesisViolation,
-    RootRefinementFailure,
 )
-from .intlinalg import Matrix, det_bareiss
-
-RH_TOLERANCE = 1e-9
-REFINE_FACTOR = 1e-13  # residual target is REFINE_FACTOR * sqrt(q)
-NEWTON_MAX_ITER = 80  # Newton steps a root gets to reach the residual target
+from .intlinalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,8 @@ class FrobeniusModel:
     datum: WeilDatum
     matrix: tuple[tuple[int, ...], ...]
     roots: tuple[complex, ...]  # sorted by (principal argument, real part)
-    precision: float  # worst Newton residual |p(mu)/p'(mu)| achieved
+    angles: tuple[float, ...]  # theta_i = |arg mu_i| per conjugate pair, ascending
+    precision: float  # largest proven radius of an angle bracket
 
 
 def prime_power_decompose(q: int) -> tuple[int, int]:
@@ -110,8 +114,8 @@ def parse_weil_datum(doc: dict) -> WeilDatum:
 
     Two forms: {"q", "g", "weil_poly", "label"?} or the elliptic shorthand
     {"q", "trace"} which expands to [1, -trace, q]. Validation order:
-    prime-power q, length, end normalization, then the Riemann hypothesis
-    check on float roots (each |mu|^2 within RH_TOLERANCE * q of q).
+    prime-power q, length, end normalization, then the exact Riemann
+    hypothesis decision of _weil_roots.
     """
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
@@ -152,22 +156,8 @@ def parse_weil_datum(doc: dict) -> WeilDatum:
             "top coefficient must be q^g = %d, got %d" % (q**g, coeffs[-1])
         )
 
-    w = WeilDatum(q=q, p=p, f=f, g=g, coeffs=coeffs, label=label)
-    _check_riemann_hypothesis(w)
-    return w
-
-
-def _check_riemann_hypothesis(w: WeilDatum) -> None:
-    # Runs on polished roots: raw eigenvalue estimates are only ~sqrt(eps)
-    # accurate at repeated roots, which would fail tau_rh on valid input.
-    roots, _ = _refined_roots(w.coeffs, w.q)
-    for mu in roots:
-        mod2 = abs(mu) ** 2
-        if abs(mod2 - w.q) > RH_TOLERANCE * w.q:
-            raise RiemannHypothesisViolation(
-                "root %s has |mu|^2 = %.12g, off q = %d beyond %g relative"
-                % (mu, mod2, w.q, RH_TOLERANCE)
-            )
+    _weil_roots(coeffs, q)
+    return WeilDatum(q=q, p=p, f=f, g=g, coeffs=coeffs, label=label)
 
 
 def check_ordinary(w: WeilDatum) -> OrdinarityVerdict:
@@ -184,7 +174,7 @@ def check_ordinary(w: WeilDatum) -> OrdinarityVerdict:
 
 
 def companion_matrix(w: WeilDatum) -> Matrix:
-    """Companion matrix F of the characteristic polynomial; det F = q^g exact."""
+    """Companion matrix F of the characteristic polynomial; det F = c_2g = q^g."""
     n = 2 * w.g
     # char(T) = T^n + a_{n-1} T^{n-1} + ... + a_0 with a_k = coeffs[n - k]
     mat = [[0] * n for _ in range(n)]
@@ -192,17 +182,11 @@ def companion_matrix(w: WeilDatum) -> Matrix:
         mat[i][i - 1] = 1
     for i in range(n):
         mat[i][n - 1] = -w.coeffs[n - i]
-    det = det_bareiss(mat)
-    if det != w.q**w.g:
-        raise CrossCheckFailure(
-            "det(F) = %d but q^g = %d" % (det, w.q**w.g)
-        )
     return mat
 
 
 # ---------------------------------------------------------------------------
-# Square-free decomposition over Q (exact), used to keep Newton polishing
-# well conditioned at repeated roots.
+# Exact polynomial arithmetic: lists of ascending coefficients.
 
 def _fpoly_strip(p: list[Fraction]) -> list[Fraction]:
     while len(p) > 1 and p[-1] == 0:
@@ -217,7 +201,7 @@ def _fpoly_derivative(p: list[Fraction]) -> list[Fraction]:
 
 
 def _fpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
+    a = [Fraction(c) for c in a]
     db, lb = len(b) - 1, b[-1]
     if db == 0:
         return [x / lb for x in a], [Fraction(0)]
@@ -248,20 +232,27 @@ def _fpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _fpoly_strip([x - y for x, y in zip(a, b)])
 
 
-def _square_free_factors(coeffs: tuple[int, ...]) -> list[tuple[list[float], int]]:
-    """Yun decomposition of the monic char polynomial (ascending in T).
+def _integral(p: list[Fraction]) -> list[int]:
+    """The positive multiple of p with the smallest integer coefficients;
+    it has the sign of p everywhere."""
+    scale = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * scale) for c in p]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
-    Returns [(factor_coeffs_float_ascending, multiplicity), ...] with each
-    factor square-free and the product over factors^mult equal to char.
+
+def _square_free_factors(asc: list[int]) -> list[tuple[list[int], int]]:
+    """Yun decomposition of a monic integer polynomial (ascending).
+
+    Returns [(factor, multiplicity), ...] with each factor square-free, in
+    integers, and the product over factors^mult equal to the input.
     """
-    # ascending in T: reverse of the stored X-ascending list, then monic-ize
-    asc = [Fraction(c) for c in reversed(coeffs)]
-    asc = [c / asc[-1] for c in asc]
+    asc = [Fraction(c) for c in asc]
     d = _fpoly_derivative(asc)
     g0 = _fpoly_gcd(asc, d)
-    out: list[tuple[list[float], int]] = []
     if len(g0) == 1:
-        return [([float(c) for c in asc], 1)]
+        return [(_integral(asc), 1)]
+    out: list[tuple[list[int], int]] = []
     w, _ = _fpoly_divmod(asc, g0)
     y, _ = _fpoly_divmod(d, g0)
     z = _fpoly_sub(y, _fpoly_derivative(w))
@@ -269,7 +260,7 @@ def _square_free_factors(coeffs: tuple[int, ...]) -> list[tuple[list[float], int
     while len(w) > 1:
         gi = _fpoly_gcd(w, z)
         if len(gi) > 1:
-            out.append(([float(c) for c in gi], i))
+            out.append((_integral(gi), i))
         w, _ = _fpoly_divmod(w, gi)
         y, _ = _fpoly_divmod(z, gi)
         z = _fpoly_sub(y, _fpoly_derivative(w))
@@ -277,118 +268,166 @@ def _square_free_factors(coeffs: tuple[int, ...]) -> list[tuple[list[float], int
     return out
 
 
-def _horner(coeffs_asc: list[float], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs_asc):
-        acc = acc * z + c
-    return acc
+# ---------------------------------------------------------------------------
+# The exact Riemann hypothesis and the root angles.
+
+def _check_functional_equation(coeffs: tuple[int, ...], q: int) -> None:
+    g = (len(coeffs) - 1) // 2
+    for k in range(g):
+        if coeffs[2 * g - k] != q ** (g - k) * coeffs[k]:
+            raise RiemannHypothesisViolation(
+                "c_%d = %d, but the functional equation c_{2g-k} = q^{g-k} c_k "
+                "needs q^%d c_%d = %d" % (2 * g - k, coeffs[2 * g - k], g - k, k,
+                                          q ** (g - k) * coeffs[k])
+            )
+
+
+def _real_weil_polynomial(coeffs: tuple[int, ...], q: int) -> list[int]:
+    """h, ascending, with T^g h(T + q/T) = char(T) once the functional
+    equation holds: h = c_g + sum_{k<g} c_k D_{g-k}, where the Dickson
+    polynomials D_0 = 2, D_1 = x, D_m = x D_{m-1} - q D_{m-2} satisfy
+    D_m(T + q/T) = T^m + (q/T)^m."""
+    g = (len(coeffs) - 1) // 2
+    dickson = [[2], [0, 1]]
+    for m in range(2, g + 1):
+        up = [0] + dickson[m - 1]
+        down = dickson[m - 2] + [0, 0]
+        dickson.append([a - q * b for a, b in zip(up, down)])
+    h = [0] * (g + 1)
+    h[0] = coeffs[g]
+    for k in range(g):
+        for i, c in enumerate(dickson[g - k]):
+            h[i] += coeffs[k] * c
+    return h
+
+
+def _sign(f: list[int], x: float) -> int:
+    """Sign of f(x), exactly: x = n/d, and d^deg f(n/d) is an integer."""
+    n, d = x.as_integer_ratio()
+    acc, scale = f[-1], 1
+    for c in reversed(f[:-1]):
+        scale *= d
+        acc = acc * n + c * scale
+    return (acc > 0) - (acc < 0)
+
+
+def _edge_sign(f: list[int], q: int, side: int) -> int:
+    """Sign of f(side 2 sqrt q), exactly, as A + B sqrt q with integers A, B."""
+    a = sum(c * (4 * q) ** (k // 2) for k, c in enumerate(f) if k % 2 == 0)
+    b = side * sum(2 * c * (4 * q) ** (k // 2) for k, c in enumerate(f) if k % 2)
+    if (a >= 0) == (b >= 0) or a == 0 or b == 0:
+        return (a + b > 0) - (a + b < 0)
+    if a * a == b * b * q:
+        return 0
+    return (a > 0) - (a < 0) if a * a > b * b * q else (b > 0) - (b < 0)
+
+
+def _variations(signs) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(s != t for s, t in zip(nonzero, nonzero[1:]))
+
+
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """f, f', then minus each remainder, each scaled by a positive integer;
+    f square-free, so the chain ends at a nonzero constant."""
+    chain = [f, _integral(_fpoly_derivative(f))]
+    while len(chain[-1]) > 1:
+        _, r = _fpoly_divmod(chain[-2], chain[-1])
+        chain.append(_integral([-c for c in r]))
+    return chain
+
+
+def _isolate(chain, a: float, va: int, b: float, vb: int, out: list) -> None:
+    """Append (lo, hi) for each root of chain[0] in (a, b], where va and vb
+    are the chain's sign variations at a and b (Sturm: va - vb roots there).
+    hi and lo are adjacent floats, or equal when the root is exactly hi."""
+    while va > vb:
+        if va - vb == 1 and _sign(chain[0], b) == 0:
+            out.append((b, b))
+            return
+        m = a + (b - a) / 2
+        if m == a or m == b:
+            out.extend([(a, b)] * (va - vb))
+            return
+        vm = _variations(_sign(f, m) for f in chain)
+        if va > vm > vb:
+            _isolate(chain, a, va, m, vm, out)
+            a, va = m, vm
+        elif vm == vb:
+            b, vb = m, vm
+        else:
+            a, va = m, vm
+
+
+def _angle(x: float, q: int) -> tuple[float, complex]:
+    """(theta, mu) for the root x = mu + conj(mu) = 2 sqrt(q) cos theta of h:
+    Re mu = x/2 exactly, Im mu = sqrt(q - (x/2)^2) rounded once, theta =
+    arg mu. A bracket may reach just past +-2 sqrt q; Im mu is 0 there."""
+    re = x / 2
+    im2 = q - Fraction(re) ** 2
+    mu = complex(re, math.sqrt(im2) if im2 > 0 else 0.0)
+    return cmath.phase(mu), mu
 
 
 @lru_cache(maxsize=256)
-def _refined_roots(coeffs: tuple[int, ...], q: int):
-    """Newton-polished roots of the monic char polynomial, multiplicity-aware.
+def _weil_roots(coeffs: tuple[int, ...], q: int):
+    """Decide the Riemann hypothesis for coeffs exactly, then build the roots.
 
-    Refinement runs against the square-free part containing each root (so
-    repeated roots stay quadratically convergent); a root is accepted when
-    |p(mu)/p'(mu)| < 1e-13 * sqrt(q). Returns (roots, worst_residual) with
-    roots sorted by (principal argument, real part).
+    Raises RiemannHypothesisViolation when the functional equation fails or
+    a root of h is not real in [-2 sqrt q, 2 sqrt q]. Returns (angles,
+    roots, precision): one angle per conjugate pair, ascending; the 2g
+    roots sorted by (principal argument, real part), each non-real one
+    next to its exact conjugate; precision the largest distance from an
+    angle to the angles at its bracket's ends.
     """
-    target = REFINE_FACTOR * math.sqrt(q)
-    refined: list[complex] = []
-    worst = 0.0
-    for factor, mult in _square_free_factors(coeffs):
-        deriv = [factor[k] * k for k in range(1, len(factor))]
-        guesses = np.roots(list(reversed(factor))) if len(factor) > 1 else []
-        for z0 in guesses:
-            z = complex(z0)
-            resid = None
-            for _ in range(NEWTON_MAX_ITER):
-                pv = _horner(factor, z)
-                dv = _horner(deriv, z)
-                if dv == 0:
-                    break
-                step = pv / dv
-                if abs(step) < target:
-                    resid = abs(step)
-                    break
-                z -= step
-            if resid is None:
-                raise RootRefinementFailure(
-                    "Newton residual stuck above %.3g at root near %s"
-                    % (target, z)
+    _check_functional_equation(coeffs, q)
+    h = _real_weil_polynomial(coeffs, q)
+    s, r = math.sqrt(q), math.isqrt(q)
+    # the factors of h with roots x = 2 sqrt q (theta = 0) and x = -2 sqrt q (theta = pi)
+    edges = ([([-2 * r, 1], [(0.0, s)]), ([2 * r, 1], [(math.pi, -s)])] if r * r == q
+             else [([-4 * q, 0, 1], [(0.0, s), (math.pi, -s)])])
+    bound = float(2 * r + 2)  # every root left has |x| < 2 sqrt q < bound
+    angles, roots, precision = [], [], 0.0
+    for f, mult in _square_free_factors(h):
+        pairs = []  # (theta, mu, radius) per root x of f
+        for edge, ends in edges:
+            quot, rem = _fpoly_divmod(f, edge)
+            if rem == [0]:
+                f = _integral(quot)
+                pairs += [(theta, complex(re, 0.0), 0.0) for theta, re in ends]
+        if len(f) > 1:
+            chain = _sturm_chain(f)
+            inside = (_variations(_edge_sign(p, q, -1) for p in chain)
+                      - _variations(_edge_sign(p, q, 1) for p in chain))
+            if inside != len(f) - 1:
+                raise RiemannHypothesisViolation(
+                    "%d of the %d roots of the factor %s of h = %s (ascending; "
+                    "T^g h(T + q/T) = char(T)) are real in (-2 sqrt q, 2 sqrt q), "
+                    "so some |mu| != sqrt q" % (inside, len(f) - 1, f, h)
                 )
-            worst = max(worst, resid)
-            refined.extend([z] * mult)
-
-    degree = len(coeffs) - 1
-    if len(refined) != degree:
-        raise RootRefinementFailure(
-            "found %d roots, expected %d" % (len(refined), degree)
-        )
-    refined.sort(key=lambda z: (cmath.phase(z), z.real))
-    return tuple(refined), worst
-
-
-def check_conjugate_closed(roots) -> None:
-    """Raise CrossCheckFailure unless the root multiset is closed under exact
-    conjugation, the float form of the pairing mu <-> q/mu = conj(mu)."""
-    if Counter(roots) != Counter(mu.conjugate() for mu in roots):
-        raise CrossCheckFailure("roots are not closed under complex conjugation: %s" % (roots,))
-
-
-def compute_roots(w: WeilDatum):
-    """Polished Frobenius eigenvalues: (roots, precision), roots sorted by
-    (principal argument, real part), precision the worst Newton residual.
-    np.roots of a real polynomial returns exact conjugate pairs and the
-    Newton polish is sign-symmetric in IEEE arithmetic, so each root's
-    partner q/mu is its exact conjugate, repeated roots included (checked).
-    """
-    _check_riemann_hypothesis(w)
-    refined, worst = _refined_roots(w.coeffs, w.q)
-    check_conjugate_closed(refined)
-    return refined, worst
-
-
-def _expand_products(lams) -> list[complex]:
-    """Ascending coefficients of prod (1 - lam X), one factor per step."""
-    poly = [complex(1.0)]
-    for lam in lams:
-        poly = [a - b * lam for a, b in zip(poly + [0j], [0j] + poly)]
-    return poly
+            brackets = []
+            _isolate(chain, -bound, _variations(_sign(p, -bound) for p in chain),
+                     bound, _variations(_sign(p, bound) for p in chain), brackets)
+            for lo, hi in brackets:
+                theta, mu = _angle(lo + (hi - lo) / 2, q)
+                radius = max(abs(_angle(x, q)[0] - theta) for x in (lo, hi))
+                pairs.append((theta, mu, radius))
+        for theta, mu, radius in pairs:
+            angles += [theta] * mult
+            roots += [mu, mu.conjugate() if mu.imag else mu] * mult
+            precision = max(precision, radius)
+    roots.sort(key=lambda z: (cmath.phase(z), z.real))
+    return tuple(sorted(angles)), tuple(roots), precision
 
 
 def frobenius_model(w: WeilDatum) -> FrobeniusModel:
-    """Companion matrix plus polished roots, with Vieta's check of the roots.
-
-    prod (1 - mu X), expanded from the polished roots, must match each input
-    coefficient c_k = (-1)^k e_k(mu) within gamma_k C(2g, k) q^(k/2), where
-    C(2g, k) q^(k/2) = e_k(|mu|) is the exact absolute majorant (|mu| = sqrt q).
-    A polished root is within rho sqrt q of the true one, rho = REFINE_FACTOR
-    (the accepted Newton step), so a product of k is off by at most
-    ((1 + rho)^k - 1) q^(k/2). Each of the 2g expansion steps a - b lam, and
-    the final subtraction of c_k, costs at most theta = (sqrt 5 + 1)(1 + u) u
-    of the majorant (sqrt 5 u for a complex product, u for an addition):
-    gamma_k = (1 + rho)^k - 1 + ((1 + theta)^(2g + 1) - 1)(1 + rho)^k.
-    P(1) = prod (1 - mu) and c_2g = prod mu are linear in the c_k.
-    """
-    mat = companion_matrix(w)
-    roots, precision = compute_roots(w)
-    n = 2 * w.g
-    u = math.ulp(1.0) / 2
-    theta = (math.sqrt(5) + 1) * (1 + u) * u
-    rounding = math.expm1((n + 1) * math.log1p(theta))
-    for k, (c, approx) in enumerate(zip(w.coeffs, _expand_products(roots))):
-        drift = k * math.log1p(REFINE_FACTOR)
-        gamma = math.expm1(drift) + rounding * math.exp(drift)
-        tol = gamma * math.comb(n, k) * w.q ** (k / 2)
-        if abs(approx - c) > tol:
-            raise CrossCheckFailure(
-                "coefficient %d of prod(1 - mu X) is %s, the input has %d "
-                "(off %.3g, tolerance %.3g)" % (k, approx, c, abs(approx - c), tol)
-            )
+    """Companion matrix plus the exactly decided roots and angles; a datum
+    built without parse_weil_datum gets the same decision here."""
+    angles, roots, precision = _weil_roots(w.coeffs, w.q)
     return FrobeniusModel(
         datum=w,
-        matrix=tuple(tuple(row) for row in mat),
+        matrix=tuple(tuple(row) for row in companion_matrix(w)),
         roots=roots,
+        angles=angles,
         precision=precision,
     )

@@ -4,7 +4,9 @@ Everything here avoids the package's own numerical paths on purpose:
 quadrature is composite Simpson on a dense uniform grid, point counts come
 from the Lucas-style trace recurrence, spectral traces from elementary
 symmetric functions of eigenvalue powers, and exact linear algebra from
-sympy. Frozen constants were produced by these same routines (plus an
+sympy; Frobenius angles come from the
+closed-form roots of each factor of the real Weil polynomial, in mpmath.
+Frozen constants were produced by these same routines (plus an
 mpmath tanh-sinh run at 30 digits) before the library internals existed.
 """
 
@@ -48,6 +50,52 @@ def simpson_phi(s, bumps, n=1 << 20):
     weights[2:-1:2] = 2.0
     h = (hi - lo) / n
     return complex(np.sum(weights * y) * h / 3.0)
+
+
+FE_TOLERANCE = 1e-8  # largest zero-symmetry deviation criterion 7 accepts
+
+
+def zero_symmetry_deviation(lat):
+    """Largest deviation from the zero symmetry s -> g - s between P_j and
+    P_{2g-j}, in floats.
+
+    The complement bijection S -> S^c realizes the multiset identity:
+    lambda_{S^c} = q^g / lambda_S, so g - s_S = s_{S^c} modulo the imaginary
+    period. The complements of the lex-ordered j-subsets are the
+    (2g - j)-subsets in reverse lex order, so S^c of the k-th j-subset is
+    the k-th from the end.
+    """
+    n = 2 * lat.g
+    worst = 0.0
+    for j in range(n + 1):
+        exps_c = lat.exps[n - j]
+        for k, s in enumerate(lat.exps[j]):
+            diff = (lat.g - s) - exps_c[-1 - k]
+            d_im = diff.imag - lat.period * round(diff.imag / lat.period)
+            worst = max(worst, math.hypot(diff.real, d_im))
+    return worst
+
+
+def weil_angles(q, h_factors, dps=40):
+    """Sorted Frobenius angles arccos(x / 2 sqrt q), as mpmath numbers at dps
+    digits, over the roots x of each factor of the real Weil polynomial.
+
+    Each factor is x + c (as [c, 1]) or x^2 + b x + c (as [c, b, 1]), roots
+    by the closed forms; a repeated factor repeats its angles.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        angles = []
+        for f in h_factors:
+            if len(f) == 2:
+                xs = [mpmath.mpf(-f[0])]
+            else:
+                c, b, _ = f
+                disc = mpmath.sqrt(b * b - 4 * c)
+                xs = [(-b - disc) / 2, (-b + disc) / 2]
+            angles += [mpmath.acos(x / (2 * mpmath.sqrt(q))) for x in xs]
+        return sorted(angles)
 
 
 def trace_counts(a, q, n_max):

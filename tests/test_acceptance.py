@@ -19,7 +19,6 @@ from weilflow import (
     closed_point_count,
     fixed_point_group,
     frobenius_model,
-    functional_equation_check,
     orbit_table,
     parse_weil_datum,
     phi,
@@ -145,15 +144,20 @@ def test_criterion_6_critical_lines():
         lat = zero_lattice(frobenius_model(w))
         for j in range(2 * w.g + 1):
             for _, rho in zeros_in_window(lat, j, 12.0):
-                assert abs(rho.real - j / 2) < 1e-9
+                assert rho.real == j / 2
                 total += 1
     print(f"PASS criterion 6: {total} enumerated zeros on their critical lines")
 
 
 def test_criterion_7_functional_equation():
+    # parse checks c_{2g-k} = q^{g-k} c_k exactly; the float zero symmetry
+    # s -> g - s of the lattice built from the roots is the oracle's
     worst = 0.0
     for doc in CORPUS:
-        dev = functional_equation_check(zero_lattice(frobenius_model(parse_weil_datum(doc))))
+        w = parse_weil_datum(doc)
+        assert all(w.coeffs[2 * w.g - k] == w.q ** (w.g - k) * w.coeffs[k] for k in range(w.g))
+        dev = oracles.zero_symmetry_deviation(zero_lattice(frobenius_model(w)))
+        assert dev <= oracles.FE_TOLERANCE, doc
         worst = max(worst, dev)
     print(f"PASS criterion 7: functional equation on all inputs, "
           f"worst deviation {worst:.3e}")

@@ -11,9 +11,9 @@ from weilflow.cli import main
 E5A2 = {"q": 5, "trace": 2}
 G2 = {"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]}
 G3 = {"q": 5, "g": 3, "weil_poly": [1, -6, 26, -66, 130, -150, 125]}
-# (1 - X + 49X^2)(1 + X + 49X^2): P_3 has a zero coefficient whose float
+# (1 + 14X + 49X^2)(1 - 7X + 49X^2): P_2 has a zero coefficient whose float
 # value fails build_pj_family's fixed 1e-8 cross-check
-Q49_PAIR = {"q": 49, "g": 2, "weil_poly": [1, 0, 97, 0, 2401]}
+Q49_PAIR = {"q": 49, "g": 2, "weil_poly": [1, 7, 0, 343, 2401]}
 BAD = {"q": 5, "g": 1, "weil_poly": [1, -5, 5]}
 SUPERSINGULAR = {"q": 5, "g": 1, "weil_poly": [1, 0, 5]}
 
@@ -283,28 +283,31 @@ def test_dimension_cap_has_no_override(capsys, datum):
     for k in range(g + 1):
         coeffs[2 * k] = math.comb(g, k) * 2 ** k
     path = datum({"q": 2, "g": g, "weil_poly": coeffs}, "g9.json")
-    for argv in (["zeta"], ["validate"], ["spectrum"],
+    for argv in (["zeta"], ["spectrum"],
                  ["verify", "--alpha", "c=1,w=0.5", "--allow-non-ordinary"]):
         rc, _, err = run(capsys, argv + ["--input", path])
         assert rc == 1, argv
         assert err == "error: DimensionTooLarge: g = 9 exceeds the cap 8\n", argv
+    # validate builds no zero lattice and no P_j, so the cap does not apply
+    rc, out, _ = run(capsys, ["validate", "--input", path])
+    assert rc == 0 and out.rstrip().endswith("ok")
 
     rc, _, err = run(capsys, ["validate", "--input", path, "--allow-large"])
     assert rc == 1
     assert err.startswith("error: InputError: ") and "--allow-large" in err
 
 
-def test_functional_equation_violation_exits_2_everywhere(capsys, datum, monkeypatch):
-    # a negative tolerance fails any deviation: each command that runs the
-    # check stops with exit 2 instead of reporting "ok"
-    monkeypatch.setattr(exterior, "FE_TOLERANCE", -1e-8)
-    path = datum(E5A2)
-    for argv in (["validate"], ["zeta"], ["verify", "--alpha", "c=1.6094,w=0.5"]):
+def test_functional_equation_violation_exits_1_everywhere(capsys, datum):
+    # c_3 = -2 where q c_1 = -10: parse refuses the input exactly, before
+    # any command runs, as a RiemannHypothesisViolation
+    path = datum({"q": 5, "g": 2, "weil_poly": [1, -2, 6, -2, 25]})
+    for argv in (["validate"], ["zeta"], ["count"], ["orbits"], ["spectrum"],
+                 ["verify", "--alpha", "c=1.6094,w=0.5"]):
         rc, out, err = run(capsys, argv + ["--input", path])
-        assert rc == 2, argv
+        assert rc == 1, argv
         assert out == ""
-        assert err.startswith("error: FunctionalEquationViolation: zero symmetry s -> g - s off by ")
-        assert err.endswith("(tolerance -1e-8)\n")
+        assert err == ("error: RiemannHypothesisViolation: c_3 = -2, but the functional "
+                       "equation c_{2g-k} = q^{g-k} c_k needs q^1 c_1 = -10\n")
 
 
 def test_spectrum_window_cap(capsys, datum):
@@ -330,13 +333,14 @@ def test_spectrum_zero_bound_covers_the_listing(capsys, datum, monkeypatch):
 
 def test_lattice_commands_pass_where_the_exact_route_fails(capsys, datum):
     path = datum(Q49_PAIR)
-    for argv in (["validate"], ["spectrum"], ["verify", "--alpha", "c=1.6094,w=0.5"]):
+    for argv in (["validate"], ["spectrum"],
+                 ["verify", "--alpha", "c=1.6094,w=0.5", "--allow-non-ordinary"]):
         rc, out, err = run(capsys, argv + ["--input", path])
         assert rc == 0 and err == "", (argv, err)
     assert out.rstrip().endswith("PASS")
     # only zeta prints the exact P_j, and its fixed cross-check still refuses
     rc, _, err = run(capsys, ["zeta", "--input", path])
-    assert rc == 2 and err.startswith("error: CrossCheckFailure: P_3 coefficient 3: exact 0 ")
+    assert rc == 2 and err.startswith("error: CrossCheckFailure: P_2 coefficient 5: exact 0 ")
 
 
 def test_only_zeta_builds_the_exact_factors(capsys, datum, monkeypatch):

@@ -17,7 +17,6 @@ from weilflow.errors import DimensionTooLarge
 from weilflow.exterior import (
     build_pj_family,
     exterior_power_matrix,
-    functional_equation_check,
     subsets,
     zero_lattice,
     zeros_in_window,
@@ -120,7 +119,7 @@ def test_lambda_moduli():
 
 
 def test_functional_equation_examples():
-    dev = functional_equation_check(_lattice(E5A2))
+    dev = oracles.zero_symmetry_deviation(_lattice(E5A2))
     assert dev < 1e-12
     # hand identity: 1 - log_5(1+2i) = log_5(1-2i) mod the vertical period
     logq = math.log(5)
@@ -132,7 +131,7 @@ def test_functional_equation_examples():
 
 
 def test_complements_are_reverse_lex():
-    # functional_equation_check pairs the k-th j-subset with the k-th
+    # oracles.zero_symmetry_deviation pairs the k-th j-subset with the k-th
     # (n - j)-subset from the end
     for n in range(13):
         for j in range(n + 1):
@@ -142,7 +141,7 @@ def test_complements_are_reverse_lex():
 
 def test_functional_equation_corpus():
     for doc in CORPUS:
-        assert functional_equation_check(_lattice(doc)) < 1e-8, doc
+        assert oracles.zero_symmetry_deviation(_lattice(doc)) < oracles.FE_TOLERANCE, doc
 
 
 def test_zero_lattice_window_examples():
@@ -169,7 +168,7 @@ def test_zeros_on_critical_lines():
         lat = _lattice(doc)
         for j in range(2 * lat.g + 1):
             for _, rho in zeros_in_window(lat, j, 12.0):
-                assert abs(rho.real - j / 2) < 1e-9
+                assert rho.real == j / 2
 
 
 def test_window_count_density():

@@ -12,7 +12,6 @@ from weilflow import exterior, formula
 from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, phi, phi_ladder, tail_majorant
 from weilflow.counting import build_count_table
 from weilflow.errors import (
-    FunctionalEquationViolation,
     InputError,
     InsufficientCountRange,
     NonOrdinaryInput,
@@ -26,6 +25,7 @@ from weilflow.formula import (
     trace_j,
     verify,
 )
+from weilflow import weil
 from weilflow.weil import frobenius_model, parse_weil_datum
 
 LOG5 = math.log(5)
@@ -415,13 +415,18 @@ def test_verify_ordinarity_gate():
     assert abs(rep.geometric.total - 6 * LOG5 * math.exp(-1)) < 1e-13
 
 
-def test_functional_equation_violation_names_the_tolerance(monkeypatch):
-    # any deviation fails a negative tolerance; the check raises inside verify
-    deviation = exterior.functional_equation_check(LAT2)
-    monkeypatch.setattr(exterior, "FE_TOLERANCE", -1e-8)
-    with pytest.raises(FunctionalEquationViolation,
-                       match=r"off by %s \(tolerance -1e-8\)$" % ("%.3g" % deviation)):
-        verify(G2, BumpFunction(center=LOG5, width=0.5))
+def test_verify_runs_the_exact_route_once(monkeypatch):
+    # parse and every later verify of one datum share one cached decision of
+    # the Riemann hypothesis, so repeated ops never pay for it again
+    calls = []
+    real = weil._real_weil_polynomial
+    monkeypatch.setattr(weil, "_real_weil_polynomial",
+                        lambda coeffs, q: calls.append((coeffs, q)) or real(coeffs, q))
+    weil._weil_roots.cache_clear()
+    w = parse_weil_datum({"q": 5, "trace": 2})
+    for c in (LOG5, 1.0, 2.0):
+        assert verify(w, BumpFunction(center=c, width=0.5)).passed
+    assert calls == [((1, -2, 5), 5)]
 
 
 def test_verify_g5_product():
@@ -474,7 +479,6 @@ def test_verify_report_contents():
     rep = verify(E5A2, BumpFunction(center=LOG5, width=0.5))
     assert rep.datum == E5A2
     assert rep.ordinarity_is_ordinary
-    assert rep.functional_equation_deviation < 1e-8
     assert set(rep.residuals) == {
         "zero_sum_vs_closed_form",
         "closed_form_vs_geometric",

@@ -1,17 +1,18 @@
-"""Input parsing, validation, the companion model, and root refinement."""
+"""Input parsing, validation, the companion model, and the exact roots."""
 
 import cmath
 import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import weilflow.weil
 from weilflow.errors import (
     BadLength,
     BadNormalization,
-    CrossCheckFailure,
     InputError,
     NotPrimePower,
     RiemannHypothesisViolation,
@@ -21,7 +22,6 @@ from weilflow.weil import (
     check_ordinary,
     companion_matrix,
     WeilDatum,
-    compute_roots,
     frobenius_model,
     parse_weil_datum,
     prime_power_decompose,
@@ -136,8 +136,9 @@ def test_companion_det_is_qg():
 
 def test_roots_gaussian_values():
     w = parse_weil_datum({"q": 5, "trace": 2})
-    roots, precision = compute_roots(w)
-    assert precision < 1e-13 * math.sqrt(5)
+    model = frobenius_model(w)
+    roots = model.roots
+    assert model.precision == 0.0  # h = x - 2 has the exact float root 2
     assert roots[1] == roots[0].conjugate()  # partners are exact conjugates
     got = sorted(frobenius_model(w).roots, key=lambda z: z.imag)
     assert abs(got[0] - (1 - 2j)) < 1e-12
@@ -177,46 +178,13 @@ def test_root_pairing_and_moduli():
     ({"q": 4, "g": 1, "weil_poly": [1, -4, 4]}, (0, 1)),
 ])
 def test_repeated_root_pairing(doc, pairing):
-    roots, _ = compute_roots(parse_weil_datum(doc))
+    roots = frobenius_model(parse_weil_datum(doc)).roots
     assert _conjugate_matching(roots) == pairing
 
 
-def test_roots_not_closed_under_conjugation_raise(monkeypatch):
-    # one ulp off the exact conjugate is a different root value
-    nudged = (complex(1.0, -2.0), complex(1.0, math.nextafter(2.0, 3.0)))
-    monkeypatch.setattr(weilflow.weil, "_refined_roots", lambda coeffs, q: (nudged, 0.0))
-    with pytest.raises(CrossCheckFailure, match="not closed under complex conjugation"):
-        compute_roots(parse_weil_datum({"q": 5, "trace": 2}))
-
-
-def test_wrong_root_multiset_fails_vieta(monkeypatch):
-    # closed under conjugation and on |mu| = sqrt 5, but the roots of
-    # 1 - 4X + 5X^2, not of the input 1 - 2X + 5X^2
-    wrong = (complex(2.0, -1.0), complex(2.0, 1.0))
-    monkeypatch.setattr(weilflow.weil, "_refined_roots", lambda coeffs, q: (wrong, 0.0))
-    with pytest.raises(CrossCheckFailure, match=r"^coefficient 1 of prod\(1 - mu X\) is \(-4"):
-        frobenius_model(parse_weil_datum({"q": 5, "trace": 2}))
-
-
-@pytest.mark.parametrize("drift, accepted", [(0.5, True), (3.0, False)])
-def test_vieta_tolerance_is_the_refinement_accuracy(monkeypatch, drift, accepted):
-    # scaling both roots of 1 - 2X + 5X^2 by 1 + drift * REFINE_FACTOR moves
-    # e_1 by drift * REFINE_FACTOR * |e_1|, against REFINE_FACTOR * 2 sqrt 5
-    # allowed; |mu|^2 stays well inside RH_TOLERANCE
-    scale = 1 + drift * weilflow.weil.REFINE_FACTOR
-    roots = (complex(scale, -2 * scale), complex(scale, 2 * scale))
-    monkeypatch.setattr(weilflow.weil, "_refined_roots", lambda coeffs, q: (roots, 0.0))
-    w = parse_weil_datum({"q": 5, "trace": 2})
-    if accepted:
-        assert frobenius_model(w).roots == roots
-    else:
-        with pytest.raises(CrossCheckFailure, match="^coefficient 1 of prod"):
-            frobenius_model(w)
-
-
 def test_repeated_roots_refine_cleanly():
-    # (1 - 2X + 5X^2)^2: raw eigenvalue estimates are sqrt(eps)-accurate at
-    # a double root, refinement against the square-free part must recover
+    # (1 - 2X + 5X^2)^2: h = (x - 2)^2, whose square-free part x - 2 gives
+    # the double root exactly
     w = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]})
     m = frobenius_model(w)
     for mu in m.roots:
@@ -238,7 +206,7 @@ def test_root_order_deterministic():
 
 
 def test_float_product_matches_middle_sum():
-    # prod mu_i = q^g from the refined roots
+    # prod mu_i = q^g from the float roots
     for doc in CORPUS:
         w = parse_weil_datum(doc)
         m = frobenius_model(w)
@@ -265,3 +233,156 @@ def test_label_round_trip_and_default():
     w = parse_weil_datum({"q": 5, "trace": 2, "label": "E/F5 a=2"})
     assert w.label == "E/F5 a=2"
     assert parse_weil_datum({"q": 5, "trace": 2}).label == ""
+
+
+# The exact Riemann hypothesis: h with T^g h(T + q/T) = char(T) must have
+# every root real in [-2 sqrt q, 2 sqrt q]. Inputs are built from factors of
+# h: x - a gives the factor 1 - aX + qX^2 of P, x^2 + bx + c gives
+# 1 + bX + (2q + c)X^2 + bqX^3 + q^2 X^4.
+FIELDS = [2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 3**5]
+
+
+def _p_factor(f, q):
+    if len(f) == 2:
+        return [1, f[0], q]
+    c, b, _ = f
+    return [1, b, 2 * q + c, b * q, q * q]
+
+
+def _product_doc(q, h_factors):
+    poly = [1]
+    for f in h_factors:
+        factor = _p_factor(f, q)
+        nxt = [0] * (len(poly) + len(factor) - 1)
+        for i, c in enumerate(poly):
+            for k, d in enumerate(factor):
+                nxt[i + k] += c * d
+        poly = nxt
+    return {"q": q, "g": (len(poly) - 1) // 2, "weil_poly": poly}
+
+
+def _inside(f, q):
+    """Every root of x^2 + bx + c real in [-2 sqrt q, 2 sqrt q], exactly:
+    real roots, the vertex inside, and f(+-2 sqrt q) = 4q + c +- 2b sqrt q >= 0."""
+    c, b, _ = f
+    return b * b >= 4 * c and b * b <= 16 * q and 4 * q + c >= 0 and (4 * q + c) ** 2 >= 4 * b * b * q
+
+
+@st.composite
+def _weil_factors(draw):
+    # x - a with |a| <= 2 sqrt q (a = 0, and a = +-2 sqrt q for square q,
+    # included) and real-rooted quadratics, repeats allowed
+    q = draw(st.sampled_from(FIELDS))
+    bound = math.isqrt(4 * q)
+    linear = st.integers(-bound, bound).map(lambda a: [-a, 1])
+    quadratic = st.tuples(st.integers(-bound, bound), st.integers(-4 * q, 4 * q)).map(
+        lambda bc: [bc[1], bc[0], 1]).filter(lambda f: _inside(f, q))
+    factors = draw(st.lists(st.one_of(linear, quadratic), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        factors.append(factors[0])
+    return q, factors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=_weil_factors())
+@example(drawn=(4, [[-4, 1], [4, 1], [4, 1]]))  # a = +-2 sqrt q: mu = 2, -2, -2
+@example(drawn=(49, [[14, 1], [0, 1]]))  # a = -14 = -2 sqrt 49, and a = 0
+@example(drawn=(5, [[-20, 0, 1], [-20, 0, 1]]))  # (1 - 5X^2)^4: h = (x^2 - 20)^2
+@example(drawn=(5, [[-19, 0, 1]]))  # x^2 - 19, roots just inside +-2 sqrt 5
+@example(drawn=(3**5, [[-971, 0, 1]]))  # x^2 - (4q - 1)
+def test_exact_rh_accepts_weil_polynomials(drawn):
+    q, factors = drawn
+    doc = _product_doc(q, factors)
+    model = frobenius_model(parse_weil_datum(doc))
+    assert Counter(model.roots) == Counter(mu.conjugate() for mu in model.roots)
+    assert all(mu.imag != 0 or mu in (complex(math.sqrt(q)), complex(-math.sqrt(q)))
+               for mu in model.roots)  # the real roots are exactly +-sqrt q
+    assert model.angles == tuple(sorted(abs(cmath.phase(mu)) for mu in model.roots)[::2])
+    want = oracles.weil_angles(q, factors)
+    assert len(model.angles) == len(want) == model.datum.g
+    for theta, exact in zip(model.angles, want):
+        # the proven radius, plus the rounding of Im mu and of the phase
+        err = float(abs(theta - exact))
+        assert err <= model.precision + 4 * math.ulp(math.pi), (theta, exact)
+        assert err <= 1.1e-13
+
+
+@st.composite
+def _non_weil_factors(draw):
+    # one factor of h off [-2 sqrt q, 2 sqrt q]: a complex pair, an integer
+    # just past 2 sqrt q, or x^2 - (4q + k) with roots just past +-2 sqrt q
+    q, factors = draw(_weil_factors())
+    bound = math.isqrt(4 * q)
+    kind = draw(st.sampled_from(["complex", "integer", "quadratic"]))
+    if kind == "complex":
+        b = draw(st.integers(-bound, bound))
+        bad = [draw(st.integers(b * b // 4 + 1, b * b // 4 + 4 * q)), b, 1]
+    elif kind == "integer":
+        bad = [draw(st.sampled_from([-1, 1])) * (bound + 1), 1]
+    else:
+        bad = [-4 * q - draw(st.integers(1, 3)), 0, 1]
+    return q, factors[:draw(st.integers(0, len(factors)))] + [bad]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=_non_weil_factors())
+def test_exact_rh_rejects_non_weil_polynomials(drawn):
+    # each input satisfies the functional equation, so h decides
+    q, factors = drawn
+    with pytest.raises(RiemannHypothesisViolation, match=r"^\d+ of the \d+ roots of the factor "):
+        parse_weil_datum(_product_doc(q, factors))
+
+
+def test_real_weil_polynomial_is_the_product_of_its_factors():
+    # h = prod (x - a_i) for prod (1 - a_i X + q X^2): the Dickson route
+    # against the product of the linear factors
+    for q, traces in [(5, (1, 2, 3)), (49, (-14, 0, 14, 13)), (2, (1,)), (9, (6, -6, 6, -6, 0))]:
+        doc = _product_doc(q, [[-a, 1] for a in traces])
+        h = [1]
+        for a in traces:
+            h = [x - a * y for x, y in zip([0] + h, h + [0])]
+        assert weilflow.weil._real_weil_polynomial(tuple(doc["weil_poly"]), q) == h
+
+
+def test_functional_equation_is_exact():
+    # c_3 = -2 where q c_1 = -10: the identity fails before any root is sought
+    with pytest.raises(RiemannHypothesisViolation, match=(
+            r"^c_3 = -2, but the functional equation c_\{2g-k\} = q\^\{g-k\} c_k "
+            r"needs q\^1 c_1 = -10$")):
+        parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, -2, 6, -2, 25]})
+    with pytest.raises(RiemannHypothesisViolation, match=r"^c_3 = -2, but"):
+        frobenius_model(WeilDatum(q=5, p=5, f=1, g=2, coeffs=(1, -2, 6, -2, 25)))
+
+
+def test_rejection_names_the_failed_count():
+    with pytest.raises(RiemannHypothesisViolation, match=(
+            r"^0 of the 1 roots of the factor \[-5, 1\] of h = \[-5, 1\] "
+            r"\(ascending; T\^g h\(T \+ q/T\) = char\(T\)\) are real in "
+            r"\(-2 sqrt q, 2 sqrt q\), so some \|mu\| != sqrt q$")):
+        parse_weil_datum({"q": 5, "trace": 5})
+
+
+def test_edge_roots_are_divided_out_exactly():
+    # x = +-2 sqrt q: mu = +-sqrt q exactly real, theta = 0 or pi exactly
+    for doc, roots, angles in [
+        ({"q": 49, "trace": -14}, [complex(-7.0)] * 2, (math.pi,)),
+        ({"q": 4, "g": 2, "weil_poly": [1, 0, -8, 0, 16]}, [complex(-2.0)] * 2 + [complex(2.0)] * 2,
+         (0.0, math.pi)),
+        ({"q": 5, "g": 2, "weil_poly": [1, 0, -10, 0, 25]},
+         [complex(-math.sqrt(5))] * 2 + [complex(math.sqrt(5))] * 2, (0.0, math.pi)),
+    ]:
+        model = frobenius_model(parse_weil_datum(doc))
+        assert sorted(model.roots, key=lambda z: z.real) == roots
+        assert model.angles == angles and model.precision == 0.0
+
+
+def test_irrational_roots_get_a_proven_bracket():
+    # h = x^2 - 7: x = +-sqrt 7 sits strictly between adjacent floats, so
+    # the angle radius is one float step of x, d theta = dx / (2 sqrt q sin
+    # theta), plus the rounding of the angles at the bracket's ends
+    model = frobenius_model(parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, 0, 3, 0, 25]}))
+    want = oracles.weil_angles(5, [[-7, 0, 1]])
+    for theta, exact in zip(model.angles, want):
+        step = math.ulp(math.sqrt(7)) / (2 * math.sqrt(5) * math.sin(theta))
+        assert 0.0 < model.precision <= step + 2 * math.ulp(theta)
+        assert float(abs(theta - exact)) <= model.precision + 4 * math.ulp(math.pi)
