@@ -5,11 +5,13 @@ Re s = j/2, spaced log-q-periodically. This prints the ladder layout
 and checks the observed density against 2g-choose-j per period. It then
 prints the g angles theta_i = |arg mu_i| / log q of the conjugate pairs
 and the Lefschetz weights L_j(t) = sum_{|S|=j} e^{i theta_S t}, which are
-real: each T_j integrates alpha L_j along one ladder. Everything here
-comes from the Frobenius roots, built from the exact Riemann hypothesis
-check on parse; the exact P_j are not needed. Last, it measures the zero
-symmetry s -> g - s in floats with the test suite's oracle, the float
-shadow of the functional equation that parse checks exactly.
+real: each T_j integrates alpha L_j along one ladder, and reads only these
+g angles. Everything here comes from the Frobenius roots, built from the
+exact Riemann hypothesis check on parse; the exact P_j are not needed: the
+zeros of P_j sit at the summed root phases of the j-subsets S. Last, it
+measures the zero symmetry s -> g - s in floats on the listed zeros with
+the test suite's oracle, the float shadow of the functional equation that
+parse checks exactly.
 
 Run:  python demos/zero_lattice_tour.py
 """
@@ -22,7 +24,6 @@ from pathlib import Path
 from weilflow import (
     frobenius_model,
     parse_weil_datum,
-    zero_lattice,
     zeros_in_window,
 )
 from weilflow.exterior import lefschetz_weight
@@ -38,7 +39,6 @@ def main():
         "label": "E(2) x E(4) over F_5",
     })
     model = frobenius_model(surface)
-    lat = zero_lattice(model)
 
     print("Input:", surface.label)
     print("Frobenius eigenvalues:",
@@ -51,7 +51,7 @@ def main():
 
     height = 12.0
     for j in range(2 * surface.g + 1):
-        zs = zeros_in_window(lat, j, height)
+        zs = zeros_in_window(model, j, height)
         per_subset = Counter(idx for idx, _ in zs)
         # density: binom(2g, j) zeros per period on line Re s = j/2
         expect = math.comb(2 * surface.g, j) * (2 * height) / period
@@ -63,19 +63,20 @@ def main():
             print(f"     sublattice {idx}: s = {z.real:.4f} {z.imag:+.6f}i")
     print()
 
+    angles = [theta / math.log(surface.q) for theta in model.angles]
     print("angles theta_i = |arg mu_i| / log q:",
-          "  ".join(f"{theta:.6f}" for theta in lat.angles))
+          "  ".join(f"{theta:.6f}" for theta in angles))
     times = [0.0, 0.5, 1.0, 2.0, 3.0]
     print("t:         " + "".join(f"{t:>10.2f}" for t in times))
     for j in range(2 * surface.g + 1):
-        row = lefschetz_weight(lat.angles, j, times)
+        row = lefschetz_weight(angles, j, times)
         print(f"L_{j}(t):    " + "".join(f"{x:>10.5f}" for x in row))
     # the leafwise Lefschetz number prod (2 - 2 cos theta_i t) = sum_j (-1)^j L_j(t)
-    lefschetz = [math.prod(2 - 2 * math.cos(theta * t) for theta in lat.angles) for t in times]
+    lefschetz = [math.prod(2 - 2 * math.cos(theta * t) for theta in angles) for t in times]
     print("Lefschetz: " + "".join(f"{x:>10.5f}" for x in lefschetz))
     print()
 
-    dev = oracles.zero_symmetry_deviation(lat)
+    dev = oracles.zero_symmetry_deviation(model, zeros_in_window, height)
     print(f"zero symmetry s -> g - s, largest float deviation across all j: {dev:.3e}")
 
 

@@ -3,12 +3,13 @@ ordinary abelian varieties over finite fields.
 
 The pipeline: parse a Weil polynomial, deciding the Riemann hypothesis
 exactly, build the Frobenius companion model and its roots in exact
-conjugate pairs with proven angle brackets, form the zero lattices of the
-exterior-power factors P_j on the critical lines Re s = j/2 from products
-of those roots, and check that the alternating zero sum of a
-test function's transform matches both its Poisson closed form and the
-geometric sum over closed points, within a certified truncation budget. The
-exact P_j (build_pj_family) are built only where they are printed.
+conjugate pairs with proven angle brackets, and check that the alternating
+sum of a test function's transform over the zeros of the exterior-power
+factors P_j, on the critical lines Re s = j/2, matches both its Poisson
+closed form and the geometric sum over closed points, within a certified
+truncation budget. The zero sum reads only the g Frobenius angles; the
+exact P_j (build_pj_family) and the 4^g root products lambda_S are built
+only where `zeta` prints them.
 """
 
 from .bumps import (
@@ -46,13 +47,7 @@ from .errors import (
     TruncationBudgetExceeded,
     WeilflowError,
 )
-from .exterior import (
-    PjFamily,
-    ZeroLattice,
-    build_pj_family,
-    zero_lattice,
-    zeros_in_window,
-)
+from .exterior import PjFamily, build_pj_family, zeros_in_window
 from .formula import (
     GeometricCell,
     GeometricResult,
@@ -90,8 +85,7 @@ __all__ = [
     "CrossCheckFailure",
     "NonIntegralInversion", "QuadratureNonConvergence",
     "TruncationBudgetExceeded", "InsufficientCountRange",
-    "PjFamily", "ZeroLattice", "build_pj_family",
-    "zero_lattice", "zeros_in_window",
+    "PjFamily", "build_pj_family", "zeros_in_window",
     "GeometricCell", "GeometricResult", "SpectralResult", "TraceResult",
     "VerificationReport", "geometric_side", "spectral_side_closed_form",
     "spectral_side_zero_sum", "trace_j", "verify",

@@ -19,7 +19,7 @@ import sys
 from .bumps import BumpFunction, combine_bumps
 from .counting import build_count_table, fixed_point_group, orbit_table
 from .errors import ComputationError, InputError, WeilflowError
-from .exterior import build_pj_family, zero_lattice, zeros_in_window
+from .exterior import build_pj_family, zeros_in_window
 from .formula import COUNT_CAP, verify
 from .weil import check_ordinary, frobenius_model, parse_weil_datum
 
@@ -240,24 +240,26 @@ def _cmd_spectrum(args) -> tuple[int, str]:
     w = _load_datum(args.input)
     if not 0 <= args.window < math.inf:
         raise InputError("--window must be finite and >= 0, got %r" % args.window)
-    lat = zero_lattice(frobenius_model(w))
     js = [args.j] if args.j is not None else list(range(2 * w.g + 1))
     for j in js:
         if not 0 <= j <= 2 * w.g:
             raise InputError("--j must lie in 0..%d, got %d" % (2 * w.g, j))
-    # each ladder holds at most 2 window / period + 1 zeros of the window
-    bound = (2 * args.window / lat.period + 1) * sum(len(lat.exps[j]) for j in js)
+    period = 2 * math.pi / math.log(w.q)
+    # each ladder holds at most 2 window / period + 1 zeros of the window; with
+    # sum_j C(2g, j) = 4^g ladders, every window is refused from g = 10 on
+    bound = (2 * args.window / period + 1) * sum(math.comb(2 * w.g, j) for j in js)
     if bound > SPECTRUM_ZERO_CAP:
         raise InputError("--window %r holds up to %.4g zeros, the cap is %d"
                          % (args.window, bound, SPECTRUM_ZERO_CAP))
+    model = frobenius_model(w)
     zeros = []
     for j in js:
-        for idx, rho in zeros_in_window(lat, j, args.window):
+        for idx, rho in zeros_in_window(model, j, args.window):
             zeros.append({"j": j, "subset": idx, "re": rho.real, "im": rho.imag})
     doc = {
         "q": w.q,
         "g": w.g,
-        "period": lat.period,
+        "period": period,
         "window": args.window,
         "zeros": zeros,
     }
@@ -268,7 +270,7 @@ def _cmd_spectrum(args) -> tuple[int, str]:
         for z in zeros:
             rows.append([z["j"], z["subset"], _fmt_float(z["re"]), _fmt_float(z["im"])])
         return 0, _csv_rows(rows)
-    lines = ["zeros with |Im| <= %.6f (vertical period %.12f)" % (args.window, lat.period)]
+    lines = ["zeros with |Im| <= %.6f (vertical period %.12f)" % (args.window, period)]
     for z in zeros:
         lines.append("j=%d S#%-3d rho = %+.12f %+.12f i" % (z["j"], z["subset"], z["re"], z["im"]))
     lines.append("total: %d" % len(zeros))

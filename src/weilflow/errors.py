@@ -40,7 +40,9 @@ class NonOrdinaryInput(InputError):
 
 
 class DimensionTooLarge(InputError):
-    """g exceeds the cap (exterior powers grow as C(2g, g))."""
+    """g exceeds the cap of `zeta` (its exterior powers grow as C(2g, g)) or
+    of `verify` (its certificate grows past any use); the message names the
+    command."""
 
 
 class ComputationError(WeilflowError):

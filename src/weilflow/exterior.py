@@ -1,4 +1,4 @@
-"""Exterior powers of Frobenius and the associated zero lattices.
+"""Exterior powers of Frobenius and the zeros of their factors.
 
 For each j the j-th exterior power of F acts on lexicographic j-subsets of
 the eigenvalue indices; its characteristic polynomial, reversed, is the
@@ -7,18 +7,19 @@ lambda_S = prod_{i in S} mu_i. Each inverse root contributes a vertical
 ladder of zeros s_S + 2 pi i nu / log q of P_j(q^{-s}), all on Re s = j/2.
 
 Parse has decided the Riemann hypothesis exactly (weil._weil_roots), so
-|lambda_S| = q^{j/2} is a theorem: the zero lattice sets Re s_S = j/2
-exactly and takes only Im s_S from the products lambda_S of the roots. The
+|lambda_S| = q^{j/2} is a theorem: Re s_S = j/2 exactly, and Im s_S is the
+summed phase of the roots in S (zeros_in_window, for `spectrum`). The
 functional equation s -> g - s is the identity c_{2g-k} = q^{g-k} c_k,
-checked exactly on parse too. Only `zeta` builds the exact P_j
-(build_pj_family), cross-checked against the same products.
+checked exactly on parse too. Only `zeta` forms the products lambda_S of
+all 4^g subsets, to cross-check the exact P_j (build_pj_family).
 
 The partner q/mu of a root is its exact conjugate conj(mu), so H^1 splits
-into g conjugate pairs with angles +-theta_i, theta_i = |arg mu_i| / log q
-(ZeroLattice.angles). Unreduced, the base of S is j/2 + i theta_S with
-theta_S the sum of the signed angles of S, and the j-th sublattices together
-weigh a test function by sum_{|S|=j} e^{i theta_S t} = L_j(t), the real
-lefschetz_weight. trace_j evaluates one ladder of alpha L_j per j.
+into g conjugate pairs with angles +-theta_i (FrobeniusModel.angles, over
+log q). Unreduced, the base of S is j/2 + i theta_S with theta_S the sum of
+the signed angles of S, and the j-th sublattices together weigh a test
+function by sum_{|S|=j} e^{i theta_S t} = L_j(t), the real
+lefschetz_weight. trace_j evaluates one ladder of alpha L_j per j, from the
+g angles alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import CrossCheckFailure, DimensionTooLarge
 from .intlinalg import Matrix, charpoly, det_bareiss
 from .weil import FrobeniusModel
 
-G_CAP = 8  # C(2g, g) is 12870 at g = 8 and grows ~4x per step after
+G_CAP = 8  # largest g that zeta and verify take; see build_pj_family and formula.verify
 
 
 def subsets(n: int, j: int) -> list[tuple[int, ...]]:
@@ -67,22 +68,10 @@ class PjFamily:
     products: tuple[tuple[complex, ...], ...]  # lambda_S per j, lex order
 
 
-@dataclass(frozen=True)
-class ZeroLattice:
-    q: int
-    g: int
-    period: float  # 2 pi / log q
-    exps: tuple[tuple[complex, ...], ...]  # base exponents s_S per j, lex order
-    angles: tuple[float, ...]  # theta_i = |arg mu_i| / log q, one per conjugate pair, ascending
-
-
 def _subset_products(model: FrobeniusModel) -> tuple[tuple[complex, ...], ...]:
     """lambda_S = prod_{i in S} mu_i for every j-subset S, per j in lex order,
-    from the roots; g above G_CAP is refused."""
-    w = model.datum
-    if w.g > G_CAP:
-        raise DimensionTooLarge("g = %d exceeds the cap %d" % (w.g, G_CAP))
-    n = 2 * w.g
+    from the roots: 4^g products."""
+    n = 2 * model.datum.g
     return tuple(
         tuple(math.prod((model.roots[i] for i in s), start=complex(1.0)) for s in subsets(n, j))
         for j in range(n + 1)
@@ -102,9 +91,12 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
 
     The float route expands prod (1 - lambda_S X) from the roots and
     must match every integer coefficient to 1e-8 relative; P_0 and P_2g are
-    additionally pinned to their closed forms.
+    additionally pinned to their closed forms. g above G_CAP is refused: the
+    exterior powers have dimension up to C(2g, g), 12,870 at g = 8.
     """
     w = model.datum
+    if w.g > G_CAP:
+        raise DimensionTooLarge("zeta (build_pj_family): g = %d exceeds the cap %d" % (w.g, G_CAP))
     products = _subset_products(model)
     f = [list(row) for row in model.matrix]
     n = 2 * w.g
@@ -124,26 +116,6 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
     if polys[n] != (1, -(w.q**w.g)):
         raise CrossCheckFailure("P_2g must be 1 - q^g X, got %s" % (polys[n],))
     return PjFamily(q=w.q, g=w.g, polys=tuple(polys), products=products)
-
-
-def zero_lattice(model: FrobeniusModel) -> ZeroLattice:
-    """Base exponents s_S = j/2 + i arg(lambda_S) / log q (principal branch)
-    per j, and the g angles theta_i of the conjugate pairs.
-
-    Re s_S = j/2 exactly for every |S| = j; the full zero set of P_j(q^{-s})
-    is {s_S + 2 pi i nu / log q : nu in Z}. The angles are the model's
-    |arg mu_i| over log q, one per conjugate pair.
-    """
-    q = model.datum.q
-    logq = math.log(q)
-    exps = tuple(
-        tuple(complex(j / 2, cmath.phase(lam) / logq) for lam in lams)
-        for j, lams in enumerate(_subset_products(model))
-    )
-    return ZeroLattice(
-        q=q, g=model.datum.g, period=2 * math.pi / logq, exps=exps,
-        angles=tuple(theta / logq for theta in model.angles),
-    )
 
 
 def lefschetz_weight(angles, j: int, t) -> np.ndarray:
@@ -168,16 +140,29 @@ def lefschetz_weight(angles, j: int, t) -> np.ndarray:
     return coef[d]
 
 
-def zeros_in_window(lat: ZeroLattice, j: int, height: float) -> tuple[tuple[int, complex], ...]:
-    """All zeros of P_j(q^{-s}) with |Im s| <= height, tagged by subset index.
+def zeros_in_window(model: FrobeniusModel, j: int, height: float) -> tuple[tuple[int, complex], ...]:
+    """All zeros of P_j(q^{-s}) with |Im s| <= height, tagged by the index of
+    their j-subset S of model.roots in lex order.
 
-    Sorted by (imaginary part, subset index); each zero has Re = j/2.
+    Re s = j/2 exactly. Im s_S is the fsum of the phases arg mu_i over S,
+    reduced once into (-pi, pi] and divided by log q, so a subset whose
+    phases cancel exactly (conjugate pairs) sits at exactly 0. A zero is
+    listed iff the float |Im s| returned is <= height. Sorted by (Im s,
+    subset index).
     """
+    logq = math.log(model.datum.q)
+    period = 2 * math.pi / logq
+    phases = [cmath.phase(mu) for mu in model.roots]
     out = []
-    for idx, s in enumerate(lat.exps[j]):
-        lo = math.ceil((-height - s.imag) / lat.period - 1e-12)
-        hi = math.floor((height - s.imag) / lat.period + 1e-12)
+    for idx, s in enumerate(subsets(len(phases), j)):
+        arg = math.fsum(phases[i] for i in s)
+        base = (arg - 2 * math.pi * math.ceil((arg - math.pi) / (2 * math.pi))) / logq
+        # the float quotients are a few ulps off at most: one spare nu each side
+        lo = math.ceil((-height - base) / period) - 1
+        hi = math.floor((height - base) / period) + 1
         for nu in range(lo, hi + 1):
-            out.append((s.imag + lat.period * nu, idx, s.real))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return tuple((idx, complex(re, im)) for im, idx, re in out)
+            im = base + period * nu
+            if abs(im) <= height:
+                out.append((im, idx))
+    out.sort()
+    return tuple((idx, complex(j / 2, im)) for im, idx in out)

@@ -3,15 +3,18 @@
 Everything here avoids the package's own numerical paths on purpose:
 quadrature is composite Simpson on a dense uniform grid, point counts come
 from the Lucas-style trace recurrence, spectral traces from elementary
-symmetric functions of eigenvalue powers, and exact linear algebra from
-sympy; Frobenius angles come from the
-closed-form roots of each factor of the real Weil polynomial, in mpmath.
+symmetric functions of eigenvalue powers, the zeros' imaginary parts from
+the phases of products of roots, and exact linear algebra from sympy;
+Frobenius angles come from the closed-form roots of each factor of the
+real Weil polynomial, in mpmath.
 Frozen constants were produced by these same routines (plus an
 mpmath tanh-sinh run at 30 digits) before the library internals existed.
 """
 
 import cmath
+import collections
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -55,25 +58,38 @@ def simpson_phi(s, bumps, n=1 << 20):
 FE_TOLERANCE = 1e-8  # largest zero-symmetry deviation criterion 7 accepts
 
 
-def zero_symmetry_deviation(lat):
-    """Largest deviation from the zero symmetry s -> g - s between P_j and
-    P_{2g-j}, in floats.
+def zero_symmetry_deviation(model, zeros_in_window, height=12.0):
+    """Largest deviation from the zero symmetry s -> g - s between the zeros
+    of P_j and P_{2g-j} that zeros_in_window lists, in floats.
 
     The complement bijection S -> S^c realizes the multiset identity:
-    lambda_{S^c} = q^g / lambda_S, so g - s_S = s_{S^c} modulo the imaginary
-    period. The complements of the lex-ordered j-subsets are the
-    (2g - j)-subsets in reverse lex order, so S^c of the k-th j-subset is
-    the k-th from the end.
+    lambda_{S^c} = q^g / lambda_S, so g - s_S lies on the ladder of S^c. The
+    complements of the lex-ordered j-subsets are the (2g - j)-subsets in
+    reverse lex order, so S^c of the k-th j-subset is the k-th from the end.
+    Each zero with |Im s| <= height is matched with the nearest zero of its
+    complement's ladder in a window one period wider; a missing partner
+    deviates by inf.
     """
-    n = 2 * lat.g
+    g = model.datum.g
+    wider = height + 2 * math.pi / math.log(model.datum.q)
     worst = 0.0
-    for j in range(n + 1):
-        exps_c = lat.exps[n - j]
-        for k, s in enumerate(lat.exps[j]):
-            diff = (lat.g - s) - exps_c[-1 - k]
-            d_im = diff.imag - lat.period * round(diff.imag / lat.period)
-            worst = max(worst, math.hypot(diff.real, d_im))
+    for j in range(2 * g + 1):
+        ladders = collections.defaultdict(list)
+        for idx, s in zeros_in_window(model, 2 * g - j, wider):
+            ladders[idx].append(s)
+        last = math.comb(2 * g, j) - 1
+        for idx, s in zeros_in_window(model, j, height):
+            near = min((abs((g - s) - t) for t in ladders[last - idx]), default=math.inf)
+            worst = max(worst, near)
     return worst
+
+
+def subset_product_ims(roots, q, j):
+    """Im s_S = arg(prod_{i in S} mu_i) / log q, the principal phase of the
+    product of the roots in S, for every lex-ordered j-subset S."""
+    logq = math.log(q)
+    return [cmath.phase(math.prod((roots[i] for i in s), start=complex(1.0))) / logq
+            for s in itertools.combinations(range(len(roots)), j)]
 
 
 def weil_angles(q, h_factors, dps=40):

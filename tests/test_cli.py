@@ -283,14 +283,18 @@ def test_dimension_cap_has_no_override(capsys, datum):
     for k in range(g + 1):
         coeffs[2 * k] = math.comb(g, k) * 2 ** k
     path = datum({"q": 2, "g": g, "weil_poly": coeffs}, "g9.json")
-    for argv in (["zeta"], ["spectrum"],
-                 ["verify", "--alpha", "c=1,w=0.5", "--allow-non-ordinary"]):
+    for argv, command in ((["zeta"], "zeta (build_pj_family)"),
+                          (["verify", "--alpha", "c=1,w=0.5", "--allow-non-ordinary"], "verify")):
         rc, _, err = run(capsys, argv + ["--input", path])
         assert rc == 1, argv
-        assert err == "error: DimensionTooLarge: g = 9 exceeds the cap 8\n", argv
-    # validate builds no zero lattice and no P_j, so the cap does not apply
+        assert err == "error: DimensionTooLarge: %s: g = 9 exceeds the cap 8\n" % command, argv
+    # validate builds no P_j, and spectrum only the subsets of the j it lists,
+    # so the cap does not apply to them
     rc, out, _ = run(capsys, ["validate", "--input", path])
     assert rc == 0 and out.rstrip().endswith("ok")
+    for window, total in (("1", 0), ("3", 18)):  # Im s = +-pi / (2 log 2) = +-2.27
+        rc, out, _ = run(capsys, ["spectrum", "--j", "1", "--window", window, "--input", path])
+        assert rc == 0 and out.rstrip().endswith("total: %d" % total)
 
     rc, _, err = run(capsys, ["validate", "--input", path, "--allow-large"])
     assert rc == 1
@@ -315,6 +319,15 @@ def test_spectrum_window_cap(capsys, datum):
     assert rc == 1 and out == ""
     assert err.startswith("error: InputError: --window 1000000000000.0 holds up to ")
     assert err.endswith(" zeros, the cap is %d\n" % cli.SPECTRUM_ZERO_CAP)
+    # from g = 10 the 4^g ladders alone exceed the cap: every window is refused
+    g = 10
+    coeffs = [0] * (2 * g + 1)
+    for k in range(g + 1):
+        coeffs[2 * k] = math.comb(g, k) * 2 ** k
+    path = datum({"q": 2, "g": g, "weil_poly": coeffs}, "g10.json")
+    rc, out, err = run(capsys, ["spectrum", "--input", path, "--window", "0"])
+    assert rc == 1 and out == ""
+    assert err == "error: InputError: --window 0.0 holds up to 1.049e+06 zeros, the cap is 1000000\n"
 
 
 def test_spectrum_zero_bound_covers_the_listing(capsys, datum, monkeypatch):

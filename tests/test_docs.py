@@ -1,5 +1,7 @@
-"""Names the package exports and the README cites must exist."""
+"""Names the package exports, the README cites and the benchmark imports
+must exist."""
 
+import ast
 import dataclasses
 import importlib
 import re
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import weilflow
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+CAMEL = r"[A-Z][a-z]+(?:[A-Z][a-z]+)+"
 SUBMODULES = {p.stem for p in Path(weilflow.__file__).parent.glob("*.py") if p.stem != "__init__"}
 
 
@@ -26,17 +30,59 @@ def _has(owner, name: str) -> bool:
 def test_readme_names_exist():
     # `module.NAME` and `Class.field` for the package's modules and public
     # classes, and every bare `CamelCase` name, which the README uses only for
-    # the package's classes and errors
+    # the package's classes and errors: a `CamelCase.field` must name one too
     cited = re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", README)
     checked = 0
     for owner, name in cited:
         if owner in SUBMODULES:
             assert _has(importlib.import_module("weilflow." + owner), name), (owner, name)
-        elif owner in weilflow.__all__:
-            assert _has(getattr(weilflow, owner), name), (owner, name)
+        elif owner in weilflow.__all__ or re.fullmatch(CAMEL, owner):
+            assert owner in weilflow.__all__ and _has(getattr(weilflow, owner), name), (owner, name)
         else:
             continue
         checked += 1
     assert checked >= 3
-    for name in re.findall(r"`([A-Z][a-z]+(?:[A-Z][a-z]+)+)`", README):
+    for name in re.findall(r"`(%s)`" % CAMEL, README):
         assert name in weilflow.__all__, name
+
+
+def _resolve(path: str) -> bool:
+    """Whether the dotted path weilflow[.sub...].NAME exists, importing the
+    submodules the package itself does not (weilflow.cli)."""
+    obj, prefix = None, ""
+    for part in path.split("."):
+        prefix = prefix + "." + part if prefix else part
+        if obj is not None and hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(prefix)
+        except ImportError:
+            return False
+    return True
+
+
+def _dotted(node) -> str | None:
+    """a.b.c for an attribute chain on a bare name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_import_surface_resolves():
+    # perfbench/ runs the package from outside: every name it imports from
+    # weilflow and every weilflow.NAME path it reads must exist, so a change
+    # that would break the benchmark fails here first
+    paths = set()
+    for source in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "weilflow":
+                paths |= {node.module + "." + alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                paths |= {a.name for a in node.names if a.name.split(".")[0] == "weilflow"}
+            elif isinstance(node, ast.Attribute) and (_dotted(node) or "").startswith("weilflow."):
+                paths.add(_dotted(node))
+    assert {"weilflow.bumps.GL_ORDER", "weilflow.formula.NU_FLOOR", "weilflow.cli.main"} <= paths
+    assert [p for p in sorted(paths) if not _resolve(p)] == []

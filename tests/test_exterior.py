@@ -1,4 +1,4 @@
-"""Exterior powers, the P_j family, zero lattices, functional equation."""
+"""Exterior powers, the P_j family, zeros in a window, functional equation."""
 
 import cmath
 import math
@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,7 +18,6 @@ from weilflow.exterior import (
     build_pj_family,
     exterior_power_matrix,
     subsets,
-    zero_lattice,
     zeros_in_window,
 )
 from weilflow.weil import frobenius_model, parse_weil_datum
@@ -37,8 +36,12 @@ def _family(doc):
     return build_pj_family(_model(doc))
 
 
-def _lattice(doc):
-    return zero_lattice(_model(doc))
+def _period(model):
+    return 2 * math.pi / math.log(model.datum.q)
+
+
+def _angles(model):
+    return tuple(theta / math.log(model.datum.q) for theta in model.angles)
 
 
 def test_subsets_lexicographic():
@@ -119,7 +122,7 @@ def test_lambda_moduli():
 
 
 def test_functional_equation_examples():
-    dev = oracles.zero_symmetry_deviation(_lattice(E5A2))
+    dev = oracles.zero_symmetry_deviation(_model(E5A2), zeros_in_window)
     assert dev < 1e-12
     # hand identity: 1 - log_5(1+2i) = log_5(1-2i) mod the vertical period
     logq = math.log(5)
@@ -141,19 +144,19 @@ def test_complements_are_reverse_lex():
 
 def test_functional_equation_corpus():
     for doc in CORPUS:
-        assert oracles.zero_symmetry_deviation(_lattice(doc)) < oracles.FE_TOLERANCE, doc
+        dev = oracles.zero_symmetry_deviation(_model(doc), zeros_in_window)
+        assert dev < oracles.FE_TOLERANCE, doc
 
 
 def test_zero_lattice_window_examples():
-    lat = _lattice(E5A2)
+    model = _model(E5A2)
     period = 2 * math.pi / math.log(5)
-    assert abs(lat.period - period) < 1e-15
 
-    z2 = zeros_in_window(lat, 2, 0.0)
+    z2 = zeros_in_window(model, 2, 0.0)
     assert len(z2) == 1
     assert abs(z2[0][1] - 1.0) < 1e-12  # log_5 5 = 1
 
-    z0 = zeros_in_window(lat, 0, 4.0)
+    z0 = zeros_in_window(model, 0, 4.0)
     ims = sorted(rho.imag for _, rho in z0)
     assert len(z0) == 3
     assert abs(ims[0] + period) < 1e-12
@@ -165,25 +168,24 @@ def test_zero_lattice_window_examples():
 
 def test_zeros_on_critical_lines():
     for doc in CORPUS:
-        lat = _lattice(doc)
-        for j in range(2 * lat.g + 1):
-            for _, rho in zeros_in_window(lat, j, 12.0):
+        model = _model(doc)
+        for j in range(2 * model.datum.g + 1):
+            for _, rho in zeros_in_window(model, j, 12.0):
                 assert rho.real == j / 2
 
 
 def test_window_count_density():
-    lat = _lattice(G2_PRODUCT)
+    model = _model(G2_PRODUCT)
     t = 25.0
     for j in range(5):
-        n = len(zeros_in_window(lat, j, t))
+        n = len(zeros_in_window(model, j, t))
         c = math.comb(4, j)
         density = 2 * c * t * math.log(5) / (2 * math.pi)
         assert abs(n - density) <= 2 * c  # O(1) per sublattice
 
 
 def test_window_sorted_and_tagged():
-    lat = _lattice(G2_PRODUCT)
-    zs = zeros_in_window(lat, 2, 9.0)
+    zs = zeros_in_window(_model(G2_PRODUCT), 2, 9.0)
     ims = [rho.imag for _, rho in zs]
     assert ims == sorted(ims)
     assert all(0 <= idx < 6 for idx, _ in zs)
@@ -207,17 +209,17 @@ def test_k0_cancellation_and_power_sums():
 
 
 def test_dimension_cap():
-    # (1 + q X^2)^9 is a valid Weil polynomial for g = 9; both routes to the
-    # subset products must refuse it
+    # (1 + q X^2)^9 is a valid Weil polynomial for g = 9; zeta's exact route
+    # refuses it, while the zeros of one j need only that j's subsets
     q, g = 2, 9
     coeffs = [0] * (2 * g + 1)
     for k in range(g + 1):
         coeffs[2 * k] = math.comb(g, k) * q ** k
     w = parse_weil_datum({"q": q, "g": g, "weil_poly": coeffs})
     m = frobenius_model(w)
-    for stage in (build_pj_family, zero_lattice):
-        with pytest.raises(DimensionTooLarge, match="^g = 9 exceeds the cap 8$"):
-            stage(m)
+    with pytest.raises(DimensionTooLarge, match=r"^zeta \(build_pj_family\): g = 9 exceeds the cap 8$"):
+        build_pj_family(m)
+    assert len(zeros_in_window(m, 1, _period(m) / 2)) == 2 * g
 
 
 @st.composite
@@ -244,17 +246,19 @@ def test_conjugation_builds_the_zero_lattice(doc):
     # fixed 1e-8 cross-check rejects (ROADMAP item 6); the lattice never runs it
     model = _model(doc)
     assert Counter(model.roots) == Counter(mu.conjugate() for mu in model.roots)
-    lat = zero_lattice(model)
+    period, angles = _period(model), _angles(model)
     phases = sorted(abs(cmath.phase(mu)) for mu in model.roots)
     assert phases[::2] == phases[1::2]  # real roots +-sqrt q come twice each
-    assert len(lat.angles) == lat.g
-    assert all(0.0 <= theta <= lat.period / 2 for theta in lat.angles)
+    assert len(angles) == model.datum.g
+    assert all(0.0 <= theta <= period / 2 for theta in angles)
     # {1/2 +- i theta_i} is the j = 1 lattice, modulo the period
     def off(z):
-        return abs(complex(z.real, z.imag - lat.period * round(z.imag / lat.period)))
+        return abs(complex(z.real, z.imag - period * round(z.imag / period)))
 
-    bases = [complex(0.5, sign * theta) for theta in lat.angles for sign in (1, -1)]
-    for s in lat.exps[1]:
+    bases = [complex(0.5, sign * theta) for theta in angles for sign in (1, -1)]
+    ladders = dict(zeros_in_window(model, 1, period / 2))  # one zero per root at least
+    assert sorted(ladders) == list(range(2 * model.datum.g))
+    for s in ladders.values():
         nearest = min(bases, key=lambda b: off(b - s))
         assert off(nearest - s) < 1e-9
         bases.remove(nearest)
@@ -263,20 +267,62 @@ def test_conjugation_builds_the_zero_lattice(doc):
 @pytest.mark.parametrize("doc", CORPUS + [G3_PRODUCT, {"q": 5, "g": 2, "weil_poly": [1, 0, -10, 0, 25]}])
 def test_lefschetz_weight_is_e_j_of_the_angles(doc):
     # L_j(t) against e_j of {e^{+-i theta_i t}}, by the oracle's product expansion
-    lat = _lattice(doc)
-    n = 2 * lat.g
+    angles = _angles(_model(doc))
+    n = 2 * len(angles)
     rng = np.random.default_rng(11)
     t = np.concatenate(([0.0], rng.uniform(-30.0, 30.0, 24)))
-    weights = [exterior.lefschetz_weight(lat.angles, j, t) for j in range(n + 1)]
+    weights = [exterior.lefschetz_weight(angles, j, t) for j in range(n + 1)]
     for j, lj in enumerate(weights):
         assert lj.dtype == float and lj.shape == t.shape
         assert lj[0] == math.comb(n, j)
         for x, got in zip(t, lj):
-            phases = [cmath.exp(sign * 1j * theta * x) for theta in lat.angles for sign in (1, -1)]
+            phases = [cmath.exp(sign * 1j * theta * x) for theta in angles for sign in (1, -1)]
             want = oracles.elementary_symmetric(phases, j)
             assert abs(got - want) < 1e-12 * math.comb(n, j)
             assert abs(got) <= math.comb(n, j) * (1 + 1e-15)
     # the leafwise Lefschetz number
-    lefschetz = np.prod([2.0 - 2.0 * np.cos(theta * t) for theta in lat.angles], axis=0)
+    lefschetz = np.prod([2.0 - 2.0 * np.cos(theta * t) for theta in angles], axis=0)
     alternating = sum((-1) ** j * lj for j, lj in enumerate(weights))
     assert np.all(np.abs(alternating - lefschetz) < 1e-12 * 2**n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=_weil_products())
+@example(doc={"q": 4, "g": 3, "weil_poly": [1, 4, 12, 32, 48, 64, 64]})  # (1 + 2X)^2 (1 + 4X^2)^2: mu = -2 twice
+def test_zeros_in_window_match_the_root_products(doc):
+    # the summed phases against the phase of prod_{i in S} mu_i, modulo the
+    # period; a window of half a period holds a zero of every ladder
+    model = _model(doc)
+    period = _period(model)
+    for j in range(2 * model.datum.g + 1):
+        want = oracles.subset_product_ims(model.roots, model.datum.q, j)
+        zs = zeros_in_window(model, j, period / 2)
+        assert {idx for idx, _ in zs} == set(range(len(want)))
+        for idx, s in zs:
+            assert s.real == j / 2
+            k = round((s.imag - want[idx]) / period)
+            assert abs(math.fsum([s.imag, -want[idx], -period * k])) <= 2e-15, (doc, j, idx)
+
+
+def test_window_membership_is_exact():
+    # a zero is listed iff its float |Im s| is <= height: with height on a
+    # zero's Im it and its conjugate's zero are in, one ulp below both are out
+    model = _model(G3_PRODUCT)
+    for j in (1, 3, 4):
+        zs = zeros_in_window(model, j, 10.0)
+        idx, s = max(zs, key=lambda z: abs(z[1].imag))
+        height = abs(s.imag)
+        at = zeros_in_window(model, j, height)
+        assert (idx, s) in at and at == zeros_in_window(model, j, math.nextafter(height, math.inf))
+        below = zeros_in_window(model, j, math.nextafter(height, 0.0))
+        assert (idx, s) not in below and len(below) == len(at) - 2
+        assert all(abs(z.imag) <= height for _, z in at)
+
+
+def test_tied_zeros_come_in_subset_order():
+    # with the roots -t3 < -t2 < -t1 < t1 < t2 < t3 by phase, the 4-subsets
+    # 5, 7 and 10 are two conjugate pairs each; their phases cancel exactly
+    # (the phase of subset 7's product is 2.2e-17)
+    zs = zeros_in_window(_model(G3_PRODUCT), 4, 0.0)
+    assert zs == ((5, 2 + 0j), (7, 2 + 0j), (10, 2 + 0j))
+    assert all(math.copysign(1.0, s.imag) == 1.0 for _, s in zs)

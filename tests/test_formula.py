@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import oracles
+from test_exterior import _angles, _period, _weil_products
 from weilflow import exterior, formula
 from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, phi, phi_ladder, tail_majorant
 from weilflow.counting import build_count_table
@@ -17,7 +19,6 @@ from weilflow.errors import (
     NonOrdinaryInput,
     TruncationBudgetExceeded,
 )
-from weilflow.exterior import zero_lattice
 from weilflow.formula import (
     geometric_side,
     spectral_side_closed_form,
@@ -36,17 +37,21 @@ REPEATED = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]})
 NON_ORDINARY = parse_weil_datum({"q": 5, "g": 2, "weil_poly": [1, 0, -10, 0, 25]})  # (1 - 5X^2)^2
 
 
-def _lattice(w):
-    return zero_lattice(frobenius_model(w))
+def _product(q, traces):
+    # the document of prod (1 - a X + q X^2) over the traces a
+    poly = [1]
+    for a in traces:
+        poly = [x - a * y + q * z for x, y, z in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+    return {"q": q, "g": len(traces), "weil_poly": poly}
 
 
-LAT1 = _lattice(E5A2)
-LAT2 = _lattice(G2)
+M1 = frobenius_model(E5A2)
+M2 = frobenius_model(G2)
 
 
 def test_trace_j2_closed_form_example():
     # bump at log 5: only k = 1 survives, T_2 = 5 log 5 e^{-1}
-    r = trace_j(LAT1, 2, BumpFunction(center=LOG5, width=0.5), budget=0.25)
+    r = trace_j(M1, 2, BumpFunction(center=LOG5, width=0.5), budget=0.25)
     want = 5 * LOG5 * math.exp(-1)
     assert abs(r.value - want) < 1e-9
     assert abs(r.value - want) <= r.tail_bound + r.quad_error
@@ -55,7 +60,7 @@ def test_trace_j2_closed_form_example():
 
 def test_trace_j0_poisson_identity():
     # support inside (-log 5, log 5): the ladder must resum to log 5 alpha(0)
-    r = trace_j(LAT1, 0, BumpFunction(center=0.0, width=0.5), budget=0.25)
+    r = trace_j(M1, 0, BumpFunction(center=0.0, width=0.5), budget=0.25)
     want = LOG5 * oracles.ALPHA_AT_0
     assert abs(r.value - want) < 1e-9
 
@@ -63,23 +68,23 @@ def test_trace_j0_poisson_identity():
 def test_trace_imaginary_parts_certified():
     tf = combine_bumps([BumpFunction(center=0.9, width=0.6, amplitude=1.3),
                         BumpFunction(center=-2.0, width=0.4)])
-    for lat in (LAT1, LAT2):
-        for j in range(2 * lat.g + 1):
-            r = trace_j(lat, j, tf, budget=0.25)
+    for model in (M1, M2):
+        for j in range(2 * model.datum.g + 1):
+            r = trace_j(model, j, tf, budget=0.25)
             assert r.value.imag == 0.0
 
 
 def test_trace_all_j_vs_symmetric_oracle():
     rng = random.Random(77)
-    for w, lat in ((E5A2, LAT1), (G2, LAT2)):
-        roots = frobenius_model(w).roots
+    for w, model in ((E5A2, M1), (G2, M2)):
+        roots = model.roots
         for _ in range(3):
             c = rng.uniform(-2.5, 2.5)
             width = rng.uniform(0.3, 0.7)
             amp = rng.uniform(0.5, 2.0)
             tf = BumpFunction(center=c, width=width, amplitude=amp)
             for j in range(2 * w.g + 1):
-                r = trace_j(lat, j, tf, budget=0.25)
+                r = trace_j(model, j, tf, budget=0.25)
                 want = oracles.symmetric_trace(roots, w.q, j, [(c, width, amp)])
                 assert abs(r.value - want) <= r.tail_bound + r.quad_error + 1e-9 * (
                     1 + abs(want)
@@ -94,9 +99,9 @@ def test_trace_all_j_vs_symmetric_oracle_past_the_floor():
     bump = (LOG5, 0.5, 1.0)
     tf = BumpFunction(center=LOG5, width=0.5)
     for w, longest in ((REPEATED, 300), (G3, 324)):
-        roots = frobenius_model(w).roots
-        lat = _lattice(w)
-        per = [trace_j(lat, j, tf, budget=1e-6) for j in range(2 * w.g + 1)]
+        model = frobenius_model(w)
+        roots = model.roots
+        per = [trace_j(model, j, tf, budget=1e-6) for j in range(2 * w.g + 1)]
         assert max(r.nu_max for r in per) == longest
         for r in per:
             want = oracles.symmetric_trace(roots, w.q, r.j, [bump])
@@ -109,15 +114,15 @@ def test_tail_covers_the_unreduced_bases():
     # axis, rho_j = max(1, min(j, 2g - j)) / 2, and nu_max pays for that reach:
     # with rho_j = 1/2 for all j, j = 2 and 3 would stop at 653 and 778
     for w in (G3, NON_ORDINARY):
-        lat = _lattice(w)
-        signed = [sign * theta for theta in lat.angles for sign in (1, -1)]
+        model = frobenius_model(w)
+        signed = [sign * theta for theta in _angles(model) for sign in (1, -1)]
         for j in range(2 * w.g + 1):
             rho = max(1, min(j, 2 * w.g - j)) / 2
             reach = max(abs(math.fsum(signed[i] for i in s)) for s in exterior.subsets(2 * w.g, j))
-            assert reach <= rho * lat.period
-    lat = _lattice(G3)
+            assert reach <= rho * _period(model)
+    model = frobenius_model(G3)
     tf = BumpFunction(center=LOG5, width=0.5)
-    assert [trace_j(lat, j, tf, 1e-9).nu_max for j in range(7)] == [347, 505, 654, 779, 858, 868, 776]
+    assert [trace_j(model, j, tf, 1e-9).nu_max for j in range(7)] == [347, 505, 654, 779, 858, 868, 776]
 
 
 def test_ladder_work_per_verify(monkeypatch):
@@ -168,13 +173,13 @@ def test_off_axis_classes_vs_symmetric_oracle():
     # (1 - 5X^2)^2: the roots -sqrt 5 sit half a period off the axis, angle
     # beta/2; their sublattices are truncated around +-beta/2 and the traces
     # stay within the certificate of the real oracle value
-    lat = _lattice(NON_ORDINARY)
-    roots = frobenius_model(NON_ORDINARY).roots
-    assert lat.angles == (0.0, lat.period / 2)
+    model = frobenius_model(NON_ORDINARY)
+    roots = model.roots
+    assert _angles(model) == (0.0, _period(model) / 2)
     for c, width, amp in OFF_AXIS_BUMPS:
         tf = BumpFunction(center=c, width=width, amplitude=amp)
         for j in range(5):
-            r = trace_j(lat, j, tf, budget=0.25)
+            r = trace_j(model, j, tf, budget=0.25)
             want = oracles.symmetric_trace(roots, 5, j, [(c, width, amp)])
             assert want.imag == 0.0 and r.value.imag == 0.0
             assert abs(r.value.real - want.real) <= r.tail_bound + r.quad_error
@@ -187,26 +192,27 @@ def test_trace_counts_every_sublattice_zero_once():
     # value by its own doubling deltas at most.
     tf = BumpFunction(center=LOG5, width=0.15)
     for w in (G2, NON_ORDINARY):
-        lat = _lattice(w)
-        signed = [sign * theta for theta in lat.angles for sign in (1, -1)]
+        model = frobenius_model(w)
+        period = _period(model)
+        signed = [sign * theta for theta in _angles(model) for sign in (1, -1)]
         for j in range(5):
-            r = trace_j(lat, j, tf, budget=0.25)
+            r = trace_j(model, j, tf, budget=0.25)
             n = r.nu_max
             starts = np.array([math.fsum(signed[i] for i in s) for s in exterior.subsets(4, j)])
-            v, e, _ = phi_ladder(tf, j / 2, starts - lat.period * n, lat.period, 2 * n + 1)
+            v, e, _ = phi_ladder(tf, j / 2, starts - period * n, period, 2 * n + 1)
             want = complex(math.fsum(v.real.ravel().tolist()), math.fsum(v.imag.ravel().tolist()))
             assert abs(r.value - want) <= r.quad_error + math.fsum(e.ravel().tolist())
 
 
 def test_truncation_budget_drives_nu():
     tf = BumpFunction(center=LOG5, width=0.5)
-    loose = trace_j(LAT1, 1, tf, budget=0.5)
-    tight = trace_j(LAT1, 1, tf, budget=5e-3)
+    loose = trace_j(M1, 1, tf, budget=0.5)
+    tight = trace_j(M1, 1, tf, budget=5e-3)
     assert tight.nu_max >= loose.nu_max
     assert tight.tail_bound < loose.tail_bound or loose.tail_bound == 0.0
     # at budget 1e-60 every order needs more than NU_CAP zeros
     with pytest.raises(TruncationBudgetExceeded, match="cap is"):
-        trace_j(LAT1, 1, tf, budget=1e-60)
+        trace_j(M1, 1, tf, budget=1e-60)
 
 
 @pytest.mark.parametrize("width", [1e-60, 1e-100, 1e-320])
@@ -214,13 +220,13 @@ def test_vanishing_width_raises_a_named_limit(width):
     # the majorants overflow or underflow to M_k = inf; need is never NaN
     tf = BumpFunction(center=0.0, width=width)
     with pytest.raises(TruncationBudgetExceeded):
-        trace_j(LAT1, 0, tf, budget=0.25)
+        trace_j(M1, 0, tf, budget=0.25)
     with pytest.raises(TruncationBudgetExceeded):
         verify(E5A2, tf)
 
 
 def test_trace_with_an_infinite_budget_stays_at_the_floor():
-    r = trace_j(LAT1, 1, BumpFunction(center=LOG5, width=0.5), budget=math.inf)
+    r = trace_j(M1, 1, BumpFunction(center=LOG5, width=0.5), budget=math.inf)
     assert r.nu_max == formula.NU_FLOOR and math.isfinite(r.tail_bound)
 
 
@@ -235,10 +241,10 @@ def test_verify_rejects_bad_tolerances(kwargs):
 
 def test_higher_orders_set_nu_max_only_above_the_floor():
     tf = BumpFunction(center=LOG5, width=0.5)
-    at_floor = trace_j(LAT1, 1, tf, budget=0.25)
+    at_floor = trace_j(M1, 1, tf, budget=0.25)
     assert (at_floor.nu_max, at_floor.order) == (300, 2)
     assert at_floor.majorant == tail_majorant(tf, 0.5).m
-    tight = trace_j(LAT1, 1, tf, budget=1e-12)
+    tight = trace_j(M1, 1, tf, budget=1e-12)
     assert tight.order == K_MAX and tight.nu_max == 1025
     assert tight.majorant == tail_majorant(tf, 0.5, K_MAX).m
     assert tight.tail_bound <= 1e-12 / 3
@@ -255,7 +261,7 @@ def test_g3_product_verifies_at_budget_1e6():
 
 def test_spectral_assembly_and_partial():
     tf = BumpFunction(center=LOG5, width=0.5)
-    sp = spectral_side_zero_sum(LAT1, tf, budget=0.25)
+    sp = spectral_side_zero_sum(M1, tf, budget=0.25)
     per = {t.j: t.value for t in sp.per_j}
     alt = per[0] - per[1] + per[2]
     assert abs(sp.alternating_full - alt) < 1e-15 * max(1.0, abs(alt))
@@ -432,11 +438,7 @@ def test_verify_runs_the_exact_route_once(monkeypatch):
 def test_verify_g5_product():
     # prod (1 - a X + 5X^2), a = 1, 2, 3, 4, -1: verify reads only the roots,
     # so no exterior power of the 10 x 10 companion matrix is built
-    poly = [1]
-    for a in (1, 2, 3, 4, -1):
-        poly = [x - a * y + 5 * z
-                for x, y, z in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
-    w = parse_weil_datum({"q": 5, "g": 5, "weil_poly": poly})
+    w = parse_weil_datum(_product(5, [1, 2, 3, 4, -1]))
     rep = verify(w, BumpFunction(center=LOG5, width=0.5))
     assert rep.passed
     assert len(rep.spectral.per_j) == 11
@@ -487,3 +489,32 @@ def test_verify_report_contents():
     assert rep.allowance == rep.tolerance * (1 + abs(rep.geometric.total)) + rep.certified_budget
     assert rep.wall_time_s > 0
     assert rep.spectral.closed_form is not None
+
+
+def test_verify_never_enumerates_subsets(monkeypatch):
+    # trace_j reads the g angles and C(2g, j); no subset, product or phase
+    # of 4^g is formed, so g = 8 verifies as g = 3 does
+    def refuse(*args):
+        raise AssertionError("subsets enumerated")
+
+    monkeypatch.setattr(exterior, "subsets", refuse)
+    tf = BumpFunction(center=LOG5, width=0.5)
+    for w in (G3, parse_weil_datum(_product(5, [1, 2, 3, 4, -1, -2, -3, 0]))):
+        assert verify(w, tf, allow_non_ordinary=True).passed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=_weil_products())
+@example(doc=_product(49, [14, -14, 0]))  # a = +-2 sqrt q and a = 0
+@example(doc=_product(4, [4, 4, -4]))  # mu = 2 twice and -2 twice
+@example(doc=_product(27, [3, 3, 3]))  # a repeated factor, q = 3^3
+@example(doc=_product(8, [0, 5]))  # q = 2^3
+def test_valid_weil_products_verify_or_stop_at_a_named_limit(doc):
+    # every valid input verifies, or raises a documented limit; a
+    # CrossCheckFailure or QuadratureNonConvergence here is a defect
+    w = parse_weil_datum(doc)
+    try:
+        rep = verify(w, BumpFunction(center=math.log(w.q), width=0.5), allow_non_ordinary=True)
+    except (TruncationBudgetExceeded, InsufficientCountRange):
+        return
+    assert rep.passed, doc
