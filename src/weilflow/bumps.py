@@ -7,14 +7,16 @@ Finite sums of bumps are first-class: everything downstream only needs
 pointwise values, the support hull, and a mass scale.
 
 Phi(s) = integral e^{t s} alpha(t) dt is entire in s. phi_ladder computes it
-along arithmetic progressions of imaginary parts, one row per start and all
-rows on one shared composite Gauss-Legendre panelization (order 64, panels
-doubled until successive passes agree to RTOL = 1e-12 relative in every
-row, with an envelope floor so near-zero values terminate). Each pass is a
-cache-blocked matrix product of node weights against rung phases; phi is a
-ladder of one point. This quadrature is the only approximation: the tail
-majorants M_k, k = 2..K_MAX, with |Phi(sigma + i tau)| <= M_k / |tau|^k are
-closed forms, exact up to a stated rounding allowance.
+along arithmetic progressions of imaginary parts, for one test function or
+for rows of integrands, each with its own sigma, all on one shared
+composite Gauss-Legendre panelization (order 64, panels doubled until
+successive passes agree to RTOL = 1e-12 relative in every row, with each
+row's envelope as a floor so near-zero values terminate). Each pass is a
+cache-blocked matrix product of the rows' node weights against rung phases
+built once for all rows; phi is a ladder of one point. This quadrature is
+the only approximation: the tail majorants M_k, k = 2..K_MAX, with
+|Phi(sigma + i tau)| <= M_k / |tau|^k are closed forms, exact up to a
+stated rounding allowance.
 """
 
 from __future__ import annotations
@@ -170,26 +172,27 @@ _BLOCK = 16  # rungs per matrix product
 _ANCHOR = 512  # rungs between exact exp re-anchors of the phase
 
 
-def _ladder_pass(tf: TestFunction, sigma: float, f0: np.ndarray, step: float,
+def _ladder_pass(rows: tuple, sigmas: tuple, f0: float, step: float,
                  count: int, panels: int, lo: float, hi: float) -> np.ndarray:
-    """One quadrature pass of F(f) = integral e^{sigma t} alpha(t) e^{i f t} dt
-    for f = f0_r + step k, k = 0..count-1, every row r on one shared grid.
+    """One quadrature pass of F_r(f) = integral e^{sigma_r t} h_r(t) e^{i f t} dt
+    for f = f0 + step k, k = 0..count-1, every row r on one shared grid.
 
     Blocked as a matrix product (Goto and van de Geijn's GEMM blocking): the
     nodes go in slices of at most _BLOCK_BYTES / (16 B) for B = _BLOCK rungs.
     Per slice, E[b, n] = z_n^b, z = e^{i step t}, is built by recurrence, and
-    A[r, n] = w_n h(t_n) e^{i f t_n} at a block's first rung gives the block
-    as A @ E^T; A then moves on by z^B, with an exact exp re-anchor every
-    _ANCHOR rungs. Each slice's E and A stay in cache across its blocks.
+    A[r, n] = w_n e^{sigma_r t_n} h_r(t_n) e^{i f t_n} at a block's first rung
+    gives the block as A @ E^T; A then moves on by z^B, with an exact exp
+    re-anchor every _ANCHOR rungs. E, the advance and the re-anchor phases
+    are built once per slice for all rows, and stay in cache across blocks.
     """
     t, wt = _grid(lo, hi, panels)
-    base = wt * tf.values(t) * np.exp(sigma * t)
+    base = np.array([wt * h.values(t) * np.exp(s * t) for h, s in zip(rows, sigmas)])
     block = min(count, _BLOCK)
     width = _BLOCK_BYTES // (16 * block)
     anchor = block * (_ANCHOR // block)
-    out = np.zeros((f0.size, count), dtype=complex)
+    out = np.zeros((len(rows), count), dtype=complex)
     for n in range(0, t.size, width):
-        tn, hn = t[n:n + width], base[n:n + width]
+        tn, hn = t[n:n + width], base[:, n:n + width]
         e = np.empty((block, tn.size), dtype=complex)
         e[0] = 1.0
         np.cumprod(np.broadcast_to(np.exp(1j * step * tn), (block - 1, tn.size)),
@@ -197,7 +200,7 @@ def _ladder_pass(tf: TestFunction, sigma: float, f0: np.ndarray, step: float,
         advance = np.exp(1j * (step * block) * tn)
         for k in range(0, count, block):
             if k % anchor == 0:
-                a = hn * np.exp(1j * np.multiply.outer(f0 + step * k, tn))
+                a = hn * np.exp(1j * (f0 + step * k) * tn)
             else:
                 a *= advance
             b = min(block, count - k)
@@ -205,45 +208,47 @@ def _ladder_pass(tf: TestFunction, sigma: float, f0: np.ndarray, step: float,
     return out
 
 
-def phi_ladder(tf: TestFunction, sigma: float, f0, step: float, count: int):
+def phi_ladder(tf, sigma, f0: float, step: float, count: int):
     """Phi along s = sigma + i(f0 + step k), k = 0..count-1, with per-point
     error estimates from the final panel doubling.
 
-    f0 is one start or a 1-D array of row starts. All rows share one
-    Gauss-Legendre grid, its panels set by the largest |f| of any row, and
-    doubling stops once every row agrees with the previous pass to RTOL
-    against its own scale (max |Phi| over the row, floored by the envelope).
+    tf is one test function, or a sequence of rows: integrands, each with
+    its own sigma from the matching sequence sigma, and each evaluated at
+    all count rungs. All rows share one Gauss-Legendre grid over the hull
+    of their supports, its panels set by the largest |f|, and doubling
+    stops once every row agrees with the previous pass to RTOL against its
+    own scale (max |Phi| over the row, floored by the row's envelope).
     Returns (values, errors, panels): values and the per-point doubling
-    deltas have shape (count,) for a scalar f0 and (rows, count) for an
-    array. Same convergence contract as phi().
+    deltas have shape (count,) for one test function and (rows, count) for
+    rows. Same convergence contract as phi().
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    starts = np.asarray(f0, dtype=float)
-    rows = starts.reshape(-1)
-    lo, hi = tf.support
-    env = _envelope(tf, sigma) + 1e-300
-    fmax = float(np.max(np.maximum(np.abs(rows), np.abs(rows + step * (count - 1)))))
+    single = not isinstance(tf, (tuple, list))
+    rows, sigmas = ((tf,), (sigma,)) if single else (tuple(tf), tuple(sigma))
+    lo = min(h.support[0] for h in rows)
+    hi = max(h.support[1] for h in rows)
+    env = np.array([_envelope(h, s) for h, s in zip(rows, sigmas)]) + 1e-300
+    fmax = max(abs(f0), abs(f0 + step * (count - 1)))
     panels = max(8, _oscillation_panels(hi - lo, fmax))
     if panels * GL_ORDER > _MAX_NODES:
         raise QuadratureNonConvergence(
             "ladder of %d x %d points needs %d panels up front, past the node cap"
-            % (rows.size, count, panels)
+            % (len(rows), count, panels)
         )
-    prev = _ladder_pass(tf, sigma, rows, step, count, panels, lo, hi)
+    prev = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
     while True:
         panels *= 2
         if panels * GL_ORDER > _MAX_NODES:
             raise QuadratureNonConvergence(
                 "ladder of %d x %d points still moving at %d panels"
-                % (rows.size, count, panels // 2)
+                % (len(rows), count, panels // 2)
             )
-        cur = _ladder_pass(tf, sigma, rows, step, count, panels, lo, hi)
+        cur = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
         err = np.abs(cur - prev)
         scale = np.maximum(np.abs(cur).max(axis=1), env)
         if np.all(err.max(axis=1) <= RTOL * scale):
-            shape = starts.shape + (count,)
-            return cur.reshape(shape), err.reshape(shape), panels
+            return (cur[0], err[0], panels) if single else (cur, err, panels)
         prev = cur
 
 

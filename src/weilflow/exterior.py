@@ -18,8 +18,8 @@ into g conjugate pairs with angles +-theta_i (FrobeniusModel.angles, over
 log q). Unreduced, the base of S is j/2 + i theta_S with theta_S the sum of
 the signed angles of S, and the j-th sublattices together weigh a test
 function by sum_{|S|=j} e^{i theta_S t} = L_j(t), the real
-lefschetz_weight. trace_j evaluates one ladder of alpha L_j per j, from the
-g angles alone.
+lefschetz_weight. verify evaluates every alpha L_j, j = 0..2g, as the rows
+of one ladder (formula._traces), from the g angles alone.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ Three independently computed quantities must coincide:
      ladder). The C(2g, j) sublattices of one j are one integrand: alpha
      times the real Lefschetz weight L_j of the Frobenius angles
      (exterior.lefschetz_weight), so each T_j is one half ladder of a real
-     function, exactly real on every input;
+     function, exactly real on every input, and all 2g + 1 of them are the
+     rows of one phi_ladder call on one shared grid;
   2. the resummed closed form: log q times extension point counts N_k
      weighting alpha(k log q) (with q^{gk} damping for k <= -1);
   3. the geometric side: log q times closed points weighted by degree, the
@@ -162,19 +163,21 @@ def trace_j(
 
     Summed over S, the rungs nu of all sublattices are one transform: of
     alpha L_j at j/2 + i beta nu, with L_j = sum_S e^{i theta_S t} real (see
-    exterior.lefschetz_weight). So T_j is one phi_ladder row from 0, rungs
+    exterior.lefschetz_weight). So T_j is one ladder row from 0, rungs
     k = 0..nu_max: rung -k is rung k conjugated, rung 0 counts once and rungs
     1..nu_max twice, real parts only, and T_j is exactly real. quad_error
     weighs the row's doubling deltas the same way. Both are correctly rounded
     math.fsum sums; zero_count still counts every sublattice's zeros.
+
+    trace_j is the one-row case of _traces; verify evaluates every j as the
+    rows of one phi_ladder call.
     """
-    if not budget > 0:
-        raise ValueError("truncation budget must be positive")
-    g = model.datum.g
+    return _traces(model, (j,), tf, budget)[0]
+
+
+def _plan(tf: TestFunction, g: int, j: int, scale: float, budget: float) -> tuple:
+    """(C(2g, j), nu_max, tail per sublattice, order, M_k) of j, as trace_j sets them."""
     m = math.comb(2 * g, j)
-    sigma = j / 2.0
-    logq = math.log(model.datum.q)
-    scale = logq / (2.0 * math.pi)
     rho = max(1, min(j, 2 * g - j)) / 2.0
     sub_budget = budget / (m * (2 * g + 1))
 
@@ -187,12 +190,12 @@ def trace_j(
         need = rho + root ** (1.0 / (tm.order - 1))
         return math.ceil(need) if need < math.inf else math.inf
 
-    majorants = {2: tail_majorant(tf, sigma)}
+    majorants = {2: tail_majorant(tf, j / 2.0)}
     need = {2: needed(majorants[2])}
     k = 2
     while need[k] > NU_FLOOR and k < K_MAX:
         k += 1
-        majorants[k] = tail_majorant(tf, sigma, k)
+        majorants[k] = tail_majorant(tf, j / 2.0, k)
         need[k] = needed(majorants[k])
         if need[k] >= need[k - 1]:
             break
@@ -203,21 +206,36 @@ def trace_j(
             "j = %d needs nu_max = %s per sublattice for budget %.3g, cap is %d"
             % (j, n, budget, NU_CAP)
         )
-    tail_sub = min(tail(tm, n) for tm in majorants.values())
+    return m, n, min(tail(tm, n) for tm in majorants.values()), order, majorants[order].m
 
+
+def _traces(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[TraceResult]:
+    """trace_j for each j in js: each j is planned on its own (_plan), then
+    the rows alpha L_j, each with its own sigma = j/2, run as one phi_ladder
+    call of the longest row's rungs on one shared grid; panels is that call's."""
+    if not budget > 0:
+        raise ValueError("truncation budget must be positive")
+    g = model.datum.g
+    logq = math.log(model.datum.q)
+    plans = [_plan(tf, g, j, logq / (2.0 * math.pi), budget) for j in js]
     angles = tuple(theta / logq for theta in model.angles)
-    v, e, panels = phi_ladder(_LefschetzWeighted(tf, angles, j), sigma, 0.0, 2 * math.pi / logq, n + 1)
-    return TraceResult(
-        j=j,
-        value=complex(math.fsum([v[0].real, *(2.0 * v[1:].real).tolist()])),
-        nu_max=n,
-        tail_bound=tail_sub * m,
-        quad_error=math.fsum([e[0], *(2.0 * e[1:]).tolist()]),
-        zero_count=m * (2 * n + 1),
-        order=order,
-        majorant=majorants[order].m,
-        panels=panels,
-    )
+    rows = [_LefschetzWeighted(tf, angles, j) for j in js]
+    count = max(plan[1] for plan in plans) + 1
+    v, e, panels = phi_ladder(rows, [j / 2.0 for j in js], 0.0, 2 * math.pi / logq, count)
+    return [
+        TraceResult(
+            j=j,
+            value=complex(math.fsum([v[r, 0].real, *(2.0 * v[r, 1:n + 1].real).tolist()])),
+            nu_max=n,
+            tail_bound=tail_sub * m,
+            quad_error=math.fsum([e[r, 0], *(2.0 * e[r, 1:n + 1]).tolist()]),
+            zero_count=m * (2 * n + 1),
+            order=order,
+            majorant=majorant,
+            panels=panels,
+        )
+        for r, (j, (m, n, tail_sub, order, majorant)) in enumerate(zip(js, plans))
+    ]
 
 
 def spectral_side_zero_sum(
@@ -225,9 +243,9 @@ def spectral_side_zero_sum(
     tf: TestFunction,
     budget: float,
 ) -> SpectralResult:
-    """All traces T_0..T_2g and both alternating renderings, each an exactly
-    rounded sum."""
-    per = [trace_j(model, j, tf, budget) for j in range(2 * model.datum.g + 1)]
+    """All traces T_0..T_2g, the rows of one ladder (_traces), and both
+    alternating renderings, each an exactly rounded sum."""
+    per = _traces(model, range(2 * model.datum.g + 1), tf, budget)
     alt_re = math.fsum((-1.0) ** t.j * t.value.real for t in per)
     alt_im = math.fsum((-1.0) ** t.j * t.value.imag for t in per)
     full = complex(alt_re, alt_im)

@@ -170,34 +170,37 @@ def test_ladder_matches_pointwise():
     assert len(errs) == 2 * n + 1 and panels >= 8
 
 
+PAIR = combine_bumps([BumpFunction(center=1.6, width=0.5),
+                      BumpFunction(center=-0.4, width=0.3, amplitude=1.5)])
+WIDE = BumpFunction(center=0.7, width=1.4, amplitude=-2.0)  # PAIR's support hull
+
+
 def test_ladder_rows_match_single_row_calls():
-    # rows share one grid, set by the row reaching the largest |f|; each row
-    # still agrees with its own call to that call's error + RTOL * scale
+    # rows are integrands, each with its own sigma, on one shared grid; each
+    # row stops doubling against its own scale and envelope, and still agrees
+    # with its own call to that call's error + RTOL * scale
     beta = 2 * math.pi / math.log(5)
-    tf = combine_bumps([BumpFunction(center=1.6, width=0.5),
-                        BumpFunction(center=-0.4, width=0.3, amplitude=1.5)])
     n = 40
-    starts = np.array([0.9 - beta * n, -0.4 - beta * n, 0.0, 400.0])
-    vals, errs, panels = phi_ladder(tf, 0.5, starts, beta, 2 * n + 1)
+    rows, sigmas = [PAIR, WIDE, PAIR, WIDE], [0.5, 0.0, 2.0, 3.0]
+    vals, errs, panels = phi_ladder(rows, sigmas, 0.9 - beta * n, beta, 2 * n + 1)
     assert vals.shape == errs.shape == (4, 2 * n + 1)
-    env = bumps._envelope(tf, 0.5)
     single_panels = []
-    for row, f0 in enumerate(starts):
-        v, e, p = phi_ladder(tf, 0.5, f0, beta, 2 * n + 1)
+    for row, (tf, sigma) in enumerate(zip(rows, sigmas)):
+        v, e, p = phi_ladder(tf, sigma, 0.9 - beta * n, beta, 2 * n + 1)
         single_panels.append(p)
-        scale = max(float(np.abs(v).max()), env)
+        scale = max(float(np.abs(v).max()), bumps._envelope(tf, sigma))
         assert np.all(np.abs(vals[row] - v) <= e + RTOL * scale)
     assert panels == max(single_panels) > min(single_panels)
 
 
-def _direct_pass(tf, sigma, f0, step, count, panels):
+def _direct_pass(rows, sigmas, f0, step, count, panels):
     # reference: every rung's phase from its own exp, no recurrence, no blocks
-    lo, hi = tf.support
+    lo, hi = rows[0].support
     t, wt = bumps._grid(lo, hi, panels)
-    h = wt * tf.values(t) * np.exp(sigma * t)
-    f = np.add.outer(f0, step * np.arange(count))
-    sums = np.array([[np.sum(h * np.exp(1j * fk * t)) for fk in row] for row in f])
-    return sums, float(np.abs(h).sum()), float(np.abs(f).max() * np.abs(t).max())
+    h = np.array([wt * tf.values(t) * np.exp(sigma * t) for tf, sigma in zip(rows, sigmas)])
+    f = f0 + step * np.arange(count)
+    sums = np.array([[np.sum(hr * np.exp(1j * fk * t)) for fk in f] for hr in h])
+    return sums, float(np.abs(h).sum(axis=1).max()), float(np.abs(f).max() * np.abs(t).max())
 
 
 @pytest.mark.parametrize("count", [1, 15, 17, 1100])
@@ -205,12 +208,11 @@ def test_ladder_pass_matches_direct_sum(count):
     # 1100 rungs cross two re-anchors and end inside a block; 40 panels are
     # 2,560 nodes, more than one slice of E
     beta = 2 * math.pi / math.log(5)
-    tf = combine_bumps([BumpFunction(center=1.6, width=0.5),
-                        BumpFunction(center=-0.4, width=0.3, amplitude=1.5)])
-    f0 = np.array([-1.3 - 40 * beta, 0.2, 7.0])
-    lo, hi = tf.support
-    got = bumps._ladder_pass(tf, 1.0, f0, beta, count, 40, lo, hi)
-    want, mass, phase = _direct_pass(tf, 1.0, f0, beta, count, 40)
+    rows, sigmas = (PAIR, PAIR, WIDE), (1.0, 0.0, 2.5)
+    f0 = -1.3 - 40 * beta
+    lo, hi = PAIR.support
+    got = bumps._ladder_pass(rows, sigmas, f0, beta, count, 40, lo, hi)
+    want, mass, phase = _direct_pass(rows, sigmas, f0, beta, count, 40)
     # both sides round each phase f t to ~eps |f t|; the recurrence adds a
     # few dozen eps between anchors
     assert np.abs(got - want).max() <= math.ulp(1.0) * mass * (2 * phase + 64)
@@ -223,11 +225,12 @@ def test_ladder_of_one_point_is_phi():
     vals, errs, panels = phi_ladder(tf, s.real, s.imag, 0.0, 1)
     assert vals.shape == errs.shape == (1,)
     assert (complex(vals[0]), float(errs[0]), panels) == (r.value, r.error, r.panels)
-    rows, row_errs, _ = phi_ladder(tf, s.real, np.array([s.imag, -s.imag]), 0.0, 1)
-    assert rows.shape == (2, 1)
+    twice = BumpFunction(center=1.6, width=0.5, amplitude=-2.0)
+    rows, row_errs, _ = phi_ladder([tf, twice], [s.real, s.real], s.imag, 0.0, 1)
+    assert rows.shape == row_errs.shape == (2, 1)
     assert abs(rows[0, 0] - r.value) <= r.error + RTOL * abs(r.value)
-    assert abs(rows[1, 0] - r.value.conjugate()) <= r.error + RTOL * abs(r.value)
-    want, mass, phase = _direct_pass(tf, s.real, np.array([s.imag]), 0.0, 1, r.panels)
+    assert abs(rows[1, 0] + 2.0 * r.value) <= 2.0 * (r.error + RTOL * abs(r.value))
+    want, mass, phase = _direct_pass([tf], [s.real], s.imag, 0.0, 1, r.panels)
     assert abs(r.value - want[0, 0]) <= math.ulp(1.0) * mass * (2 * phase + 64)
 
 

@@ -1,12 +1,14 @@
-"""Golden bytes of `count` and `orbits` in every output format.
+"""Golden bytes of every command in every output format.
 
 Each file under tests/golden/ holds the exact stdout of
-`weilflow <command> --input <datum> --max 12 --format <fmt>` for one datum.
-A change that is meant to move these bytes rewrites the files and says in
-CHANGES.md which numbers moved; any other change must leave them alone.
+`weilflow <command> --input <datum> --format <fmt>` plus the command's
+arguments in ARGS, for one datum. A change that is meant to move these
+bytes rewrites the files and says in CHANGES.md which numbers moved; any
+other change must leave them alone.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -19,15 +21,23 @@ DATA = {
     "g2": {"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]},
 }
 EXTENSIONS = {"json": "json", "text": "txt", "csv": "csv"}
+ARGS = {
+    "validate": [],
+    "zeta": [],
+    "count": ["--max", "12"],
+    "orbits": ["--max", "12"],
+    "spectrum": [],
+    "verify": ["--alpha", "c=%r,w=0.5" % math.log(5)],  # the default budget 0.25
+}
 
 
 @pytest.mark.parametrize("fmt", sorted(EXTENSIONS))
-@pytest.mark.parametrize("command", ["count", "orbits"])
+@pytest.mark.parametrize("command", sorted(ARGS))
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_cli_output_matches_golden(capsys, tmp_path, name, command, fmt):
     path = tmp_path / (name + ".json")
     path.write_text(json.dumps(DATA[name]))
-    rc = main([command, "--input", str(path), "--max", "12", "--format", fmt])
+    rc = main([command, "--input", str(path), "--format", fmt] + ARGS[command])
     out = capsys.readouterr()
     assert rc == 0
     assert out.err == ""

@@ -2,11 +2,13 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from test_exterior import _angles, _period, _weil_products
@@ -126,22 +128,45 @@ def test_tail_covers_the_unreduced_bases():
 
 
 def test_ladder_work_per_verify(monkeypatch):
-    # one 301-point half-ladder row from 0 per j: 903 points in 3 calls on
-    # E/F_5, 2,107 in 7 on the g = 3 product (one row per sublattice class
-    # took 1,204 and 16,254 points, one ladder per sublattice 64 x 601)
+    # one phi_ladder call per verify: every T_j is a 301-point half-ladder row
+    # from 0 of that call, 3 rows on E/F_5 and 7 on the g = 3 product (one
+    # call per j took 3 and 7 calls; one row per sublattice class 1,204 and
+    # 16,254 points, one ladder per sublattice 64 x 601)
     calls = []
     ladder = formula.phi_ladder
 
-    def counting(tf, sigma, f0, step, count):
-        assert np.shape(f0) == () and f0 == 0.0
-        calls.append(count)
-        return ladder(tf, sigma, f0, step, count)
+    def counting(rows, sigmas, f0, step, count):
+        assert f0 == 0.0 and type(count) is int
+        calls.append((len(rows), count))
+        out = ladder(rows, sigmas, f0, step, count)
+        assert type(out[2]) is int
+        return out
 
     monkeypatch.setattr(formula, "phi_ladder", counting)
-    for w, points, n_calls in ((E5A2, 903, 3), (G3, 2107, 7)):
+    for w, rows in ((E5A2, 3), (G3, 7)):
         calls.clear()
         assert verify(w, BumpFunction(center=LOG5, width=0.5), trunc_budget=1.0).passed
-        assert (sum(calls), len(calls)) == (points, n_calls)
+        assert calls == [(rows, 301)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(doc=_weil_products(), c=st.floats(-2.0, 2.0), width=st.floats(0.2, 1.5),
+       amp=st.floats(0.2, 3.0), budget=st.sampled_from([0.25, 1e-9]))
+def test_shared_ladder_rows_match_one_row_ladders(doc, c, width, amp, budget):
+    # every row alpha L_j of verify's one shared call against a ladder of that
+    # row alone, over the same rungs: within the sum of both rows' deltas
+    model = frobenius_model(parse_weil_datum(doc))
+    tf = BumpFunction(center=c * math.log(model.datum.q), width=width, amplitude=amp)
+    spec = spectral_side_zero_sum(model, tf, budget)
+    count = max(t.nu_max for t in spec.per_j) + 1
+    rows = [formula._LefschetzWeighted(tf, _angles(model), t.j) for t in spec.per_j]
+    sigmas = [t.j / 2 for t in spec.per_j]
+    v, e, panels = phi_ladder(rows, sigmas, 0.0, _period(model), count)
+    assert {t.panels for t in spec.per_j} == {panels}
+    for t, row, sigma in zip(spec.per_j, rows, sigmas):
+        assert t.value.real == math.fsum([v[t.j, 0].real, *(2.0 * v[t.j, 1:t.nu_max + 1].real)])
+        v1, e1, _ = phi_ladder(row, sigma, 0.0, _period(model), count)
+        assert np.abs(v[t.j] - v1).max() <= math.fsum(e[t.j]) + math.fsum(e1)
 
 
 def test_report_parts_have_no_instance_dict():
@@ -185,11 +210,29 @@ def test_off_axis_classes_vs_symmetric_oracle():
             assert abs(r.value.real - want.real) <= r.tail_bound + r.quad_error
 
 
+@dataclass(frozen=True)
+class _Shifted:
+    """alpha(t) e^{i theta t}: its ladder from f0 is alpha's ladder from f0 + theta."""
+    alpha: object
+    theta: float
+
+    @property
+    def support(self):
+        return self.alpha.support
+
+    @property
+    def mass_scale(self):
+        return self.alpha.mass_scale
+
+    def values(self, t):
+        return self.alpha.values(t) * np.exp(1j * self.theta * t)
+
+
 def test_trace_counts_every_sublattice_zero_once():
     # against full ladders theta_S + beta nu, |nu| <= n, of every sublattice
-    # from its unreduced base, the sum of the signed angles in S; the narrow
-    # bump keeps every rung far above quad_error. Each side is off its exact
-    # value by its own doubling deltas at most.
+    # from its unreduced base, the sum of the signed angles in S, each its own
+    # row; the narrow bump keeps every rung far above quad_error. Each side
+    # is off its exact value by its own doubling deltas at most.
     tf = BumpFunction(center=LOG5, width=0.15)
     for w in (G2, NON_ORDINARY):
         model = frobenius_model(w)
@@ -198,8 +241,8 @@ def test_trace_counts_every_sublattice_zero_once():
         for j in range(5):
             r = trace_j(model, j, tf, budget=0.25)
             n = r.nu_max
-            starts = np.array([math.fsum(signed[i] for i in s) for s in exterior.subsets(4, j)])
-            v, e, _ = phi_ladder(tf, j / 2, starts - period * n, period, 2 * n + 1)
+            rows = [_Shifted(tf, math.fsum(signed[i] for i in s)) for s in exterior.subsets(4, j)]
+            v, e, _ = phi_ladder(rows, [j / 2] * len(rows), -period * n, period, 2 * n + 1)
             want = complex(math.fsum(v.real.ravel().tolist()), math.fsum(v.imag.ravel().tolist()))
             assert abs(r.value - want) <= r.quad_error + math.fsum(e.ravel().tolist())
 
