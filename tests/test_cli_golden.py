@@ -4,7 +4,9 @@ Each file under tests/golden/ holds the exact stdout of
 `weilflow <command> --input <datum> --format <fmt>` plus the command's
 arguments in ARGS, for one datum. A change that is meant to move these
 bytes rewrites the files and says in CHANGES.md which numbers moved; any
-other change must leave them alone.
+other change must leave them alone. The `verify` files hold quadrature
+sums to the last bit, so they also pin numpy's BLAS kernel: another CPU
+or BLAS build may move T_j, `quad_error` and the certificate by ulps.
 """
 
 import json
