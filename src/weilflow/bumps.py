@@ -16,7 +16,9 @@ cache-blocked matrix product of the rows' node weights against rung phases
 built once for all rows; phi is a ladder of one point. This quadrature is
 the only approximation: the tail majorants M_k, k = 2..K_MAX, with
 |Phi(sigma + i tau)| <= M_k / |tau|^k are closed forms, exact up to a
-stated rounding allowance.
+stated rounding allowance. Every order takes one route, tail_majorant:
+the variation of h^{(k-1)}, read at the support ends and the sign changes
+of h^{(k)}.
 """
 
 from __future__ import annotations
@@ -308,7 +310,7 @@ def _monomial_table(i: int) -> np.ndarray:
 
 def _in_kappa(table: np.ndarray, kappa: float) -> np.ndarray:
     """Float coefficients sum_j table[:, j] kappa^j, in descending powers as
-    np.roots and _horner take them; _in_kappa(|table|, |kappa|) gives their
+    np.roots and _in_p take them; _in_kappa(|table|, |kappa|) gives their
     absolute-value majorants."""
     powers = [1.0]
     for _ in range(table.shape[1] - 1):
@@ -316,26 +318,32 @@ def _in_kappa(table: np.ndarray, kappa: float) -> np.ndarray:
     return (table * powers).sum(axis=1)[::-1]
 
 
-def _horner(coef: list, p):
-    out = coef[0]
-    for c in coef[1:]:
-        out = out * p + c
-    return out
-
-
-def _numerator(i: int, kappa: float):
-    """x -> (N_i(x), Ntilde_i(|x|)) for a float or an array: N_i by Horner in
-    P = 1 - x^2, and the majorant of its terms (every P^b >= 0 on the support)."""
-    (a, a_size), (b, b_size) = (
-        (_in_kappa(t, kappa).tolist(), _in_kappa(np.abs(t), abs(kappa)).tolist())
-        for t in _numerator_table(i)
-    )
+def _in_p(a: np.ndarray, b: np.ndarray):
+    """x -> a(P) + x b(P), P = 1 - x^2, by Horner, for a float or an array.
+    Plain float loops: bisection calls it ~50 times per bracket."""
+    (a0, *a_rest), (b0, *b_rest) = a.tolist(), b.tolist()
 
     def evaluate(x):
         p = (1.0 - x) * (1.0 + x)
-        value = _horner(a, p) + x * _horner(b, p)
-        return value, _horner(a_size, p) + abs(x) * _horner(b_size, p)
+        va, vb = a0, b0
+        for c in a_rest:
+            va = va * p + c
+        for c in b_rest:
+            vb = vb * p + c
+        return va + x * vb
     return evaluate
+
+
+def _numerator(i: int, kappa: float):
+    """x -> N_i(x), by Horner in P = 1 - x^2."""
+    return _in_p(*(_in_kappa(t, kappa) for t in _numerator_table(i)))
+
+
+def _term_majorant(i: int, kappa: float):
+    """x -> Ntilde_i(|x|): N_i with every term by its absolute value (every
+    P^b >= 0 on the support)."""
+    evaluate = _in_p(*(_in_kappa(np.abs(t), abs(kappa)) for t in _numerator_table(i)))
+    return lambda x: evaluate(np.abs(x))
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -355,35 +363,28 @@ _TANH_GRID = np.tanh(np.linspace(-8.0, 8.0, 801))
 
 
 def _sign_changes(order: int, k: float) -> np.ndarray:
-    """Points x = (t - c)/w in (-1, 1) including every sign change of
-    h^{(order)}, that is of N_order, for one bump with k = sigma w.
+    """The sign changes x = (t - c)/w in (-1, 1) of h^{(order)}, that is of
+    N_order, for one bump with k = sigma w; sorted.
 
-    Candidates are the real parts of all roots of N_order in (-1, 1); one
-    whose bracket (midpoints to its neighbours) shows a sign change is
-    bisected. Order 2 evaluates N_2 in its closed form. Above order 2 the
-    tanh grid joins the candidates: np.roots loses sign changes of the
-    degree-4k N_k once sigma w passes ~60 (k = 7) or ~100 (k = 6), where
-    they crowd towards x = 1 at ratios ~1.3 in P.
+    Candidates are the real parts of all roots of N_order in (-1, 1) and the
+    tanh grid: np.roots loses sign changes of the degree-4k N_k once sigma w
+    passes ~60 (k = 7) or ~100 (k = 6), where they crowd towards x = 1 at
+    ratios ~1.3 in P. A bracket (midpoints to a candidate's neighbours)
+    whose ends differ in sign is bisected, on values of N_order only. An
+    end where N_order is exactly 0 is a root itself: at sigma = 0, N_k is
+    odd for odd k, and the midpoint of the two candidates at x = 0 lands on
+    its root there.
     """
     coef = _in_kappa(_monomial_table(order), k)
     # terms below rounding on |x| <= 1 only add huge roots, and can overflow the companion
     roots = np.roots(np.where(np.abs(coef) > 1e-16 * np.abs(coef).max(), coef, 0.0))
-    x = np.array(sorted({float(r) for r in roots.real if -1.0 < r < 1.0}) or [0.0])
-    if order == 2:
-        def f(y):  # N_2 = k^2 P^4 - 4 k x P^2 - 2 (1 + 3x^2) P + 4x^2
-            p = (1.0 - y) * (1.0 + y)
-            return k * k * p**4 - 4.0 * k * y * p * p - 2.0 * (1.0 + 3.0 * y * y) * p + 4.0 * y * y
-    else:
-        x = np.sort(np.concatenate((x, _TANH_GRID)))
-        evaluate = _numerator(order, k)
-
-        def f(y):
-            return evaluate(y)[0]
+    x = np.sort(np.concatenate((roots.real[(-1.0 < roots.real) & (roots.real < 1.0)], _TANH_GRID)))
+    f = _numerator(order, k)
     ends = np.concatenate(([-1.0], 0.5 * (x[1:] + x[:-1]), [1.0]))
     at_ends = f(ends)
-    for i in np.flatnonzero(at_ends[:-1] * at_ends[1:] < 0.0):
-        x[i] = _bisect(f, float(ends[i]), float(ends[i + 1]))
-    return x
+    changes = {_bisect(f, float(ends[i]), float(ends[i + 1]))
+               for i in np.flatnonzero(at_ends[:-1] * at_ends[1:] < 0.0)}
+    return np.array(sorted(changes.union(ends[at_ends == 0.0].tolist())))
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -392,27 +393,27 @@ def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajoran
 
     k integrations by parts of e^{t(sigma + i tau)} alpha(t) put the whole
     tau decay on integral |h^{(k)}| dt, h = e^{sigma t} alpha: the total
-    variation of h^{(k-1)}. For one bump that is sum |h^{(k-1)}(z_{i+1}) -
-    h^{(k-1)}(z_i)| over the support ends (where h^{(k-1)} = 0) and the sign
-    changes of h^{(k)} = A e^{sigma t + u} N_k(x) / (w^k P^{2k}) between them
-    (see _numerator_table); no quadrature. A BumpSum gets the sum of its
+    variation of h^{(k-1)}. For one bump h^{(k-1)} is monotone between the
+    support ends (where it is 0) and the sign changes z_i of h^{(k)} = A
+    e^{sigma t + u} N_k(x) / (w^k P^{2k}) (_sign_changes, _numerator_table),
+    so it is read only there: the variation is sum |h^{(k-1)}(z_{i+1}) -
+    h^{(k-1)}(z_i)|, with no quadrature. A BumpSum gets the sum of its
     terms' M_k (triangle inequality): exact for disjoint supports, a valid
     looser bound where supports overlap. Orders 2..K_MAX are supported: the
     test suite holds them to a sympy grid oracle for w in [0.05, 4], sigma in
     [0, 8] and sigma w up to 600.
 
-    m includes a rounding allowance, reported as error. Each e = A e^{sigma t
-    + u} is within 16 eps (1 + |sigma| (|c| + w) + |u|) relative. At order 2,
-    h' = e (u' + sigma) adds nothing beyond that against e (|u'| + |sigma|).
-    Above it, N_{k-1}(x), by Horner in P (degree <= 2k - 2, P within 3 eps)
+    m includes a rounding allowance, reported as error, charged at each z_i.
+    Each e = A e^{sigma t + u} is within 16 eps (1 + |sigma| (|c| + w) + |u|)
+    relative. N_{k-1}(x), by Horner in P (degree <= 2k - 2, P within 3 eps)
     on coefficients each within 2k eps, is within 12k eps of the majorant
     Ntilde_{k-1}(|x|) (all terms with absolute values), and w^{k-1} P^{2k-2}
     is within 8k eps relative, so 20k eps Ntilde / (w^{k-1} P^{2k-2}) more
-    per value. Each value enters two
-    differences; forming and summing the n + 1 differences adds (n + 2) eps
-    relative. An ulp's error in z_i costs only second order, as h^{(k)}
-    vanishes there. Where w^{k-1} P^{2k-2} underflows (a tiny w) or e jet
-    overflows, m is +inf, a valid bound, never NaN.
+    per value. Each value enters two differences; forming and summing the
+    n + 1 differences adds (n + 2) eps relative. An ulp's error in z_i
+    costs only second order, as h^{(k)} vanishes there. Where w^{k-1}
+    P^{2k-2} underflows (a tiny w) or e overflows, m is +inf, a valid
+    bound, never NaN.
     """
     if not 2 <= order <= K_MAX:
         raise ValueError("tail majorant order must lie in 2..%d, got %r" % (K_MAX, order))
@@ -422,17 +423,12 @@ def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajoran
         p = (1.0 - x) * (1.0 + x)
         u = -1.0 / p
         e = b.amplitude * np.exp(sigma * (b.center + b.width * x) + u)
-        exponent = 1.0 + abs(sigma) * (abs(b.center) + b.width) + np.abs(u)
-        if order == 2:
-            up = -2.0 * x / (b.width * p * p)
-            jet, size, slack = up + sigma, np.abs(up) + abs(sigma), 16.0 * exponent
-        else:
-            value, size = _numerator(order - 1, sigma * b.width)(x)
-            scale = np.full(x.shape, b.width ** (order - 1))
-            for _ in range(2 * order - 2):
-                scale = scale * p
-            jet, size = value / scale, size / scale
-            slack = 16.0 * exponent + 20.0 * order
+        scale = np.full(x.shape, b.width ** (order - 1))
+        for _ in range(2 * order - 2):
+            scale = scale * p
+        jet = _numerator(order - 1, sigma * b.width)(x) / scale
+        size = _term_majorant(order - 1, sigma * b.width)(x) / scale
+        slack = 16.0 * (1.0 + abs(sigma) * (abs(b.center) + b.width) + np.abs(u)) + 20.0 * order
         tv = float(np.sum(np.abs(np.diff(np.concatenate(([0.0], e * jet, [0.0]))))))
         rounding = float(np.sum(slack * np.abs(e) * size))
         err = math.ulp(1.0) * (2.0 * rounding + (x.size + 2) * tv)

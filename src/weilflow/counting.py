@@ -69,11 +69,11 @@ class OrbitTable:
 
 
 def build_count_table(model: FrobeniusModel, n_max: int) -> CountTable:
-    """N_n and a_d for 1 <= n <= n_max with exact cross-checks.
+    """N_n and a_d for 1 <= n <= n_max, exactly.
 
-    The float route prod(mu^n - 1) from the roots must agree with
-    each exact N_n to 1e-6 relative for n <= 20; every division of the
-    Mobius inversion must be exact and every a_d non-negative.
+    Every N_n must be positive, every division of the Mobius inversion
+    exact and every a_d non-negative. The independent routes to N_n (the
+    trace recurrence, prod(mu^n - 1)) live in the test suite.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -86,14 +86,6 @@ def build_count_table(model: FrobeniusModel, n_max: int) -> CountTable:
         det = det_bareiss(mat_sub(fn, identity(size)))
         if det <= 0:
             raise CrossCheckFailure("det(F^%d - I) = %d is not positive" % (n, det))
-        if n <= 20:
-            approx = complex(1.0)
-            for mu in model.roots:
-                approx *= mu**n - 1
-            if abs(approx - det) > 1e-6 * det:
-                raise CrossCheckFailure(
-                    "N_%d float route %s vs exact %d" % (n, approx, det)
-                )
         counts.append(det)
 
     closed: list[int] = []
@@ -131,7 +123,8 @@ def fixed_point_group(model: FrobeniusModel, n: int) -> FixedPointGroup:
     """Structure of the fixed points of F^n: SNF divisors of F^n - I.
 
     The group is a direct sum of Z/d_i with d_1 | d_2 | ...; its order is
-    asserted equal to the determinant count N_n.
+    |det(F^n - I)| = N_n, which the test suite checks against
+    build_count_table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -139,13 +132,7 @@ def fixed_point_group(model: FrobeniusModel, n: int) -> FixedPointGroup:
     divisors = smith_normal_form(mat)
     if any(d == 0 for d in divisors):
         raise CrossCheckFailure("F^%d - I is singular" % n)
-    order = math.prod(divisors)
-    expected = abs(det_bareiss(mat))
-    if order != expected:
-        raise CrossCheckFailure(
-            "SNF order %d differs from |det| = %d at n = %d" % (order, expected, n)
-        )
-    return FixedPointGroup(n=n, order=order, divisors=tuple(divisors))
+    return FixedPointGroup(n=n, order=math.prod(divisors), divisors=tuple(divisors))
 
 
 def orbit_table(table: CountTable) -> OrbitTable:

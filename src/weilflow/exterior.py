@@ -35,7 +35,7 @@ from .errors import CrossCheckFailure, DimensionTooLarge
 from .intlinalg import Matrix, charpoly, det_bareiss
 from .weil import FrobeniusModel
 
-G_CAP = 8  # largest g that zeta and verify take; see build_pj_family and formula.verify
+ZETA_G_CAP = 5  # largest g that zeta takes; see build_pj_family
 
 
 def subsets(n: int, j: int) -> list[tuple[int, ...]]:
@@ -91,12 +91,14 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
 
     The float route expands prod (1 - lambda_S X) from the roots and
     must match every integer coefficient to 1e-8 relative; P_0 and P_2g are
-    additionally pinned to their closed forms. g above G_CAP is refused: the
-    exterior powers have dimension up to C(2g, g), 12,870 at g = 8.
+    additionally pinned to their closed forms. g above ZETA_G_CAP is refused:
+    the exterior powers have dimension up to C(2g, g), and charpoly takes n
+    products of n x n big-integer matrices: at g = 5 the 210-dimensional
+    j = 4 block already takes minutes, and g = 6 has a 924-dimensional one.
     """
     w = model.datum
-    if w.g > G_CAP:
-        raise DimensionTooLarge("zeta (build_pj_family): g = %d exceeds the cap %d" % (w.g, G_CAP))
+    if w.g > ZETA_G_CAP:
+        raise DimensionTooLarge("zeta (build_pj_family): g = %d exceeds the cap %d" % (w.g, ZETA_G_CAP))
     products = _subset_products(model)
     f = [list(row) for row in model.matrix]
     n = 2 * w.g

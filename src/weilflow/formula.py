@@ -39,12 +39,13 @@ from .errors import (
     NonOrdinaryInput,
     TruncationBudgetExceeded,
 )
-from .exterior import G_CAP, lefschetz_weight
+from .exterior import lefschetz_weight
 from .weil import FrobeniusModel, WeilDatum, check_ordinary, frobenius_model
 
 NU_CAP = 10_000_000  # hard per-sublattice ladder cap; beyond it is an error
 NU_FLOOR = 300  # minimum ladder half-length; more zeros only tighten the tail
 COUNT_CAP = 64  # largest Frobenius power the counting stage will take
+G_CAP = 8  # largest g that verify takes; see verify
 
 J_RANGE_NOTE = (
     "alternating_full sums (-1)^j T_j over j = 0..2g and is the quantity that "

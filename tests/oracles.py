@@ -222,6 +222,18 @@ def sympy_det(rows):
     return int(Matrix(rows).det())
 
 
+def numerator_two(x, kappa):
+    """N_2 = kappa^2 P^4 - 4 kappa x P^2 - 2 (1 + 3x^2) P + 4x^2, P = 1 - x^2.
+
+    For one bump h = A e^{sigma t + u}, u = -1/P, x = (t - c)/w and kappa =
+    sigma w, h' = h (sigma + u') and h'' = h ((sigma + u')^2 + u''), which
+    is h N_2(x) / (w^2 P^4); worked by hand, not by the package's recurrence.
+    """
+    x = np.asarray(x, dtype=float)
+    p = (1.0 - x) * (1.0 + x)
+    return kappa * kappa * p**4 - 4.0 * kappa * x * p * p - 2.0 * (1.0 + 3.0 * x * x) * p + 4.0 * x * x
+
+
 @functools.lru_cache(maxsize=None)
 def _bump_derivative(i):
     """d^i/dt^i of a e^{sigma t} exp(-w^2 / (w^2 - (t - c)^2)), by sympy,

@@ -304,23 +304,67 @@ def test_tail_majorant_wide_bumps_keep_every_sign_change():
             assert grid <= tm.m <= grid * (1 + 1e-5), (k, kappa)
 
 
+def test_numerator_order_two_is_the_closed_form():
+    x = np.tanh(np.linspace(-8.0, 8.0, 401))
+    for kappa in (0.0, 0.3, -2.0, 5.0, 60.0, 600.0):
+        gap = np.abs(bumps._numerator(2, kappa)(x) - oracles.numerator_two(x, kappa))
+        assert np.all(gap <= 64.0 * math.ulp(1.0) * bumps._term_majorant(2, kappa)(x)), kappa
+
+
+def _changes_seen(k, kappa):
+    # sign changes of N_k on a dense tanh grid, exact zeros skipped
+    signs = np.sign(bumps._numerator(k, kappa)(np.tanh(np.linspace(-12.0, 12.0, (1 << 16) + 1))))
+    signs = signs[signs != 0.0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@pytest.mark.parametrize("k", range(2, K_MAX + 1))
+def test_sign_changes_are_every_sign_change(k):
+    # sorted, inside (-1, 1), each a sign change or an exact root of N_k, and
+    # as many as a dense grid sees; at kappa = 0 and odd k, N_k is odd and
+    # its root x = 0 is a bracket end
+    rng = random.Random(k)
+    for kappa in (0.0, 0.3, 5.0, 60.0, 600.0, *(rng.uniform(-600.0, 600.0) for _ in range(5))):
+        value = bumps._numerator(k, kappa)
+        z = bumps._sign_changes(k, kappa)
+        assert np.all(np.diff(z) > 0.0) and np.all(np.abs(z) < 1.0), (k, kappa)
+        for x in z.tolist():
+            assert value(x) == 0.0 or value(x - 1e-9) * value(x + 1e-9) < 0.0, (k, kappa, x)
+        assert z.size == _changes_seen(k, kappa), (k, kappa)
+
+
+def test_tail_majorant_reads_the_root_on_a_bracket_end():
+    # E/F_5, row j = 0 (sigma = 0): at odd k a bracket end lands on N_k's
+    # root x = 0; without it M_3 read 1096.68 against 1147.83
+    c, w, a = -2.5271677564205692, 0.2265294886990897, 1.652349482708781
+    for k in range(2, K_MAX + 1):
+        m = tail_majorant(BumpFunction(c, w, a), 0.0, k).m
+        grid = oracles.grid_variation(0.0, [(c, w, a)], k)
+        assert grid <= m <= grid * (1 + 1e-6), k
+
+
 def test_tail_majorant_order_two_is_pinned():
-    # bitwise the values of the order-2 closed form before higher orders existed
+    # bitwise the values of the general order-k route at k = 2, and within
+    # 3e-14 relative of the earlier order-2 closed form (second hex): the
+    # general rounding allowance charges 40 eps more per sign change
     pins = [
-        ((0.0, 1.0, 1.0), 0.0, "0x1.98cbc8d08eb86p+1"),
-        ((1.6094, 0.5, 1.0), 0.5, "0x1.d03b9cf03307dp+3"),
-        ((1.6094, 0.5, 1.0), 1.0, "0x1.0fc04d9a86a8cp+5"),
-        ((2.5, 0.8, 2.0), 1.5, "0x1.e177db8344384p+8"),
-        ((-1.2, 0.6, 1.5), 3.0, "0x1.e8af02b223e60p-2"),
-        ((0.3, 0.05, -2.0), 8.0, "0x1.6e50cf2b12ac1p+10"),
-        ((-2.0, 4.0, 0.7), 8.0, "0x1.7fbb781e86675p+14"),
-        ((1.0, 2.5, 1.0), 2.0, "0x1.fc86026958a3ap+7"),
-        ((0.0, 1.0, 1.0), 1e-303, "0x1.98cbc8d08eb86p+1"),
+        ((0.0, 1.0, 1.0), 0.0, "0x1.98cbc8d08ebc6p+1", "0x1.98cbc8d08eb86p+1"),
+        ((1.6094, 0.5, 1.0), 0.5, "0x1.d03b9cf0330bbp+3", "0x1.d03b9cf03307dp+3"),
+        ((1.6094, 0.5, 1.0), 1.0, "0x1.0fc04d9a86aaap+5", "0x1.0fc04d9a86a8cp+5"),
+        ((2.5, 0.8, 2.0), 1.5, "0x1.e177db83443b1p+8", "0x1.e177db8344384p+8"),
+        ((-1.2, 0.6, 1.5), 3.0, "0x1.e8af02b223eaap-2", "0x1.e8af02b223e60p-2"),
+        ((0.3, 0.05, -2.0), 8.0, "0x1.6e50cf2b12ae9p+10", "0x1.6e50cf2b12ac1p+10"),
+        ((-2.0, 4.0, 0.7), 8.0, "0x1.7fbb781e8671bp+14", "0x1.7fbb781e86675p+14"),
+        ((1.0, 2.5, 1.0), 2.0, "0x1.fc86026958ac5p+7", "0x1.fc86026958a3ap+7"),
+        ((0.0, 1.0, 1.0), 1e-303, "0x1.98cbc8d08ebc6p+1", "0x1.98cbc8d08eb86p+1"),
     ]
-    for (c, w, a), sigma, want in pins:
-        assert tail_majorant(BumpFunction(c, w, a), sigma).m.hex() == want, (c, w, a, sigma)
     two = combine_bumps([BumpFunction(1.6094, 0.5), BumpFunction(2.5, 0.8, 2.0)])
-    assert tail_majorant(two, 1.0).m.hex() == "0x1.26f26dc262585p+7"
+    cases = [(BumpFunction(c, w, a), sigma, want, closed) for (c, w, a), sigma, want, closed in pins]
+    cases.append((two, 1.0, "0x1.26f26dc2625a3p+7", "0x1.26f26dc262585p+7"))
+    for tf, sigma, want, closed in cases:
+        m = tail_majorant(tf, sigma).m
+        assert m.hex() == want, (tf, sigma)
+        assert abs(m - float.fromhex(closed)) <= 3e-14 * m, (tf, sigma)
 
 
 def test_tail_majorant_order_range():

@@ -276,18 +276,28 @@ def test_orbits_builds_smith_forms_only_for_json(capsys, datum, monkeypatch):
     assert list(json.loads(out)["snf"]) == ["1", "2", "3", "4", "5", "6"]
 
 
-def test_dimension_cap_has_no_override(capsys, datum):
-    # (1 + 2 X^2)^9, a valid Weil polynomial for g = 9 (as in test_dimension_cap)
-    g = 9
+def _power_of_1_plus_2x2(datum, g):
+    # (1 + 2 X^2)^g, a valid Weil polynomial for q = 2 (as in test_dimension_cap)
     coeffs = [0] * (2 * g + 1)
     for k in range(g + 1):
         coeffs[2 * k] = math.comb(g, k) * 2 ** k
-    path = datum({"q": 2, "g": g, "weil_poly": coeffs}, "g9.json")
-    for argv, command in ((["zeta"], "zeta (build_pj_family)"),
-                          (["verify", "--alpha", "c=1,w=0.5", "--allow-non-ordinary"], "verify")):
-        rc, _, err = run(capsys, argv + ["--input", path])
-        assert rc == 1, argv
-        assert err == "error: DimensionTooLarge: %s: g = 9 exceeds the cap 8\n" % command, argv
+    return datum({"q": 2, "g": g, "weil_poly": coeffs}, "g%d.json" % g)
+
+
+def test_dimension_cap_has_no_override(capsys, datum):
+    # zeta stops at g = 5, verify at g = 8
+    zeta_err = "error: DimensionTooLarge: zeta (build_pj_family): g = %d exceeds the cap 5\n"
+    verify = ["verify", "--alpha", "c=1,w=0.5", "--allow-non-ordinary"]
+    g6 = _power_of_1_plus_2x2(datum, 6)
+    rc, _, err = run(capsys, ["zeta", "--input", g6])
+    assert rc == 1 and err == zeta_err % 6
+    rc, out, _ = run(capsys, verify + ["--input", g6])
+    assert rc == 0 and "PASS" in out
+    path = _power_of_1_plus_2x2(datum, 9)
+    rc, _, err = run(capsys, ["zeta", "--input", path])
+    assert rc == 1 and err == zeta_err % 9
+    rc, _, err = run(capsys, verify + ["--input", path])
+    assert rc == 1 and err == "error: DimensionTooLarge: verify: g = 9 exceeds the cap 8\n"
     # validate builds no P_j, and spectrum only the subsets of the j it lists,
     # so the cap does not apply to them
     rc, out, _ = run(capsys, ["validate", "--input", path])

@@ -4,7 +4,9 @@ perfbench/spans.py wraps weilflow's functions from outside the package. Its
 ladder observer reads phi_ladder's count as the fifth positional argument
 and the panel count as the third item of the result, and multiplies them.
 This runs one E/F_5 verify under spans.Tracer, as the e5-battery workload
-does, and checks that what it records is plain ints and JSON.
+does, and checks that what it records is plain ints and JSON, and that the
+per-layer metrics bumps.tail_majorant.calls and .self_s still see one
+majorant call per j.
 """
 
 import json
@@ -32,6 +34,9 @@ def test_traced_verify_records_plain_ladder_counts(tmp_path):
     assert names[0] == spans.OP_SPAN and names.count("bumps.phi_ladder") == 1
     assert all(type(v) is int and v > 0 for v in tracer.ladder.values())
     assert tracer.ladder["points"] == 301
+    # E/F_5 at budget 0.25: every j = 0, 1, 2 is at the ladder floor with M_2
+    assert names.count("bumps.tail_majorant") == 3
+    assert [t.order for t in report.spectral.per_j] == [2, 2, 2]
     json.dumps(tracer.spans)
     json.dumps(tracer.ladder)
     path = tmp_path / "spans.jsonl"
