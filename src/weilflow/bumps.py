@@ -186,9 +186,11 @@ def _ladder_pass(rows: tuple, sigmas: tuple, f0: float, step: float,
     gives the block as A @ E^T; A then moves on by z^B, with an exact exp
     re-anchor every _ANCHOR rungs. E, the advance and the re-anchor phases
     are built once per slice for all rows, and stay in cache across blocks.
+    A row tuple with its own values(t) gives all its rows at once.
     """
     t, wt = _grid(lo, hi, panels)
-    base = np.array([wt * h.values(t) * np.exp(s * t) for h, s in zip(rows, sigmas)])
+    values = rows.values(t) if hasattr(rows, "values") else [h.values(t) for h in rows]
+    base = np.array([wt * v * np.exp(s * t) for v, s in zip(values, sigmas)])
     block = min(count, _BLOCK)
     width = _BLOCK_BYTES // (16 * block)
     anchor = block * (_ANCHOR // block)
@@ -214,12 +216,15 @@ def phi_ladder(tf, sigma, f0: float, step: float, count: int):
     """Phi along s = sigma + i(f0 + step k), k = 0..count-1, with per-point
     error estimates from the final panel doubling.
 
-    tf is one test function, or a sequence of rows: integrands, each with
-    its own sigma from the matching sequence sigma, and each evaluated at
-    all count rungs. All rows share one Gauss-Legendre grid over the hull
-    of their supports, its panels set by the largest |f|, and doubling
-    stops once every row agrees with the previous pass to RTOL against its
-    own scale (max |Phi| over the row, floored by the row's envelope).
+    tf is one test function, or a tuple or list of rows: integrands, each
+    with its own sigma from the matching sequence sigma, and each evaluated
+    at all count rungs. Rows that share work come as a tuple with its own
+    values(t), which returns every row's values at once, each as that row's
+    values(t) would (formula's Lefschetz rows). All rows share one
+    Gauss-Legendre grid over the hull of their supports, its panels set by
+    the largest |f|, and doubling stops once every row agrees with the
+    previous pass to RTOL against its own scale (max |Phi| over the row,
+    floored by the row's envelope).
     Returns (values, errors, panels): values and the per-point doubling
     deltas have shape (count,) for one test function and (rows, count) for
     rows. Same convergence contract as phi().
@@ -227,7 +232,7 @@ def phi_ladder(tf, sigma, f0: float, step: float, count: int):
     if count < 1:
         raise ValueError("count must be >= 1")
     single = not isinstance(tf, (tuple, list))
-    rows, sigmas = ((tf,), (sigma,)) if single else (tuple(tf), tuple(sigma))
+    rows, sigmas = ((tf,), (sigma,)) if single else (tf, tuple(sigma))
     lo = min(h.support[0] for h in rows)
     hi = max(h.support[1] for h in rows)
     env = np.array([_envelope(h, s) for h, s in zip(rows, sigmas)]) + 1e-300
@@ -320,7 +325,8 @@ def _in_kappa(table: np.ndarray, kappa: float) -> np.ndarray:
 
 def _in_p(a: np.ndarray, b: np.ndarray):
     """x -> a(P) + x b(P), P = 1 - x^2, by Horner, for a float or an array.
-    Plain float loops: bisection calls it ~50 times per bracket."""
+    Plain float loops: the Illinois refinement calls it ~11 times per
+    bracket, and tail_majorant at each sign change."""
     (a0, *a_rest), (b0, *b_rest) = a.tolist(), b.tolist()
 
     def evaluate(x):
@@ -343,18 +349,40 @@ def _term_majorant(i: int, kappa: float):
     """x -> Ntilde_i(|x|): N_i with every term by its absolute value (every
     P^b >= 0 on the support)."""
     evaluate = _in_p(*(_in_kappa(np.abs(t), abs(kappa)) for t in _numerator_table(i)))
-    return lambda x: evaluate(np.abs(x))
+    return lambda x: evaluate(abs(x))
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Bisect a bracket holding a sign change of f down to adjacent floats or
-    a width of 2^-100 (an x error costs the majorant only to second order;
-    the floor stops the ~1000 steps a root at exactly x = 0 would take
-    through the subnormals); returns the last midpoint."""
-    lo_negative = f(lo) < 0.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi and hi - lo > 2.0**-100:
-        lo, hi = (mid, hi) if (f(mid) < 0.0) == lo_negative else (lo, mid)
-    return mid
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Refine a bracket holding a sign change of f, with f_lo = f(lo) and
+    f_hi = f(hi) of opposite signs, by the Illinois method (Dowell and
+    Jarratt, BIT 11, 1971): false position, halving the value kept at an end
+    that stays twice in a row. Each step keeps the bracket; a step that
+    would not land strictly inside it bisects instead. Stops at adjacent
+    floats or a width of 2^-100 (an x error costs the majorant only to second
+    order; the floor stops the ~1000 steps a root at exactly x = 0 would take
+    through the subnormals) and returns the last midpoint, or at once at a
+    point where f is exactly 0, which is a root."""
+    lo_negative, side = f_lo < 0.0, 0
+    while hi - lo > 2.0**-100:
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == lo_negative:
+            lo, f_lo = x, fx
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = x, fx
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+    return 0.5 * (lo + hi)
 
 
 # x = tanh(theta), |theta| <= 8: spacing 0.02 near x = 0, and towards the
@@ -370,7 +398,8 @@ def _sign_changes(order: int, k: float) -> np.ndarray:
     tanh grid: np.roots loses sign changes of the degree-4k N_k once sigma w
     passes ~60 (k = 7) or ~100 (k = 6), where they crowd towards x = 1 at
     ratios ~1.3 in P. A bracket (midpoints to a candidate's neighbours)
-    whose ends differ in sign is bisected, on values of N_order only. An
+    whose ends differ in sign is refined by _illinois, on values of N_order
+    only, starting from the values at the ends that found it. An
     end where N_order is exactly 0 is a root itself: at sigma = 0, N_k is
     odd for odd k, and the midpoint of the two candidates at x = 0 lands on
     its root there.
@@ -382,12 +411,11 @@ def _sign_changes(order: int, k: float) -> np.ndarray:
     f = _numerator(order, k)
     ends = np.concatenate(([-1.0], 0.5 * (x[1:] + x[:-1]), [1.0]))
     at_ends = f(ends)
-    changes = {_bisect(f, float(ends[i]), float(ends[i + 1]))
+    changes = {_illinois(f, *ends[i:i + 2].tolist(), *at_ends[i:i + 2].tolist())
                for i in np.flatnonzero(at_ends[:-1] * at_ends[1:] < 0.0)}
     return np.array(sorted(changes.union(ends[at_ends == 0.0].tolist())))
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajorant:
     """Certified M_k(sigma), k = order, with |Phi(sigma + i tau)| <= M_k / |tau|^k.
 
@@ -410,29 +438,37 @@ def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajoran
     Ntilde_{k-1}(|x|) (all terms with absolute values), and w^{k-1} P^{2k-2}
     is within 8k eps relative, so 20k eps Ntilde / (w^{k-1} P^{2k-2}) more
     per value. Each value enters two differences; forming and summing the
-    n + 1 differences adds (n + 2) eps relative. An ulp's error in z_i
-    costs only second order, as h^{(k)} vanishes there. Where w^{k-1}
-    P^{2k-2} underflows (a tiny w) or e overflows, m is +inf, a valid
-    bound, never NaN.
+    n + 1 differences in order adds (n + 2) eps relative. The few z_i are
+    read by plain float loops. An ulp's error in z_i costs only second
+    order, as h^{(k)} vanishes there. Where w^{k-1} P^{2k-2} underflows (a
+    tiny w) or e overflows, m is +inf, a valid bound, never NaN.
     """
     if not 2 <= order <= K_MAX:
         raise ValueError("tail majorant order must lie in 2..%d, got %r" % (K_MAX, order))
     m = allowance = 0.0
-    for b in tf.terms if isinstance(tf, BumpSum) else (tf,):
-        x = _sign_changes(order, sigma * b.width)
-        p = (1.0 - x) * (1.0 + x)
-        u = -1.0 / p
-        e = b.amplitude * np.exp(sigma * (b.center + b.width * x) + u)
-        scale = np.full(x.shape, b.width ** (order - 1))
-        for _ in range(2 * order - 2):
-            scale = scale * p
-        jet = _numerator(order - 1, sigma * b.width)(x) / scale
-        size = _term_majorant(order - 1, sigma * b.width)(x) / scale
-        slack = 16.0 * (1.0 + abs(sigma) * (abs(b.center) + b.width) + np.abs(u)) + 20.0 * order
-        tv = float(np.sum(np.abs(np.diff(np.concatenate(([0.0], e * jet, [0.0]))))))
-        rounding = float(np.sum(slack * np.abs(e) * size))
-        err = math.ulp(1.0) * (2.0 * rounding + (x.size + 2) * tv)
-        m, allowance = m + (tv + err), allowance + err
+    try:
+        for b in tf.terms if isinstance(tf, BumpSum) else (tf,):
+            kappa = sigma * b.width
+            jet_at, size_at = _numerator(order - 1, kappa), _term_majorant(order - 1, kappa)
+            changes = _sign_changes(order, kappa).tolist()
+            tv = rounding = last = 0.0
+            for x in changes:
+                p = (1.0 - x) * (1.0 + x)
+                u = -1.0 / p
+                e = b.amplitude * math.exp(sigma * (b.center + b.width * x) + u)
+                scale = b.width ** (order - 1)
+                for _ in range(2 * order - 2):
+                    scale *= p
+                value = e * (jet_at(x) / scale)
+                tv += abs(value - last)
+                last = value
+                slack = 16.0 * (1.0 + abs(sigma) * (abs(b.center) + b.width) + abs(u)) + 20.0 * order
+                rounding += slack * abs(e) * (size_at(x) / scale)
+            tv += abs(last)
+            err = math.ulp(1.0) * (2.0 * rounding + (len(changes) + 2) * tv)
+            m, allowance = m + (tv + err), allowance + err
+    except (OverflowError, ZeroDivisionError):  # e overflows, w^{k-1} P^{2k-2} underflows to 0
+        m = math.inf
     if not math.isfinite(m):
         m = allowance = math.inf
     return TailMajorant(sigma=sigma, order=order, m=m, error=allowance)

@@ -19,7 +19,8 @@ log q). Unreduced, the base of S is j/2 + i theta_S with theta_S the sum of
 the signed angles of S, and the j-th sublattices together weigh a test
 function by sum_{|S|=j} e^{i theta_S t} = L_j(t), the real
 lefschetz_weight. verify evaluates every alpha L_j, j = 0..2g, as the rows
-of one ladder (formula._traces), from the g angles alone.
+of one ladder (formula._traces), from the g angles alone, and builds all
+of them from one recurrence per ladder pass.
 """
 
 from __future__ import annotations
@@ -120,20 +121,22 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
     return PjFamily(q=w.q, g=w.g, polys=tuple(polys), products=products)
 
 
-def lefschetz_weight(angles, j: int, t) -> np.ndarray:
-    """L_j(t) = [y^j] prod_i (1 + 2 y cos(theta_i t) + y^2) at every t.
+def lefschetz_weight(angles, j, t) -> np.ndarray:
+    """L_j(t) = [y^j] prod_i (1 + 2 y cos(theta_i t) + y^2) at every t; for a
+    sequence j, every L_j of it as rows.
 
     This is sum_{|S|=j} e^{i theta_S t} over the j-subsets of the 2g roots,
     whose angles come in pairs +-theta_i, so it is real: the trace of the
     flow on Lambda^j H^1 with the e^{t j/2} taken out. |L_j| <= C(2g, j) =
     L_j(0), and sum_j (-1)^j L_j(t) = prod_i (2 - 2 cos theta_i t), the
     leafwise Lefschetz number. Each factor is palindromic in y, so L_j =
-    L_{2g-j}; one recurrence of g steps over the coefficients up to
-    min(j, 2g - j).
+    L_{2g-j}: one recurrence of g steps over the coefficients up to the
+    largest min(j, 2g - j). A coefficient never reads a higher one, so each
+    row is bitwise the same however many are asked for.
     """
     t = np.asarray(t, dtype=float)
-    d = min(j, 2 * len(angles) - j)
-    coef = np.zeros((d + 1,) + t.shape)
+    d = np.minimum(j, 2 * len(angles) - np.asarray(j))
+    coef = np.zeros((d.max() + 1,) + t.shape)
     coef[0] = 1.0
     for theta in angles:
         step = 2.0 * np.cos(theta * t) * coef[:-1]

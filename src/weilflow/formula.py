@@ -134,6 +134,21 @@ class _LefschetzWeighted:
         return self.alpha.values(t) * lefschetz_weight(self.angles, self.j, t)
 
 
+class _LefschetzRows(tuple):
+    """The rows alpha L_j, j in js, as one phi_ladder row tuple of
+    _LefschetzWeighted. Its values evaluate alpha once and every L_j from one
+    recurrence (exterior.lefschetz_weight); each row is bitwise its own
+    values."""
+    __slots__ = ()
+
+    def __new__(cls, alpha: TestFunction, angles: tuple[float, ...], js):
+        return super().__new__(cls, (_LefschetzWeighted(alpha, angles, j) for j in js))
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        head = self[0]
+        return head.alpha.values(t) * lefschetz_weight(head.angles, [row.j for row in self], t)
+
+
 def trace_j(
     model: FrobeniusModel,
     j: int,
@@ -220,7 +235,7 @@ def _traces(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[
     logq = math.log(model.datum.q)
     plans = [_plan(tf, g, j, logq / (2.0 * math.pi), budget) for j in js]
     angles = tuple(theta / logq for theta in model.angles)
-    rows = [_LefschetzWeighted(tf, angles, j) for j in js]
+    rows = _LefschetzRows(tf, angles, js)
     count = max(plan[1] for plan in plans) + 1
     v, e, panels = phi_ladder(rows, [j / 2.0 for j in js], 0.0, 2 * math.pi / logq, count)
     return [

@@ -169,6 +169,21 @@ def test_shared_ladder_rows_match_one_row_ladders(doc, c, width, amp, budget):
         assert np.abs(v[t.j] - v1).max() <= math.fsum(e[t.j]) + math.fsum(e1)
 
 
+def test_shared_rows_are_each_rows_own_values():
+    # _traces builds every row alpha L_j of a pass from one alpha and one
+    # recurrence to coefficient g: each row bitwise alpha times L_j from the
+    # recurrence cut at min(j, 2g - j), so T_j, quad_error and panels cannot move
+    tf = BumpFunction(center=0.3, width=0.6, amplitude=1.7)
+    t = np.linspace(-0.31, 0.91, 257)
+    for w in (E5A2, G3, parse_weil_datum(_product(2, [0] * 8))):
+        angles, n = _angles(frobenius_model(w)), 2 * w.g + 1
+        rows = formula._LefschetzRows(tf, angles, range(n))
+        shared = rows.values(t)
+        assert shared.shape == (n, t.size) and [row.j for row in rows] == list(range(n))
+        for j in range(n):
+            assert np.array_equal(shared[j], tf.values(t) * exterior.lefschetz_weight(angles, j, t))
+
+
 def test_report_parts_have_no_instance_dict():
     # result dataclasses are slotted: a caller that keeps many reports pays
     # for their fields only
