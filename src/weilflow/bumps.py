@@ -18,7 +18,11 @@ the only approximation: the tail majorants M_k, k = 2..K_MAX, with
 |Phi(sigma + i tau)| <= M_k / |tau|^k are closed forms, exact up to a
 stated rounding allowance. Every order takes one route, tail_majorant:
 the variation of h^{(k-1)}, read at the support ends and the sign changes
-of h^{(k)}.
+of h^{(k)}. Those sign changes, and N_{k-1} there, depend on a bump only
+through (k, sigma w): _shape keeps them in an lru_cache of 256 entries
+keyed by (k, sigma w + 0.0), and tail_majorant places them on each bump.
+A hit hands back the very floats a miss computes, and the placement
+combines them in one fixed order, so M_k is bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -326,7 +330,7 @@ def _in_kappa(table: np.ndarray, kappa: float) -> np.ndarray:
 def _in_p(a: np.ndarray, b: np.ndarray):
     """x -> a(P) + x b(P), P = 1 - x^2, by Horner, for a float or an array.
     Plain float loops: the Illinois refinement calls it ~11 times per
-    bracket, and tail_majorant at each sign change."""
+    bracket, and _shape at each sign change."""
     (a0, *a_rest), (b0, *b_rest) = a.tolist(), b.tolist()
 
     def evaluate(x):
@@ -416,6 +420,24 @@ def _sign_changes(order: int, k: float) -> np.ndarray:
     return np.array(sorted(changes.union(ends[at_ends == 0.0].tolist())))
 
 
+@lru_cache(maxsize=256)
+def _shape(order: int, kappa: float) -> tuple:
+    """The part of M_order that depends on the bump only through kappa =
+    sigma w: per sign change x of N_order (_sign_changes), the tuple (x, P,
+    u, N_{order-1}(x), Ntilde_{order-1}(|x|)), P = 1 - x^2, u = -1/P.
+
+    Keyed by (order, kappa) with kappa = sigma w + 0.0, so that -0.0 and 0.0
+    share an entry. 256 entries hold a whole g <= 8 verify: at most 17 sigmas
+    times 7 orders per bump width.
+    """
+    jet_at, size_at = _numerator(order - 1, kappa), _term_majorant(order - 1, kappa)
+    out = []
+    for x in _sign_changes(order, kappa).tolist():
+        p = (1.0 - x) * (1.0 + x)
+        out.append((x, p, -1.0 / p, jet_at(x), size_at(x)))
+    return tuple(out)
+
+
 def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajorant:
     """Certified M_k(sigma), k = order, with |Phi(sigma + i tau)| <= M_k / |tau|^k.
 
@@ -430,6 +452,13 @@ def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajoran
     looser bound where supports overlap. Orders 2..K_MAX are supported: the
     test suite holds them to a sympy grid oracle for w in [0.05, 4], sigma in
     [0, 8] and sigma w up to 600.
+
+    The z_i, with P, u, N_{k-1} and Ntilde_{k-1} there, depend only on (k,
+    sigma w) and come from the cache _shape, so a repeated width costs only
+    the placement below: A e^{sigma (c + w z_i) + u}, the scale w^{k-1}
+    P^{2k-2}, the variation and the allowance. Cached or not, the values
+    are the same floats combined in the same order, so M_k is bitwise the
+    same.
 
     m includes a rounding allowance, reported as error, charged at each z_i.
     Each e = A e^{sigma t + u} is within 16 eps (1 + |sigma| (|c| + w) + |u|)
@@ -448,24 +477,21 @@ def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajoran
     m = allowance = 0.0
     try:
         for b in tf.terms if isinstance(tf, BumpSum) else (tf,):
-            kappa = sigma * b.width
-            jet_at, size_at = _numerator(order - 1, kappa), _term_majorant(order - 1, kappa)
-            changes = _sign_changes(order, kappa).tolist()
+            shape = _shape(order, sigma * b.width + 0.0)
+            lead, reach = b.width ** (order - 1), 1.0 + abs(sigma) * (abs(b.center) + b.width)
             tv = rounding = last = 0.0
-            for x in changes:
-                p = (1.0 - x) * (1.0 + x)
-                u = -1.0 / p
+            for x, p, u, jet, size in shape:
                 e = b.amplitude * math.exp(sigma * (b.center + b.width * x) + u)
-                scale = b.width ** (order - 1)
+                scale = lead
                 for _ in range(2 * order - 2):
                     scale *= p
-                value = e * (jet_at(x) / scale)
+                value = e * (jet / scale)
                 tv += abs(value - last)
                 last = value
-                slack = 16.0 * (1.0 + abs(sigma) * (abs(b.center) + b.width) + abs(u)) + 20.0 * order
-                rounding += slack * abs(e) * (size_at(x) / scale)
+                slack = 16.0 * (reach + abs(u)) + 20.0 * order
+                rounding += slack * abs(e) * (size / scale)
             tv += abs(last)
-            err = math.ulp(1.0) * (2.0 * rounding + (len(changes) + 2) * tv)
+            err = math.ulp(1.0) * (2.0 * rounding + (len(shape) + 2) * tv)
             m, allowance = m + (tv + err), allowance + err
     except (OverflowError, ZeroDivisionError):  # e overflows, w^{k-1} P^{2k-2} underflows to 0
         m = math.inf

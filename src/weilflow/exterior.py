@@ -152,11 +152,24 @@ def zeros_in_window(model: FrobeniusModel, j: int, height: float) -> tuple[tuple
     Re s = j/2 exactly. Im s_S is the fsum of the phases arg mu_i over S,
     reduced once into (-pi, pi] and divided by log q, so a subset whose
     phases cancel exactly (conjugate pairs) sits at exactly 0. A zero is
-    listed iff the float |Im s| returned is <= height. Sorted by (Im s,
-    subset index).
+    listed iff the float |Im s| returned is <= height.
+
+    Sorted by Im s, except that each run of zeros within `radius` of the
+    next is listed by subset index: zeros whose Im s agree in exact
+    arithmetic (theta_a + theta_{-a} = pi, say) come out in one order
+    whatever the last bits of their float sums. Each float Im s is within
+    radius / 2 of its exact value. Each of the j phases is within the angle
+    radius model.precision plus 2 ulps of pi (the rounding of its bracket's
+    end angles), so j precision + 2j eps pi in all; the fsum, the reduction
+    by 2 pi m (|m| <= j + 1, and 2 pi itself rounded) and the division by
+    log q add (3j + 4) eps pi, all of it over log q in Im s; the product
+    period nu and the sum add 3 eps (height + period).
     """
     logq = math.log(model.datum.q)
     period = 2 * math.pi / logq
+    eps = math.ulp(1.0)
+    radius = 2.0 * ((j * model.precision + (5 * j + 4) * eps * math.pi) / logq
+                    + 3.0 * eps * (height + period))
     phases = [cmath.phase(mu) for mu in model.roots]
     out = []
     for idx, s in enumerate(subsets(len(phases), j)):
@@ -170,4 +183,10 @@ def zeros_in_window(model: FrobeniusModel, j: int, height: float) -> tuple[tuple
             if abs(im) <= height:
                 out.append((im, idx))
     out.sort()
-    return tuple((idx, complex(j / 2, im)) for im, idx in out)
+    runs, last = [], -math.inf
+    for im, idx in out:
+        if im - last > radius:
+            runs.append([])
+        runs[-1].append((idx, im))
+        last = im
+    return tuple((idx, complex(j / 2, im)) for run in runs for idx, im in sorted(run))

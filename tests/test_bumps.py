@@ -390,11 +390,73 @@ def test_tail_majorant_order_range():
 
 @pytest.mark.parametrize("width", [1e-60, 1e-100, 1e-320])
 def test_tail_majorant_never_nan(width):
-    # w^{k-1} P^{2k-2} underflows: the majorant is +inf, a valid bound, not NaN
+    # w^{k-1} P^{2k-2} underflows: the majorant is +inf, a valid bound, not
+    # NaN, from a cold shape cache and from the warm one alike
     tf = BumpFunction(center=0.0, width=width)
-    ms = [tail_majorant(tf, 0.5, k).m for k in range(2, K_MAX + 1)]
-    assert not any(math.isnan(m) for m in ms)
-    assert all(m > 0 for m in ms) and ms[-1] == math.inf
+    bumps._shape.cache_clear()
+    cold = [tail_majorant(tf, 0.5, k).m for k in range(2, K_MAX + 1)]
+    warm = [tail_majorant(tf, 0.5, k).m for k in range(2, K_MAX + 1)]
+    assert bumps._shape.cache_info().hits == K_MAX - 1
+    for ms in (cold, warm):
+        assert not any(math.isnan(m) for m in ms)
+        assert all(m > 0 for m in ms) and ms[-1] == math.inf
+    assert cold == warm
+
+
+def _majorant_cases(n):
+    # seeded (test function, sigma, k): widths repeat, sigma = -0.0 and 0.0
+    # both come up, and a third of the test functions are BumpSums of equal
+    # widths
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(n):
+        w = rng.choice((0.5, 0.25, rng.uniform(0.05, 4.0)))
+        parts = [BumpFunction(rng.uniform(-3.0, 3.0), w, rng.uniform(-3.0, 3.0))
+                 for _ in range(rng.choice((1, 1, 2)))]
+        sigma = rng.choice((-0.0, 0.0, rng.randrange(17) / 2.0, rng.uniform(-8.0, 8.0)))
+        cases.append((combine_bumps(parts), sigma, rng.randrange(2, K_MAX + 1)))
+    return cases
+
+
+def _hex(tm):
+    return tm.m.hex(), tm.error.hex()
+
+
+def test_cached_shape_gives_bitwise_majorants(monkeypatch):
+    cases = _majorant_cases(1000)
+    bumps._shape.cache_clear()
+    cold = [_hex(tail_majorant(tf, sigma, k)) for tf, sigma, k in cases]
+    assert bumps._shape.cache_info().hits > 0
+    warm = [_hex(tail_majorant(tf, sigma, k)) for tf, sigma, k in cases]
+    monkeypatch.setattr(bumps, "_shape", bumps._shape.__wrapped__)
+    want = [_hex(tail_majorant(tf, sigma, k)) for tf, sigma, k in cases]
+    assert cold == want and warm == want
+
+
+def test_higher_order_majorants_are_pinned():
+    # m and error in .hex(), as tail_majorant gave them before the shape
+    # cache, for orders 3..8, sigma = -0.0 and BumpSums of equal widths;
+    # each from a cold cache and again from the warm one
+    pair = combine_bumps([BumpFunction(1.6094, 0.5), BumpFunction(-1.0, 0.5, 2.0)])
+    pins = [
+        (BumpFunction(1.6094, 0.5), 1.5, 3, "0x1.f8367d04c7e15p+10", "0x1.f0bd133eaa83ep-32"),
+        (BumpFunction(2.5, 0.8, 2.0), 2.0, 4, "0x1.64b275d021329p+20", "0x1.2329c4acfb935p-20"),
+        (BumpFunction(-1.2, 0.6, 1.5), 0.5, 5, "0x1.8067378d26b75p+18", "0x1.be287efaa0092p-21"),
+        (BumpFunction(0.3, 0.05, -2.0), 8.0, 6, "0x1.6e609e15d8e3ep+48", "0x1.617733313c7fep+11"),
+        (BumpFunction(-2.0, 4.0, 0.7), 3.0, 7, "0x1.cea1e743644a4p+23", "0x1.75c318a849260p-11"),
+        (BumpFunction(1.0, 2.5, 1.0), 2.5, 8, "0x1.eee32e1bf0debp+38", "0x1.ab9cdbf49e089p+5"),
+        (BumpFunction(0.0, 1.0, 1.0), -0.0, 3, "0x1.1d2d81a1cb948p+5", "0x1.9dc63147f12adp-38"),
+        (BumpFunction(1.6094, 0.5), -0.0, 8, "0x1.d6c74369502b4p+43", "0x1.17f2bc91027e3p+10"),
+        (pair, 1.0, 2, "0x1.37bdca6836a4fp+5", "0x1.5438468ca3cdap-40"),
+        (pair, 2.5, 5, "0x1.6c145075a5a56p+26", "0x1.11993d7960907p-12"),
+        (pair, -0.0, 7, "0x1.f2f9ab7c22120p+36", "0x1.8768eb402d63ap+1"),
+    ]
+    assert isinstance(pair, BumpSum)
+    bumps._shape.cache_clear()
+    for _ in ("cold", "warm"):
+        for tf, sigma, k, m, error in pins:
+            assert _hex(tail_majorant(tf, sigma, k)) == (m, error), (tf, sigma, k)
+    assert bumps._shape.cache_info().hits > 0
 
 
 def test_tail_majorant_disjoint_sum_is_sum_of_parts():

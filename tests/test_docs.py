@@ -86,3 +86,44 @@ def test_benchmark_import_surface_resolves():
                 paths.add(_dotted(node))
     assert {"weilflow.bumps.GL_ORDER", "weilflow.formula.NU_FLOOR", "weilflow.cli.main"} <= paths
     assert [p for p in sorted(paths) if not _resolve(p)] == []
+
+
+def _cache_size(decorator):
+    """(is a functools cache, its maxsize node or None for unbounded) for
+    one decorator: lru_cache(maxsize=n) or lru_cache(n), bare lru_cache
+    (maxsize 128), and cache (unbounded)."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    name = (_dotted(call.func if call else decorator) or "").rsplit(".", 1)[-1]
+    if name == "cache":
+        return True, None
+    if name != "lru_cache":
+        return False, None
+    if call is None:
+        return True, ast.Constant(128)
+    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return True, sizes[0] if sizes else ast.Constant(128)
+
+
+def test_caches_are_bounded_unless_keyed_by_ints():
+    # a long-lived process calls verify on ever new inputs: a cache keyed by
+    # floats or tuples must stop growing, and only one keyed by small ints
+    # (an order) may keep every entry
+    bounded, unbounded = set(), set()
+    for source in sorted(Path(weilflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for decorator in node.decorator_list:
+                cached, size = _cache_size(decorator)
+                if not cached:
+                    continue
+                if isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0:
+                    bounded.add(node.name)
+                    continue
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert all(isinstance(a.annotation, ast.Name) and a.annotation.id == "int"
+                           for a in args), (source.name, node.name)
+                assert node.args.vararg is None and node.args.kwarg is None, node.name
+                unbounded.add(node.name)
+    assert {"_shape", "_weil_roots"} <= bounded
+    assert {"_numerator_table", "_monomial_table"} <= unbounded

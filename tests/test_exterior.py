@@ -1,9 +1,11 @@
 """Exterior powers, the P_j family, zeros in a window, functional equation."""
 
 import cmath
+import json
 import math
+import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from test_weil import CORPUS
 from weilflow import exterior
+from weilflow.cli import main
 from weilflow.errors import DimensionTooLarge
 from weilflow.exterior import (
     build_pj_family,
@@ -26,6 +29,7 @@ E5A2 = {"q": 5, "trace": 2}
 G2_PRODUCT = {"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]}
 G3_PRODUCT = {"q": 5, "g": 3, "weil_poly": [1, -6, 26, -66, 130, -150, 125]}
 REPEATED = {"q": 5, "g": 2, "weil_poly": [1, -4, 14, -20, 25]}  # (1 - 2X + 5X^2)^2
+PLUS_MINUS = {"q": 5, "g": 2, "weil_poly": [1, 0, 9, 0, 25]}  # (1 - X + 5X^2)(1 + X + 5X^2)
 
 
 def _model(doc):
@@ -326,3 +330,39 @@ def test_tied_zeros_come_in_subset_order():
     zs = zeros_in_window(_model(G3_PRODUCT), 4, 0.0)
     assert zs == ((5, 2 + 0j), (7, 2 + 0j), (10, 2 + 0j))
     assert all(math.copysign(1.0, s.imag) == 1.0 for _, s in zs)
+
+
+def _spectrum_orders(path, capsys) -> list:
+    # (j, subset) in listing order, from each of spectrum's three formats
+    orders = []
+    for fmt in ("json", "csv", "text"):
+        assert main(["spectrum", "--input", str(path), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            rows = [(z["j"], z["subset"]) for z in json.loads(out)["zeros"]]
+        elif fmt == "csv":
+            rows = [tuple(map(int, line.split(",")[:2])) for line in out.splitlines()[1:] if line]
+        else:
+            rows = [tuple(map(int, r)) for r in re.findall(r"j=(\d+) S#(\d+)", out)]
+        orders.append(rows)
+    return orders
+
+
+def test_tie_order_survives_phase_noise(tmp_path, capsys, monkeypatch):
+    # traces 1 and -1: theta_{-1} = pi - theta_1, so the 2-subsets 0 and 5,
+    # {-theta_{-1}, -theta_1} and {theta_1, theta_{-1}}, meet at Im s =
+    # period/2 + nu period only in exact arithmetic. Every phase moved by 2
+    # ulps either way leaves the listing as it is, in every format.
+    path = tmp_path / "plus_minus.json"
+    path.write_text(json.dumps(PLUS_MINUS))
+    roots = _model(PLUS_MINUS).roots  # the roots are cached from here on
+    orders = _spectrum_orders(path, capsys)
+    want = orders[0]
+    assert orders == [want] * 3
+    ties = [i for i, row in enumerate(want) if row == (2, 0)]
+    assert len(ties) == 6 and all(want[i + 1] == (2, 5) for i in ties)
+    phase = cmath.phase
+    for signs in product((-2, 2), repeat=len(roots)):
+        nudge = dict(zip(roots, signs))
+        monkeypatch.setattr(cmath, "phase", lambda z: phase(z) + nudge.get(z, 0) * math.ulp(phase(z)))
+        assert _spectrum_orders(path, capsys) == [want] * 3, signs

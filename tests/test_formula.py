@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_exterior import _angles, _period, _weil_products
-from weilflow import exterior, formula
+from weilflow import bumps, exterior, formula
 from weilflow.bumps import K_MAX, BumpFunction, combine_bumps, phi, phi_ladder, tail_majorant
 from weilflow.counting import build_count_table
 from weilflow.errors import (
@@ -306,6 +306,20 @@ def test_higher_orders_set_nu_max_only_above_the_floor():
     assert tight.order == K_MAX and tight.nu_max == 1025
     assert tight.majorant == tail_majorant(tf, 0.5, K_MAX).m
     assert tight.tail_bound <= 1e-12 / 3
+
+
+def test_verify_reports_do_not_depend_on_the_shape_cache():
+    # the g = 3 product at the benchmark's budgets, from a cold and a warm
+    # cache of tail-majorant shapes: the same reports to the last bit, all
+    # but the wall time
+    tf = BumpFunction(center=LOG5, width=0.5)
+
+    def reports():
+        return [repr(replace(verify(G3, tf, trunc_budget=b), wall_time_s=0.0)) for b in (4.0, 2.0, 1.0)]
+    bumps._shape.cache_clear()
+    cold = reports()
+    assert bumps._shape.cache_info().hits > 0
+    assert reports() == cold
 
 
 def test_g3_product_verifies_at_budget_1e6():
