@@ -37,6 +37,7 @@ from .errors import (
     ComputationError,
     CrossCheckFailure,
     DimensionTooLarge,
+    FieldTooLarge,
     InputError,
     InsufficientCountRange,
     NonIntegralInversion,
@@ -80,7 +81,7 @@ __all__ = [
     "build_count_table", "closed_point_count", "fixed_point_group",
     "orbit_table",
     "WeilflowError", "InputError", "ComputationError",
-    "NotPrimePower", "BadLength", "BadNormalization",
+    "NotPrimePower", "FieldTooLarge", "BadLength", "BadNormalization",
     "RiemannHypothesisViolation", "NonOrdinaryInput", "DimensionTooLarge",
     "CrossCheckFailure",
     "NonIntegralInversion", "QuadratureNonConvergence",

@@ -7,22 +7,24 @@ Finite sums of bumps are first-class: everything downstream only needs
 pointwise values, the support hull, and a mass scale.
 
 Phi(s) = integral e^{t s} alpha(t) dt is entire in s. phi_ladder computes it
-along arithmetic progressions of imaginary parts, for one test function or
-for rows of integrands, each with its own sigma, all on one shared
-composite Gauss-Legendre panelization (order 64, panels doubled until
-successive passes agree to RTOL = 1e-12 relative in every row, with each
-row's envelope as a floor so near-zero values terminate). Each pass is a
-cache-blocked matrix product of the rows' node weights against rung phases
-built once for all rows; phi is a ladder of one point. This quadrature is
-the only approximation: the tail majorants M_k, k = 2..K_MAX, with
-|Phi(sigma + i tau)| <= M_k / |tau|^k are closed forms, exact up to a
-stated rounding allowance. Every order takes one route, tail_majorant:
-the variation of h^{(k-1)}, read at the support ends and the sign changes
-of h^{(k)}. Those sign changes, and N_{k-1} there, depend on a bump only
-through (k, sigma w): _shape keeps them in an lru_cache of 256 entries
-keyed by (k, sigma w + 0.0), and tail_majorant places them on each bump.
-A hit hands back the very floats a miss computes, and the placement
-combines them in one fixed order, so M_k is bitwise the same either way.
+along arithmetic progressions of imaginary parts for rows of integrands,
+each with its own sigma, all on one shared composite Gauss-Legendre
+panelization (order 64, panels doubled until successive passes agree to RTOL
+= 1e-12 relative in every row, with each row's envelope as a floor so
+near-zero values terminate). Each pass is a cache-blocked matrix product of
+the rows' node weights against rung phases built once for all rows; phi is a
+ladder of one row and one rung. This quadrature is the only approximation:
+the tail majorants M_k, k = 2..K_MAX, with |Phi(sigma + i tau)| <= M_k /
+|tau|^k are closed forms, exact up to a stated rounding allowance. Every
+order takes one route, tail_majorant: the variation of h^{(k-1)}, read at
+the support ends and the sign changes of h^{(k)}. The numerators N_k of
+h^{(k)} come from one integer recursion in powers of x and kappa = sigma w
+(_monomial_table); _numerator_table is its change of basis to powers of P =
+1 - x^2. Those sign changes, and N_{k-1} there, depend on a bump only
+through (k, sigma w): _shape keeps them in an lru_cache of 256 entries keyed
+by (k, sigma w + 0.0), and tail_majorant places them on each bump. A hit
+hands back the very floats a miss computes, and the placement combines them
+in one fixed order, so M_k is bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -160,11 +162,11 @@ def _envelope(tf: TestFunction, sigma: float) -> float:
 def phi(tf: TestFunction, s: complex) -> PhiResult:
     """Phi(s) = integral e^{t s} alpha(t) dt with an error estimate.
 
-    A phi_ladder of one point, under the same convergence contract.
+    A phi_ladder of one row and one rung, under the same convergence contract.
     """
     s = complex(s)
-    values, errors, panels = phi_ladder(tf, s.real, s.imag, 0.0, 1)
-    return PhiResult(value=complex(values[0]), error=float(errors[0]), panels=panels)
+    values, errors, panels = phi_ladder((tf,), (s.real,), s.imag, 0.0, 1)
+    return PhiResult(value=complex(values[0, 0]), error=float(errors[0, 0]), panels=panels)
 
 
 def _oscillation_panels(span: float, freq: float) -> int:
@@ -216,105 +218,82 @@ def _ladder_pass(rows: tuple, sigmas: tuple, f0: float, step: float,
     return out
 
 
-def phi_ladder(tf, sigma, f0: float, step: float, count: int):
-    """Phi along s = sigma + i(f0 + step k), k = 0..count-1, with per-point
-    error estimates from the final panel doubling.
+def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
+    """Phi of each row along s = sigma_r + i(f0 + step k), k = 0..count-1,
+    with per-point error estimates from the final panel doubling.
 
-    tf is one test function, or a tuple or list of rows: integrands, each
-    with its own sigma from the matching sequence sigma, and each evaluated
-    at all count rungs. Rows that share work come as a tuple with its own
-    values(t), which returns every row's values at once, each as that row's
-    values(t) would (formula's Lefschetz rows). All rows share one
-    Gauss-Legendre grid over the hull of their supports, its panels set by
-    the largest |f|, and doubling stops once every row agrees with the
-    previous pass to RTOL against its own scale (max |Phi| over the row,
-    floored by the row's envelope).
+    rows is a sequence of integrands, each with its own sigma from the
+    matching sequence sigmas, and each evaluated at all count rungs. Rows
+    that share work come as a tuple with its own values(t), which returns
+    every row's values at once, each as that row's values(t) would
+    (formula's Lefschetz rows). All rows share one Gauss-Legendre grid over
+    the hull of their supports, its first panels set by the largest |f|.
+    Panels double until every row agrees with the previous pass to RTOL
+    against its own scale (max |Phi| over the row, floored by the row's
+    envelope); a pass past _MAX_NODES nodes raises QuadratureNonConvergence.
     Returns (values, errors, panels): values and the per-point doubling
-    deltas have shape (count,) for one test function and (rows, count) for
-    rows. Same convergence contract as phi().
+    deltas have shape (rows, count).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    single = not isinstance(tf, (tuple, list))
-    rows, sigmas = ((tf,), (sigma,)) if single else (tf, tuple(sigma))
     lo = min(h.support[0] for h in rows)
     hi = max(h.support[1] for h in rows)
     env = np.array([_envelope(h, s) for h, s in zip(rows, sigmas)]) + 1e-300
     fmax = max(abs(f0), abs(f0 + step * (count - 1)))
-    panels = max(8, _oscillation_panels(hi - lo, fmax))
-    if panels * GL_ORDER > _MAX_NODES:
-        raise QuadratureNonConvergence(
-            "ladder of %d x %d points needs %d panels up front, past the node cap"
-            % (len(rows), count, panels)
-        )
-    prev = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
-    while True:
-        panels *= 2
-        if panels * GL_ORDER > _MAX_NODES:
-            raise QuadratureNonConvergence(
-                "ladder of %d x %d points still moving at %d panels"
-                % (len(rows), count, panels // 2)
-            )
+    panels, prev = max(8, _oscillation_panels(hi - lo, fmax)), None
+    while panels * GL_ORDER <= _MAX_NODES:
         cur = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
-        err = np.abs(cur - prev)
-        scale = np.maximum(np.abs(cur).max(axis=1), env)
-        if np.all(err.max(axis=1) <= RTOL * scale):
-            return (cur[0], err[0], panels) if single else (cur, err, panels)
-        prev = cur
+        if prev is not None:
+            err = np.abs(cur - prev)
+            scale = np.maximum(np.abs(cur).max(axis=1), env)
+            if np.all(err.max(axis=1) <= RTOL * scale):
+                return cur, err, panels
+        prev, panels = cur, 2 * panels
+    raise QuadratureNonConvergence(
+        "ladder of %d x %d points not settled below the node cap: %d panels "
+        "would take %d nodes, cap %d" % (len(rows), count, panels, panels * GL_ORDER, _MAX_NODES)
+    )
 
 
-def _poly_sum(*terms: np.ndarray) -> np.ndarray:
-    out = np.zeros(tuple(max(t.shape[d] for t in terms) for d in (0, 1)), dtype=np.int64)
-    for t in terms:
-        out[:t.shape[0], :t.shape[1]] += t
+@lru_cache(maxsize=None)
+def _monomial_table(i: int) -> np.ndarray:
+    """N_i in powers of x: entry [m, j] multiplies x^m kappa^j.
+
+    h^{(i)} = A e^{sigma t + u} N_i(x) / (w^i P^{2i}) for one bump, with
+    x = (t - c)/w, P = 1 - x^2, u = -1/P and kappa = sigma w. N_0 = 1 and
+    N_{i+1} = P^2 N_i' + 4 i x P N_i + (kappa P^2 - 2x) N_i, run here on the
+    integer arrays, so N_i has degree 4i in x and i in kappa.
+    """
+    if i == 0:
+        return np.ones((1, 1), dtype=np.int64)
+    n = _monomial_table(i - 1)
+    dn = n[1:] * np.arange(1, n.shape[0])[:, None]
+    out = np.zeros((4 * i + 1, i + 1), dtype=np.int64)
+    # (table, power of x, power of kappa, factor): P^2 = 1 - 2x^2 + x^4
+    for part, m, j, c in ((dn, 0, 0, 1), (dn, 2, 0, -2), (dn, 4, 0, 1),
+                          (n, 1, 0, 4 * (i - 1) - 2), (n, 3, 0, -4 * (i - 1)),
+                          (n, 0, 1, 1), (n, 2, 1, -2), (n, 4, 1, 1)):
+        out[m:m + part.shape[0], j:j + part.shape[1]] += c * part
     return out
-
-
-def _times(a: np.ndarray, p: int = 0, k: int = 0) -> np.ndarray:
-    # multiply a polynomial [P power, kappa power] by P^p kappa^k
-    return np.pad(a, ((p, 0), (k, 0)))
-
-
-def _one_minus_p(a: np.ndarray) -> np.ndarray:
-    return _poly_sum(a, -_times(a, 1))
-
-
-def _d_dp(a: np.ndarray) -> np.ndarray:
-    return a[1:] * np.arange(1, a.shape[0])[:, None]
 
 
 @lru_cache(maxsize=None)
 def _numerator_table(i: int) -> tuple[np.ndarray, np.ndarray]:
     """N_i as A(P) + x B(P), A and B integer arrays [b, j] multiplying P^b kappa^j.
 
-    h^{(i)} = A e^{sigma t + u} N_i(x) / (w^i P^{2i}) for one bump, with
-    x = (t - c)/w, P = 1 - x^2, u = -1/P and kappa = sigma w. N_0 = 1 and
-    N_{i+1} = P^2 N_i' + 4 i x P N_i + (kappa P^2 - 2x) N_i, so N_i has
-    degree 4i in x and i in kappa. With x^2 = 1 - P and dP/dx = -2x,
-    (A + xB)' = B - 2(1 - P)B' - 2x A' and x(A + xB) = (1 - P)B + xA. In
-    this form N_i evaluates stably near the support ends, where P is small.
+    The change of basis x^2 = 1 - P of _monomial_table: x^{2r} and x^{2r+1}
+    give (1 - P)^r = sum_b C(r, b) (-P)^b in A and in B, and rows of P powers
+    above the highest nonzero one are dropped. In this form N_i evaluates
+    stably near the support ends, where P is small.
     """
-    if i == 0:
-        return np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
-    a, b = _numerator_table(i - 1)
-    deriv = (_poly_sum(b, -2 * _one_minus_p(_d_dp(b))), -2 * _d_dp(a))
-    x_times = (_one_minus_p(b), a)
-    out = []
-    for d, xn, n in zip(deriv, x_times, (a, b)):
-        part = _poly_sum(_times(d, 2), 4 * (i - 1) * _times(xn, 1), _times(n, 2, 1), -2 * xn)
-        out.append(part[:1 + np.flatnonzero(part.any(axis=1)).max(initial=0)])
+    mono, out = _monomial_table(i), []
+    for part in (mono[0::2], mono[1::2]):
+        table = np.zeros((max(1, part.shape[0]), part.shape[1]), dtype=np.int64)
+        for r, row in enumerate(part):
+            for b in range(r + 1):
+                table[b] += (-1) ** b * math.comb(r, b) * row
+        out.append(table[:1 + np.flatnonzero(table.any(axis=1)).max(initial=0)])
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _monomial_table(i: int) -> np.ndarray:
-    """N_i in powers of x: entry [m, j] multiplies x^m kappa^j."""
-    out = np.zeros((4 * i + 1, i + 1), dtype=np.int64)
-    for shift, part in enumerate(_numerator_table(i)):
-        for (b, j), c in np.ndenumerate(part):
-            for r in range(b + 1):  # P^b = sum_r C(b, r) (-x^2)^r
-                out[2 * r + shift, j] += c * math.comb(b, r) * (-1) ** r
-    return out
 
 
 def _in_kappa(table: np.ndarray, kappa: float) -> np.ndarray:

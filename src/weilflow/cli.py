@@ -93,7 +93,7 @@ def _load_datum(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past Python's digit limit
         raise InputError("%s is not valid JSON: %s" % (path, exc))
     return parse_weil_datum(doc)
 

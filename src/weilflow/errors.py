@@ -21,6 +21,10 @@ class NotPrimePower(InputError):
     """q is not p^f for a prime p and f >= 1."""
 
 
+class FieldTooLarge(InputError):
+    """q is at or above weil.Q_CAP, where primality is no longer decided exactly."""
+
+
 class BadLength(InputError):
     """Coefficient list length is not 2g + 1."""
 

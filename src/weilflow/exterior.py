@@ -19,7 +19,7 @@ log q). Unreduced, the base of S is j/2 + i theta_S with theta_S the sum of
 the signed angles of S, and the j-th sublattices together weigh a test
 function by sum_{|S|=j} e^{i theta_S t} = L_j(t), the real
 lefschetz_weight. verify evaluates every alpha L_j, j = 0..2g, as the rows
-of one ladder (formula._traces), from the g angles alone, and builds all
+of one ladder (formula.trace_j), from the g angles alone, and builds all
 of them from one recurrence per ladder pass.
 """
 

@@ -149,13 +149,8 @@ class _LefschetzRows(tuple):
         return head.alpha.values(t) * lefschetz_weight(head.angles, [row.j for row in self], t)
 
 
-def trace_j(
-    model: FrobeniusModel,
-    j: int,
-    tf: TestFunction,
-    budget: float,
-) -> TraceResult:
-    """Truncated Phi sum over the zero ladders of P_j, with certificates.
+def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[TraceResult]:
+    """Truncated Phi sums over the zero ladders of P_j, j in js, with certificates.
 
     The angles +-theta_i of the conjugate pairs lie in [-beta/2, beta/2],
     beta = 2 pi / log q, and sum to 0 over all 2g roots. So the unreduced
@@ -185,10 +180,34 @@ def trace_j(
     weighs the row's doubling deltas the same way. Both are correctly rounded
     math.fsum sums; zero_count still counts every sublattice's zeros.
 
-    trace_j is the one-row case of _traces; verify evaluates every j as the
-    rows of one phi_ladder call.
+    Each j is planned on its own (_plan), then the rows alpha L_j, each with
+    its own sigma = j/2, run as one phi_ladder call of the longest row's
+    rungs on one shared grid; panels is that call's. Returns one TraceResult
+    per j, in the order of js.
     """
-    return _traces(model, (j,), tf, budget)[0]
+    if not budget > 0:
+        raise ValueError("truncation budget must be positive")
+    g = model.datum.g
+    logq = math.log(model.datum.q)
+    plans = [_plan(tf, g, j, logq / (2.0 * math.pi), budget) for j in js]
+    angles = tuple(theta / logq for theta in model.angles)
+    rows = _LefschetzRows(tf, angles, js)
+    count = max(plan[1] for plan in plans) + 1
+    v, e, panels = phi_ladder(rows, [j / 2.0 for j in js], 0.0, 2 * math.pi / logq, count)
+    return [
+        TraceResult(
+            j=j,
+            value=complex(math.fsum([v[r, 0].real, *(2.0 * v[r, 1:n + 1].real).tolist()])),
+            nu_max=n,
+            tail_bound=tail_sub * m,
+            quad_error=math.fsum([e[r, 0], *(2.0 * e[r, 1:n + 1]).tolist()]),
+            zero_count=m * (2 * n + 1),
+            order=order,
+            majorant=majorant,
+            panels=panels,
+        )
+        for r, (j, (m, n, tail_sub, order, majorant)) in enumerate(zip(js, plans))
+    ]
 
 
 def _plan(tf: TestFunction, g: int, j: int, scale: float, budget: float) -> tuple:
@@ -225,46 +244,16 @@ def _plan(tf: TestFunction, g: int, j: int, scale: float, budget: float) -> tupl
     return m, n, min(tail(tm, n) for tm in majorants.values()), order, majorants[order].m
 
 
-def _traces(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[TraceResult]:
-    """trace_j for each j in js: each j is planned on its own (_plan), then
-    the rows alpha L_j, each with its own sigma = j/2, run as one phi_ladder
-    call of the longest row's rungs on one shared grid; panels is that call's."""
-    if not budget > 0:
-        raise ValueError("truncation budget must be positive")
-    g = model.datum.g
-    logq = math.log(model.datum.q)
-    plans = [_plan(tf, g, j, logq / (2.0 * math.pi), budget) for j in js]
-    angles = tuple(theta / logq for theta in model.angles)
-    rows = _LefschetzRows(tf, angles, js)
-    count = max(plan[1] for plan in plans) + 1
-    v, e, panels = phi_ladder(rows, [j / 2.0 for j in js], 0.0, 2 * math.pi / logq, count)
-    return [
-        TraceResult(
-            j=j,
-            value=complex(math.fsum([v[r, 0].real, *(2.0 * v[r, 1:n + 1].real).tolist()])),
-            nu_max=n,
-            tail_bound=tail_sub * m,
-            quad_error=math.fsum([e[r, 0], *(2.0 * e[r, 1:n + 1]).tolist()]),
-            zero_count=m * (2 * n + 1),
-            order=order,
-            majorant=majorant,
-            panels=panels,
-        )
-        for r, (j, (m, n, tail_sub, order, majorant)) in enumerate(zip(js, plans))
-    ]
-
-
 def spectral_side_zero_sum(
     model: FrobeniusModel,
     tf: TestFunction,
     budget: float,
 ) -> SpectralResult:
-    """All traces T_0..T_2g, the rows of one ladder (_traces), and both
-    alternating renderings, each an exactly rounded sum."""
-    per = _traces(model, range(2 * model.datum.g + 1), tf, budget)
-    alt_re = math.fsum((-1.0) ** t.j * t.value.real for t in per)
-    alt_im = math.fsum((-1.0) ** t.j * t.value.imag for t in per)
-    full = complex(alt_re, alt_im)
+    """All traces T_0..T_2g, the rows of one ladder (trace_j), and both
+    alternating renderings, each an exactly rounded sum. Every T_j is
+    exactly real, so both are real too."""
+    per = trace_j(model, range(2 * model.datum.g + 1), tf, budget)
+    full = complex(math.fsum((-1.0) ** t.j * t.value.real for t in per))
     partial = full - per[0].value
     return SpectralResult(
         per_j=tuple(per),

@@ -31,6 +31,7 @@ from typing import Optional
 from .errors import (
     BadLength,
     BadNormalization,
+    FieldTooLarge,
     InputError,
     NotPrimePower,
     RiemannHypothesisViolation,
@@ -76,27 +77,48 @@ class FrobeniusModel:
     precision: float  # largest proven radius of an angle bracket
 
 
+# the 13 prime Miller-Rabin bases 2..41 decide primality exactly below this
+# bound (Sorenson and Webster, Math. Comp. 86 (2017)); q at or above it is refused
+Q_CAP = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the bases _MR_BASES, exact for n < Q_CAP."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_power_decompose(q: int) -> tuple[int, int]:
-    """Return (p, f) with q = p^f, or raise NotPrimePower."""
+    """Return (p, f) with q = p^f, or raise NotPrimePower; q >= Q_CAP raises
+    FieldTooLarge. Each f >= 1 takes the exact integer f-th root of q and
+    tests it with _is_prime."""
     if not isinstance(q, int) or q < 2:
         raise NotPrimePower("q must be an integer >= 2, got %r" % (q,))
-    p = None
-    m = q
-    for cand in range(2, q + 1):
-        if cand * cand > q:
-            break
-        if m % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return q, 1  # q itself is prime
-    f = 0
-    while m % p == 0:
-        m //= p
-        f += 1
-    if m != 1:
-        raise NotPrimePower("q = %d is not a prime power" % q)
-    return p, f
+    if q >= Q_CAP:
+        raise FieldTooLarge("q of %d bits is at or above the cap Q_CAP = %d, past which "
+                            "primality is not decided exactly" % (q.bit_length(), Q_CAP))
+    for f in range(1, q.bit_length()):
+        p = q if f == 1 else round(q ** (1.0 / f))  # f >= 2: within one, as q < 2^82
+        p += (p + 1) ** f <= q
+        p -= p ** f > q
+        if p ** f == q and _is_prime(p):
+            return p, f
+    raise NotPrimePower("q = %d is not a prime power" % q)
 
 
 def _as_int(value, what: str) -> int:

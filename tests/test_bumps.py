@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,7 +162,7 @@ def test_ladder_matches_pointwise():
     tf = combine_bumps([BumpFunction(center=1.6, width=0.5),
                         BumpFunction(center=-0.4, width=0.3, amplitude=1.5)])
     n = 40
-    vals, errs, panels = phi_ladder(tf, 0.5, 0.9 - beta * n, beta, 2 * n + 1)
+    (vals,), (errs,), panels = phi_ladder([tf], [0.5], 0.9 - beta * n, beta, 2 * n + 1)
     worst = 0.0
     for k in range(0, 2 * n + 1, 5):
         direct = phi(tf, complex(0.5, 0.9 + beta * (k - n))).value
@@ -186,7 +187,7 @@ def test_ladder_rows_match_single_row_calls():
     assert vals.shape == errs.shape == (4, 2 * n + 1)
     single_panels = []
     for row, (tf, sigma) in enumerate(zip(rows, sigmas)):
-        v, e, p = phi_ladder(tf, sigma, 0.9 - beta * n, beta, 2 * n + 1)
+        (v,), (e,), p = phi_ladder([tf], [sigma], 0.9 - beta * n, beta, 2 * n + 1)
         single_panels.append(p)
         scale = max(float(np.abs(v).max()), bumps._envelope(tf, sigma))
         assert np.all(np.abs(vals[row] - v) <= e + RTOL * scale)
@@ -222,9 +223,9 @@ def test_ladder_of_one_point_is_phi():
     tf = BumpFunction(center=1.6, width=0.5)
     s = complex(0.5, 9.0)
     r = phi(tf, s)
-    vals, errs, panels = phi_ladder(tf, s.real, s.imag, 0.0, 1)
-    assert vals.shape == errs.shape == (1,)
-    assert (complex(vals[0]), float(errs[0]), panels) == (r.value, r.error, r.panels)
+    vals, errs, panels = phi_ladder([tf], [s.real], s.imag, 0.0, 1)
+    assert vals.shape == errs.shape == (1, 1)
+    assert (complex(vals[0, 0]), float(errs[0, 0]), panels) == (r.value, r.error, r.panels)
     twice = BumpFunction(center=1.6, width=0.5, amplitude=-2.0)
     rows, row_errs, _ = phi_ladder([tf, twice], [s.real, s.real], s.imag, 0.0, 1)
     assert rows.shape == row_errs.shape == (2, 1)
@@ -309,6 +310,43 @@ def test_numerator_order_two_is_the_closed_form():
     for kappa in (0.0, 0.3, -2.0, 5.0, 60.0, 600.0):
         gap = np.abs(bumps._numerator(2, kappa)(x) - oracles.numerator_two(x, kappa))
         assert np.all(gap <= 64.0 * math.ulp(1.0) * bumps._term_majorant(2, kappa)(x)), kappa
+
+
+X, KAPPA = sympy.symbols("x kappa")
+
+
+def _table(expr, i):
+    # an integer polynomial in x and kappa as _monomial_table(i) lays it out
+    table = np.zeros((4 * i + 1, i + 1), dtype=object)
+    for (m, j), c in sympy.Poly(expr, X, KAPPA).terms():
+        table[m, j] = int(c)
+    return table
+
+
+@pytest.mark.parametrize("i", range(K_MAX + 1))
+def test_monomial_table_is_the_derivative(i):
+    # N_i = e^{-(kappa x - 1/P)} P^{2i} d^i/dx^i e^{kappa x - 1/P}, P = 1 - x^2,
+    # from sympy's i-th derivative: its one exp factor is e^{kappa x - 1/P}
+    p = 1 - X**2
+    exponent = KAPPA * X - 1 / p
+    deriv = sympy.diff(sympy.exp(exponent), X, i)
+    (e,) = deriv.atoms(sympy.exp)
+    assert sympy.cancel(e.args[0] - exponent) == 0
+    num, den = sympy.fraction(sympy.together(deriv.xreplace({e: 1}) * p ** (2 * i)))
+    n, rest = sympy.div(sympy.Poly(num, X, KAPPA), sympy.Poly(den, X, KAPPA))
+    assert rest.is_zero
+    assert np.array_equal(_table(n.as_expr(), i), bumps._monomial_table(i).astype(object))
+
+
+def test_numerator_table_expands_to_the_monomial_table():
+    # A(P) + x B(P) with P = 1 - x^2 gives back N_i term by term, and each
+    # table ends at its highest nonzero power of P
+    for i in range(K_MAX + 2):
+        parts = bumps._numerator_table(i)
+        n = sum(int(c) * X**shift * (1 - X**2) ** b * KAPPA**j
+                for shift, part in enumerate(parts) for (b, j), c in np.ndenumerate(part))
+        assert np.array_equal(_table(n, i), bumps._monomial_table(i).astype(object)), i
+        assert all(part.dtype == np.int64 and (i == 0 or part[-1].any()) for part in parts), i
 
 
 def _changes_seen(k, kappa):
@@ -457,6 +495,29 @@ def test_higher_order_majorants_are_pinned():
         for tf, sigma, k, m, error in pins:
             assert _hex(tail_majorant(tf, sigma, k)) == (m, error), (tf, sigma, k)
     assert bumps._shape.cache_info().hits > 0
+
+
+def test_majorants_are_pinned_across_the_table_recursion():
+    # m and error in .hex(), as tail_majorant gave them while N_i was still
+    # built in powers of P: orders 3..8, sigma = -0.0, sigma w up to 600
+    # (the tables' largest coefficients) and a BumpSum of three equal widths
+    trio = combine_bumps([BumpFunction(-0.7, 0.25, 1.0), BumpFunction(0.9, 0.25, -0.5),
+                          BumpFunction(2.2, 0.25, 3.0)])
+    pins = [
+        (BumpFunction(0.0, 40.0), 15.0, 8, "0x1.10913f9de923cp+841", "0x1.a1832e480ed5dp+815"),
+        (BumpFunction(0.0, 40.0), 2.5, 6, "0x1.7ef48a6d71909p+132", "0x1.5ef3ad738bd2bp+99"),
+        (BumpFunction(1.6094, 0.5), 0.5, 3, "0x1.482230168b837p+8", "0x1.0d19b2eecaed7p-34"),
+        (BumpFunction(-0.4, 0.3, 1.5), -2.0, 4, "0x1.2de8c18581ab0p+17", "0x1.5739324f24b47p-24"),
+        (BumpFunction(2.5, 0.8, 2.0), -0.0, 4, "0x1.06ba11a60dd8ap+12", "0x1.04393778effdfp-29"),
+        (BumpFunction(0.7, 1.4, -2.0), -0.0, 6, "0x1.e2af10b370358p+20", "0x1.8d93adf5eba62p-17"),
+        (BumpFunction(3.0, 2.0, 0.25), 1.0, 5, "0x1.f01451c9c14b4p+15", "0x1.70ed76d71344bp-23"),
+        (BumpFunction(-1.0, 3.0, 1.0), -7.5, 7, "0x1.d8c48f305c451p+60", "0x1.113d3c00302bbp+27"),
+        (trio, 1.5, 4, "0x1.755bd8a8f8fcep+22", "0x1.ed55efe6eef12p-19"),
+        (trio, -0.0, 6, "0x1.6d0f9ffc6d6a8p+34", "0x1.2cb17f9253d35p-3"),
+        (trio, 3.0, 8, "0x1.443b978cab7dap+62", "0x1.001d40f1aa667p+29"),
+    ]
+    for tf, sigma, k, m, error in pins:
+        assert _hex(tail_majorant(tf, sigma, k)) == (m, error), (tf, sigma, k)
 
 
 def test_tail_majorant_disjoint_sum_is_sum_of_parts():

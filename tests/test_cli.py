@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -38,6 +39,20 @@ def test_validate_good(capsys, datum):
     rc, out, _ = run(capsys, ["validate", "--input", datum(E5A2)])
     assert rc == 0
     assert "ok" in out
+
+
+def test_validate_large_q_ends_quickly(capsys, datum, tmp_path):
+    # q = 2^61 - 1 is prime; 2^1100 is past weil.Q_CAP; a 5,000-digit q is
+    # past Python's integer digit limit, so json.load itself refuses it
+    many_digits = tmp_path / "digits.json"
+    many_digits.write_text('{"q": %s, "trace": 1}' % ("9" * 5000))
+    for path, code, text in ((datum({"q": 2**61 - 1, "trace": 1}, "m61.json"), 0, "ok"),
+                             (datum({"q": 2**1100, "trace": 1}, "huge.json"), 1, "FieldTooLarge: q of 1101 bits"),
+                             (str(many_digits), 1, "InputError")):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["validate", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert rc == code and text in out + err, (out, err)
 
 
 def test_validate_rejects_bad_poly(capsys, datum):

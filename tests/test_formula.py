@@ -53,7 +53,7 @@ M2 = frobenius_model(G2)
 
 def test_trace_j2_closed_form_example():
     # bump at log 5: only k = 1 survives, T_2 = 5 log 5 e^{-1}
-    r = trace_j(M1, 2, BumpFunction(center=LOG5, width=0.5), budget=0.25)
+    r = trace_j(M1, [2], BumpFunction(center=LOG5, width=0.5), budget=0.25)[0]
     want = 5 * LOG5 * math.exp(-1)
     assert abs(r.value - want) < 1e-9
     assert abs(r.value - want) <= r.tail_bound + r.quad_error
@@ -62,7 +62,7 @@ def test_trace_j2_closed_form_example():
 
 def test_trace_j0_poisson_identity():
     # support inside (-log 5, log 5): the ladder must resum to log 5 alpha(0)
-    r = trace_j(M1, 0, BumpFunction(center=0.0, width=0.5), budget=0.25)
+    r = trace_j(M1, [0], BumpFunction(center=0.0, width=0.5), budget=0.25)[0]
     want = LOG5 * oracles.ALPHA_AT_0
     assert abs(r.value - want) < 1e-9
 
@@ -72,7 +72,7 @@ def test_trace_imaginary_parts_certified():
                         BumpFunction(center=-2.0, width=0.4)])
     for model in (M1, M2):
         for j in range(2 * model.datum.g + 1):
-            r = trace_j(model, j, tf, budget=0.25)
+            r = trace_j(model, [j], tf, budget=0.25)[0]
             assert r.value.imag == 0.0
 
 
@@ -86,7 +86,7 @@ def test_trace_all_j_vs_symmetric_oracle():
             amp = rng.uniform(0.5, 2.0)
             tf = BumpFunction(center=c, width=width, amplitude=amp)
             for j in range(2 * w.g + 1):
-                r = trace_j(model, j, tf, budget=0.25)
+                r = trace_j(model, [j], tf, budget=0.25)[0]
                 want = oracles.symmetric_trace(roots, w.q, j, [(c, width, amp)])
                 assert abs(r.value - want) <= r.tail_bound + r.quad_error + 1e-9 * (
                     1 + abs(want)
@@ -103,7 +103,7 @@ def test_trace_all_j_vs_symmetric_oracle_past_the_floor():
     for w, longest in ((REPEATED, 300), (G3, 324)):
         model = frobenius_model(w)
         roots = model.roots
-        per = [trace_j(model, j, tf, budget=1e-6) for j in range(2 * w.g + 1)]
+        per = [trace_j(model, [j], tf, budget=1e-6)[0] for j in range(2 * w.g + 1)]
         assert max(r.nu_max for r in per) == longest
         for r in per:
             want = oracles.symmetric_trace(roots, w.q, r.j, [bump])
@@ -124,7 +124,7 @@ def test_tail_covers_the_unreduced_bases():
             assert reach <= rho * _period(model)
     model = frobenius_model(G3)
     tf = BumpFunction(center=LOG5, width=0.5)
-    assert [trace_j(model, j, tf, 1e-9).nu_max for j in range(7)] == [347, 505, 654, 779, 858, 868, 776]
+    assert [trace_j(model, [j], tf, 1e-9)[0].nu_max for j in range(7)] == [347, 505, 654, 779, 858, 868, 776]
 
 
 def test_ladder_work_per_verify(monkeypatch):
@@ -165,12 +165,12 @@ def test_shared_ladder_rows_match_one_row_ladders(doc, c, width, amp, budget):
     assert {t.panels for t in spec.per_j} == {panels}
     for t, row, sigma in zip(spec.per_j, rows, sigmas):
         assert t.value.real == math.fsum([v[t.j, 0].real, *(2.0 * v[t.j, 1:t.nu_max + 1].real)])
-        v1, e1, _ = phi_ladder(row, sigma, 0.0, _period(model), count)
+        (v1,), (e1,), _ = phi_ladder([row], [sigma], 0.0, _period(model), count)
         assert np.abs(v[t.j] - v1).max() <= math.fsum(e[t.j]) + math.fsum(e1)
 
 
 def test_shared_rows_are_each_rows_own_values():
-    # _traces builds every row alpha L_j of a pass from one alpha and one
+    # trace_j builds every row alpha L_j of a pass from one alpha and one
     # recurrence to coefficient g: each row bitwise alpha times L_j from the
     # recurrence cut at min(j, 2g - j), so T_j, quad_error and panels cannot move
     tf = BumpFunction(center=0.3, width=0.6, amplitude=1.7)
@@ -219,7 +219,7 @@ def test_off_axis_classes_vs_symmetric_oracle():
     for c, width, amp in OFF_AXIS_BUMPS:
         tf = BumpFunction(center=c, width=width, amplitude=amp)
         for j in range(5):
-            r = trace_j(model, j, tf, budget=0.25)
+            r = trace_j(model, [j], tf, budget=0.25)[0]
             want = oracles.symmetric_trace(roots, 5, j, [(c, width, amp)])
             assert want.imag == 0.0 and r.value.imag == 0.0
             assert abs(r.value.real - want.real) <= r.tail_bound + r.quad_error
@@ -254,7 +254,7 @@ def test_trace_counts_every_sublattice_zero_once():
         period = _period(model)
         signed = [sign * theta for theta in _angles(model) for sign in (1, -1)]
         for j in range(5):
-            r = trace_j(model, j, tf, budget=0.25)
+            r = trace_j(model, [j], tf, budget=0.25)[0]
             n = r.nu_max
             rows = [_Shifted(tf, math.fsum(signed[i] for i in s)) for s in exterior.subsets(4, j)]
             v, e, _ = phi_ladder(rows, [j / 2] * len(rows), -period * n, period, 2 * n + 1)
@@ -264,13 +264,13 @@ def test_trace_counts_every_sublattice_zero_once():
 
 def test_truncation_budget_drives_nu():
     tf = BumpFunction(center=LOG5, width=0.5)
-    loose = trace_j(M1, 1, tf, budget=0.5)
-    tight = trace_j(M1, 1, tf, budget=5e-3)
+    loose = trace_j(M1, [1], tf, budget=0.5)[0]
+    tight = trace_j(M1, [1], tf, budget=5e-3)[0]
     assert tight.nu_max >= loose.nu_max
     assert tight.tail_bound < loose.tail_bound or loose.tail_bound == 0.0
     # at budget 1e-60 every order needs more than NU_CAP zeros
     with pytest.raises(TruncationBudgetExceeded, match="cap is"):
-        trace_j(M1, 1, tf, budget=1e-60)
+        trace_j(M1, [1], tf, budget=1e-60)
 
 
 @pytest.mark.parametrize("width", [1e-60, 1e-100, 1e-320])
@@ -278,13 +278,13 @@ def test_vanishing_width_raises_a_named_limit(width):
     # the majorants overflow or underflow to M_k = inf; need is never NaN
     tf = BumpFunction(center=0.0, width=width)
     with pytest.raises(TruncationBudgetExceeded):
-        trace_j(M1, 0, tf, budget=0.25)
+        trace_j(M1, [0], tf, budget=0.25)
     with pytest.raises(TruncationBudgetExceeded):
         verify(E5A2, tf)
 
 
 def test_trace_with_an_infinite_budget_stays_at_the_floor():
-    r = trace_j(M1, 1, BumpFunction(center=LOG5, width=0.5), budget=math.inf)
+    r = trace_j(M1, [1], BumpFunction(center=LOG5, width=0.5), budget=math.inf)[0]
     assert r.nu_max == formula.NU_FLOOR and math.isfinite(r.tail_bound)
 
 
@@ -299,10 +299,10 @@ def test_verify_rejects_bad_tolerances(kwargs):
 
 def test_higher_orders_set_nu_max_only_above_the_floor():
     tf = BumpFunction(center=LOG5, width=0.5)
-    at_floor = trace_j(M1, 1, tf, budget=0.25)
+    at_floor = trace_j(M1, [1], tf, budget=0.25)[0]
     assert (at_floor.nu_max, at_floor.order) == (300, 2)
     assert at_floor.majorant == tail_majorant(tf, 0.5).m
-    tight = trace_j(M1, 1, tf, budget=1e-12)
+    tight = trace_j(M1, [1], tf, budget=1e-12)[0]
     assert tight.order == K_MAX and tight.nu_max == 1025
     assert tight.majorant == tail_majorant(tf, 0.5, K_MAX).m
     assert tight.tail_bound <= 1e-12 / 3

@@ -4,9 +4,10 @@ perfbench/spans.py wraps weilflow's functions from outside the package. Its
 ladder observer reads phi_ladder's count as the fifth positional argument
 and the panel count as the third item of the result, and multiplies them.
 This runs one E/F_5 verify under spans.Tracer, as the e5-battery workload
-does, and checks that what it records is plain ints and JSON, and that the
+does, and checks that what it records is plain ints and JSON, that the
 per-layer metrics bumps.tail_majorant.calls and .self_s still see one
-majorant call per j.
+majorant call per j, and that the formula.trace_j stage the benchmark's own
+tests read is the route verify takes.
 """
 
 import json
@@ -37,6 +38,11 @@ def test_traced_verify_records_plain_ladder_counts(tmp_path):
     # E/F_5 at budget 0.25: every j = 0, 1, 2 is at the ladder floor with M_2
     assert names.count("bumps.tail_majorant") == 3
     assert [t.order for t in report.spectral.per_j] == [2, 2, 2]
+    # one formula.trace_j span, a child of formula.spectral_side_zero_sum,
+    # and the ladder runs inside it
+    (stage,) = [k for k, name in enumerate(names) if name == "formula.trace_j"]
+    assert names[tracer.spans[stage][3]] == "formula.spectral_side_zero_sum"
+    assert tracer.spans[names.index("bumps.phi_ladder")][3] == stage
     json.dumps(tracer.spans)
     json.dumps(tracer.ladder)
     path = tmp_path / "spans.jsonl"

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import random
 from collections import Counter
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,12 +15,14 @@ import weilflow.weil
 from weilflow.errors import (
     BadLength,
     BadNormalization,
+    FieldTooLarge,
     InputError,
     NotPrimePower,
     RiemannHypothesisViolation,
 )
 from weilflow.intlinalg import charpoly, det_bareiss
 from weilflow.weil import (
+    Q_CAP,
     check_ordinary,
     companion_matrix,
     WeilDatum,
@@ -58,6 +62,32 @@ def test_prime_power_decompose():
     for bad in (6, 12, 100, 1, 0, -5):
         with pytest.raises(NotPrimePower):
             prime_power_decompose(bad)
+
+
+def test_prime_power_decompose_large_q():
+    # exact integer f-th roots and Miller-Rabin, no trial division up to sqrt q
+    m61 = 2**61 - 1
+    assert prime_power_decompose(m61) == (m61, 1)
+    assert prime_power_decompose(1_000_003**3) == (1_000_003, 3)
+    assert prime_power_decompose(2**81) == (2, 81)
+    assert prime_power_decompose((2**31 - 1) ** 2) == (2**31 - 1, 2)
+    # strong pseudoprimes to the bases 2..7 and 2..37, and semiprimes
+    for bad in (3215031751, 318665857834031151167461, 3 * m61, (2**31 - 1) * (2**19 - 1), Q_CAP - 1):
+        with pytest.raises(NotPrimePower):
+            prime_power_decompose(bad)
+    for big in (Q_CAP, 2**1100):
+        with pytest.raises(FieldTooLarge, match="Q_CAP"):
+            prime_power_decompose(big)
+    assert parse_weil_datum({"q": m61, "trace": 1}).p == m61
+    with pytest.raises(FieldTooLarge):
+        parse_weil_datum({"q": 2**1100, "trace": 1})
+
+
+def test_miller_rabin_matches_sympy():
+    rng = random.Random(61)
+    draws = [*range(2000), *(rng.randrange(Q_CAP) for _ in range(2000)),
+             *(sympy.randprime(2**40, 2**41) for _ in range(100))]
+    assert [weilflow.weil._is_prime(n) for n in draws] == [sympy.isprime(n) for n in draws]
 
 
 def test_parse_basic():
