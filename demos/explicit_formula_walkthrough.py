@@ -13,10 +13,10 @@ LOGQ = math.log(5)
 def show(rep, label):
     print(f"--- {label}")
     for t in rep.spectral.per_j:
-        print(f"  T_{t.j} = {t.value.real:+.12f}   "
+        print(f"  T_{t.j} = {t.value:+.12f}   "
               f"(nu_max {t.nu_max}, {t.zero_count} zeros, "
               f"tail <= {t.tail_bound:.2e})")
-    print(f"  alternating zero sum  = {rep.spectral.alternating_full.real:+.12f}")
+    print(f"  alternating zero sum  = {rep.spectral.alternating_full:+.12f}")
     print(f"  closed form           = {rep.spectral.closed_form:+.12f}")
     print(f"  orbit sum             = {rep.geometric.total:+.12f}")
     for cell in rep.geometric.cells:

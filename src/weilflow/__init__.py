@@ -43,6 +43,7 @@ from .errors import (
     NonIntegralInversion,
     NonOrdinaryInput,
     NotPrimePower,
+    OutputTooLarge,
     QuadratureNonConvergence,
     RiemannHypothesisViolation,
     TruncationBudgetExceeded,
@@ -83,6 +84,7 @@ __all__ = [
     "WeilflowError", "InputError", "ComputationError",
     "NotPrimePower", "FieldTooLarge", "BadLength", "BadNormalization",
     "RiemannHypothesisViolation", "NonOrdinaryInput", "DimensionTooLarge",
+    "OutputTooLarge",
     "CrossCheckFailure",
     "NonIntegralInversion", "QuadratureNonConvergence",
     "TruncationBudgetExceeded", "InsufficientCountRange",

@@ -19,8 +19,8 @@ import sys
 
 from .bumps import BumpFunction, combine_bumps
 from .counting import build_count_table, fixed_point_group, orbit_table
-from .errors import ComputationError, InputError, WeilflowError
-from .exterior import build_pj_family, zeros_in_window
+from .errors import ComputationError, InputError, OutputTooLarge, WeilflowError
+from .exterior import ZETA_G_CAP, build_pj_family, zeros_in_window
 from .formula import COUNT_CAP, verify
 from .weil import check_ordinary, frobenius_model, parse_weil_datum
 
@@ -62,6 +62,17 @@ def _dumps(x, indent: int = 0) -> str:
         items = ["%s: %s" % (json.dumps(str(k)), _dumps(v, indent + 1)) for k, v in x.items()]
         return "{\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "}"
     raise TypeError("unserializable %r" % type(x))
+
+
+def _refuse_long_integers(what: str, q: int, e: int, m: int) -> None:
+    """Refuse, before any work, output whose integers (1 + q^{e/2})^m bounds
+    when that bound has more decimal digits than Python converts to str
+    (sys.get_int_max_str_digits, 0 for no limit)."""
+    limit = sys.get_int_max_str_digits()
+    digits = math.floor(m * (e / 2 * math.log10(q) + math.log10(1 + q ** (-e / 2)))) + 1
+    if limit and digits > limit:
+        raise OutputTooLarge("%s: its integers are at most (1 + q^(%d/2))^%d, of %d digits, past "
+                             "Python's int-to-str limit of %d digits" % (what, e, m, digits, limit))
 
 
 def _parse_alpha(raw: str) -> BumpFunction:
@@ -149,6 +160,10 @@ def _cmd_validate(args) -> tuple[int, str]:
 
 def _cmd_zeta(args) -> tuple[int, str]:
     w = _load_datum(args.input)
+    if w.g <= ZETA_G_CAP:  # larger g is build_pj_family's DimensionTooLarge
+        # |coefficient k of P_j| <= e_k(|lambda_S|) <= (1 + q^{j/2})^C(2g, j)
+        for j in range(2 * w.g + 1):
+            _refuse_long_integers("zeta P_%d" % j, w.q, j, math.comb(2 * w.g, j))
     model = frobenius_model(w)
     fam = build_pj_family(model)
     doc = {
@@ -179,6 +194,8 @@ def _count_tables(args, snf: bool):
         raise InputError("--max must be >= 1, got %d" % args.max)
     if args.max > COUNT_CAP:
         raise InputError("--max %d exceeds the exact-arithmetic cap %d" % (args.max, COUNT_CAP))
+    # N_n = |prod (1 - mu_i^n)|, largest at n = --max, bounds a_d, b_nu and each Smith divisor
+    _refuse_long_integers("%s --max %d" % (args.command, args.max), w.q, args.max, 2 * w.g)
     model = frobenius_model(w)
     ct = build_count_table(model, args.max)
     ot = orbit_table(ct)
@@ -335,8 +352,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         return code, _dumps(doc)
     if args.format == "csv":
         rows = [["metric", "value"],
-                ["zero_sum_re", _fmt_float(sp.alternating_full.real)],
-                ["zero_sum_im", _fmt_float(sp.alternating_full.imag)],
+                ["zero_sum", _fmt_float(sp.alternating_full)],
                 ["closed_form", _fmt_float(sp.closed_form)],
                 ["geometric", _fmt_float(geo.total)]]
         for key, val in report.residuals.items():
@@ -347,9 +363,8 @@ def _cmd_verify(args) -> tuple[int, str]:
         return code, _csv_rows(rows)
     lines = [
         "verify: q=%d g=%d (%s)" % (w.q, w.g, w.label or "unlabeled"),
-        "zero sum  (j=0..2g): %s %+si" % (_fmt_float(sp.alternating_full.real),
-                                          _fmt_float(sp.alternating_full.imag)),
-        "          (j>=1)   : %s" % _fmt_float(sp.eq1_partial.real),
+        "zero sum  (j=0..2g): %s" % _fmt_float(sp.alternating_full),
+        "          (j>=1)   : %s" % _fmt_float(sp.eq1_partial),
         "closed form        : %s" % _fmt_float(sp.closed_form),
         "geometric side     : %s" % _fmt_float(geo.total),
     ]

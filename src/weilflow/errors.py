@@ -49,6 +49,11 @@ class DimensionTooLarge(InputError):
     command."""
 
 
+class OutputTooLarge(InputError):
+    """An integer the command would print may have more decimal digits than
+    Python converts to str (sys.get_int_max_str_digits)."""
+
+
 class ComputationError(WeilflowError):
     """A downstream computation violated its contract."""
 

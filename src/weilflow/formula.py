@@ -58,7 +58,7 @@ J_RANGE_NOTE = (
 @dataclass(frozen=True, slots=True)
 class TraceResult:
     j: int
-    value: complex
+    value: float
     nu_max: int  # shared by all C(2g, j) sublattices of this j
     tail_bound: float  # summed over sublattices
     quad_error: float  # the row's doubling deltas, rungs 1..nu_max twice
@@ -71,8 +71,8 @@ class TraceResult:
 @dataclass(frozen=True, slots=True)
 class SpectralResult:
     per_j: tuple[TraceResult, ...]
-    alternating_full: complex  # sum over j = 0..2g of (-1)^j T_j
-    eq1_partial: complex  # same sum restricted to j = 1..2g
+    alternating_full: float  # sum over j = 0..2g of (-1)^j T_j
+    eq1_partial: float  # same sum restricted to j = 1..2g
     tail_bound: float
     quad_error: float
     zero_count: int
@@ -176,7 +176,7 @@ def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[
     alpha L_j at j/2 + i beta nu, with L_j = sum_S e^{i theta_S t} real (see
     exterior.lefschetz_weight). So T_j is one ladder row from 0, rungs
     k = 0..nu_max: rung -k is rung k conjugated, rung 0 counts once and rungs
-    1..nu_max twice, real parts only, and T_j is exactly real. quad_error
+    1..nu_max twice, real parts only, so T_j is a float. quad_error
     weighs the row's doubling deltas the same way. Both are correctly rounded
     math.fsum sums; zero_count still counts every sublattice's zeros.
 
@@ -197,7 +197,7 @@ def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[
     return [
         TraceResult(
             j=j,
-            value=complex(math.fsum([v[r, 0].real, *(2.0 * v[r, 1:n + 1].real).tolist()])),
+            value=math.fsum([v[r, 0].real, *(2.0 * v[r, 1:n + 1].real).tolist()]),
             nu_max=n,
             tail_bound=tail_sub * m,
             quad_error=math.fsum([e[r, 0], *(2.0 * e[r, 1:n + 1]).tolist()]),
@@ -250,15 +250,14 @@ def spectral_side_zero_sum(
     budget: float,
 ) -> SpectralResult:
     """All traces T_0..T_2g, the rows of one ladder (trace_j), and both
-    alternating renderings, each an exactly rounded sum. Every T_j is
-    exactly real, so both are real too."""
+    alternating renderings, each one correctly rounded math.fsum of the
+    signed T_j it covers."""
     per = trace_j(model, range(2 * model.datum.g + 1), tf, budget)
-    full = complex(math.fsum((-1.0) ** t.j * t.value.real for t in per))
-    partial = full - per[0].value
+    signed = [(-1.0) ** t.j * t.value for t in per]
     return SpectralResult(
         per_j=tuple(per),
-        alternating_full=full,
-        eq1_partial=partial,
+        alternating_full=math.fsum(signed),
+        eq1_partial=math.fsum(signed[1:]),
         tail_bound=math.fsum(t.tail_bound for t in per),
         quad_error=math.fsum(t.quad_error for t in per),
         zero_count=sum(t.zero_count for t in per),

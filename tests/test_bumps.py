@@ -233,6 +233,8 @@ def test_ladder_of_one_point_is_phi():
     assert abs(rows[1, 0] + 2.0 * r.value) <= 2.0 * (r.error + RTOL * abs(r.value))
     want, mass, phase = _direct_pass([tf], [s.real], s.imag, 0.0, 1, r.panels)
     assert abs(r.value - want[0, 0]) <= math.ulp(1.0) * mass * (2 * phase + 64)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        phi_ladder([tf], [s.real], s.imag, 0.0, 0)
 
 
 def test_tail_majorant_spec_points():

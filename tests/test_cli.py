@@ -2,10 +2,13 @@
 
 import json
 import math
+import re
+import sys
 import time
 
 import pytest
 
+from test_formula import _product
 from weilflow import cli, exterior, intlinalg
 from weilflow.cli import main
 
@@ -167,6 +170,25 @@ def test_verify_text_and_csv(capsys, datum):
     assert lines[-1] == "pass,True"
 
 
+def test_verify_prints_each_value_as_one_number(capsys, datum):
+    # T_j and both zero sums are real: one number each in every format
+    argv = ["verify", "--input", datum(G2), "--alpha", "c=1.6094,w=0.5", "--format"]
+    rc, out, _ = run(capsys, argv + ["json"])
+    assert rc == 0
+    spectral = json.loads(out)["spectral"]
+    assert [key for key, v in spectral.items() if isinstance(v, list)] == ["per_j"]
+    assert not [v for t in spectral["per_j"] for v in t.values() if isinstance(v, list)]
+    assert all(type(v) is float for v in (spectral["zero_sum"], spectral["zero_sum_partial_j_ge_1"],
+                                          *(t["T"] for t in spectral["per_j"])))
+    rc, out, _ = run(capsys, argv + ["csv"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert [row for row in rows if row[0].startswith("zero_sum") and "_vs_" not in row[0]] == [
+        ["zero_sum", "%.16e" % spectral["zero_sum"]]]
+    rc, out, _ = run(capsys, argv + ["text"])
+    assert rc == 0 and "zero sum  (j=0..2g): %.16e" % spectral["zero_sum"] in out.splitlines()
+
+
 def test_verify_byte_stable(capsys, datum):
     path = datum(G2, "g2.json")
     argv = [
@@ -268,12 +290,52 @@ def test_input_error_paths(capsys, datum, tmp_path):
     for alpha in ("c=1.0", "c=1,w=0.5,c=2", "c=1,w=0.5,zz=3", "c=abc,w=0.5"):
         rc, _, err = run(capsys, ["verify", "--input", path, "--alpha", alpha])
         assert rc == 1, alpha
+    rc, _, err = run(capsys, ["verify", "--input", path, "--alpha", "c=1,0.5"])
+    assert rc == 1 and "bad --alpha component '0.5'" in err
+
+    for argv, message in ((["count", "--max", "0"], "--max must be >= 1, got 0"),
+                          (["orbits", "--max", "-3"], "--max must be >= 1, got -3"),
+                          (["spectrum", "--j", "3"], "--j must lie in 0..2, got 3"),
+                          (["spectrum", "--j", "-1"], "--j must lie in 0..2, got -1")):
+        rc, out, err = run(capsys, argv + ["--input", path])
+        assert rc == 1 and out == "" and err == "error: InputError: %s\n" % message, argv
 
     rc, _, err = run(capsys, ["frobnicate", "--input", path])
     assert rc == 1
 
     rc, _, err = run(capsys, ["count", "--input", path, "--max", "101"])
     assert rc == 1
+
+
+def test_integers_past_the_str_limit_are_refused_up_front(capsys, datum):
+    # N_64 of the g = 3 product over q = 10^24 + 7 has ~4,600 digits, and P_5
+    # of the g = 5 product over q = 2^23 has the coefficient q^630, of 4,362
+    big3 = datum(_product(10**24 + 7, [1, 2, -3]), "big3.json")
+    big5 = datum(_product(2**23, [1, 2, 3, 4, -1]), "big5.json")
+    for argv, what in ((["count", "--max", "64", "--format", "json", "--input", big3], "count --max 64"),
+                       (["orbits", "--max", "64", "--input", big3], "orbits --max 64"),
+                       (["zeta", "--input", big5], "zeta P_5")):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and out == "", argv
+        assert err.startswith("error: OutputTooLarge: %s: its integers are at most " % what), err
+        assert err.endswith(" digits, past Python's int-to-str limit of %d digits\n"
+                            % sys.get_int_max_str_digits())
+
+
+@pytest.mark.parametrize("argv", [["count", "--max", "12"], ["orbits", "--max", "12"], ["zeta"]])
+def test_integer_bound_covers_every_printed_integer(capsys, datum, monkeypatch, argv):
+    # with the limit one digit under the longest integer printed, the bound
+    # refuses; 0 means no limit and nothing is refused
+    path = datum(G2)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    rc, out, _ = run(capsys, argv + ["--input", path, "--format", "json"])
+    assert rc == 0
+    longest = max(len(x.lstrip("-")) for x in re.findall(r'"(-?\d+)"', out))
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: longest - 1)
+    rc, out, err = run(capsys, argv + ["--input", path, "--format", "json"])
+    assert rc == 1 and out == "" and err.startswith("error: OutputTooLarge: ")
 
 
 def test_orbits_builds_smith_forms_only_for_json(capsys, datum, monkeypatch):

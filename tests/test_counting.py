@@ -27,6 +27,8 @@ G2 = _model({"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]})
 
 def test_mobius_values():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    with pytest.raises(ValueError, match="n < 1"):
+        mobius(0)
 
 
 def test_point_count_hand_values():
@@ -136,6 +138,8 @@ def test_range_errors():
         closed_point_count(ct, 4)
     with pytest.raises(ValueError):
         fixed_point_group(E5A2, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        build_count_table(E5A2, 0)
 
 
 def test_positivity_whole_corpus():

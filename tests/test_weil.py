@@ -95,6 +95,9 @@ def test_parse_basic():
     assert (w.q, w.p, w.f, w.g) == (5, 5, 1, 1)
     assert w.coeffs == (1, -2, 5)
     assert w.middle_coefficient == -2
+    # an integral float is an integer
+    w = parse_weil_datum({"q": 5.0, "g": 1, "weil_poly": [1, -2.0, 5]})
+    assert (w.q, w.coeffs) == (5, (1, -2, 5)) and all(type(c) is int for c in (w.q, *w.coeffs))
 
 
 def test_parse_trace_shorthand():
@@ -118,6 +121,15 @@ def test_parse_rejections():
         parse_weil_datum({"q": 5, "g": 1, "weil_poly": [2, -2, 5]})
     with pytest.raises(InputError):
         parse_weil_datum({"q": 5})
+    for doc, message in (
+        ({"g": 1, "weil_poly": [1, -2, 5]}, "lacks 'q'"),
+        ({"q": 5, "trace": 2, "label": 7}, "label must be a string"),
+        ({"q": 5, "weil_poly": [1, -2, 5]}, "lacks 'g'"),
+        ({"q": 5, "g": 0, "weil_poly": [1]}, "g must be >= 1"),
+        ({"q": 5, "g": 1, "weil_poly": "1, -2, 5"}, "weil_poly must be a list"),
+    ):
+        with pytest.raises(InputError, match=message):
+            parse_weil_datum(doc)
     with pytest.raises(InputError):
         parse_weil_datum({"q": 5, "g": 1, "weil_poly": [1, -2.5, 5]})
     with pytest.raises(InputError):
