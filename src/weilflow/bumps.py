@@ -14,17 +14,10 @@ panelization (order 64, panels doubled until successive passes agree to RTOL
 near-zero values terminate). Each pass is a cache-blocked matrix product of
 the rows' node weights against rung phases built once for all rows; phi is a
 ladder of one row and one rung. This quadrature is the only approximation:
-the tail majorants M_k, k = 2..K_MAX, with |Phi(sigma + i tau)| <= M_k /
-|tau|^k are closed forms, exact up to a stated rounding allowance. Every
-order takes one route, tail_majorant: the variation of h^{(k-1)}, read at
-the support ends and the sign changes of h^{(k)}. The numerators N_k of
-h^{(k)} come from one integer recursion in powers of x and kappa = sigma w
-(_monomial_table); _numerator_table is its change of basis to powers of P =
-1 - x^2. Those sign changes, and N_{k-1} there, depend on a bump only
-through (k, sigma w): _shape keeps them in an lru_cache of 256 entries keyed
-by (k, sigma w + 0.0), and tail_majorant places them on each bump. A hit
-hands back the very floats a miss computes, and the placement combines them
-in one fixed order, so M_k is bitwise the same either way.
+tail_majorant's bound B >= |Phi(sigma + i tau)| is a closed form from a
+steepest-descent contour, exact up to a stated rounding allowance and about
+2x above |Phi| once |tau| w >= 10 (away from Phi's zeros in tau), and so is
+the bound on the sum of B over a ladder's rungs past n. Both need only math.
 """
 
 from __future__ import annotations
@@ -44,7 +37,8 @@ MOLLIFIER_MASS = 0.4439938161680794
 GL_ORDER = 64
 RTOL = 1e-12  # relative agreement of successive doubling passes
 _MAX_NODES = 1 << 21  # bail out of doubling past ~2M evaluation points
-K_MAX = 8  # highest tail majorant order; see tail_majorant
+
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 # exp underflows to 0 below ~-745 and turns denormal below ~-708; values()
 # cuts earlier and returns an exact 0 there
@@ -134,10 +128,40 @@ class PhiResult:
 
 @dataclass(frozen=True, slots=True)
 class TailMajorant:
+    """The contour bound B on |Phi| along Re s = sigma (see tail_majorant).
+
+    terms holds, for each bump with A != 0, the parts (log |A|, sigma c,
+    log(1 + e^{|sigma w|})) of log C, C = |A| e^{sigma c} (1 + e^{|sigma w|}),
+    and w. Both methods add up their logs per bump and round up by
+    tail_majorant's allowance; they give +inf past overflow, never NaN.
+    """
     sigma: float
-    order: int  # k: the bound decays as |tau|^-k
-    m: float  # certified bound for integral |(e^{sigma t} alpha)^{(k)}| dt
-    error: float  # rounding allowance, already included in m
+    terms: tuple[tuple[tuple[float, float, float], float], ...]
+
+    def bound(self, tau: float) -> float:
+        """B(tau) >= |Phi(sigma + i tau)|: the sum over terms of C w sqrt(pi)
+        z^{-3/2} e^{-z} (1 + 3/8z), z = sqrt(|tau| w)."""
+        out = []
+        for log_c, w in self.terms:
+            z = math.sqrt(abs(tau)) * math.sqrt(w)
+            if z == 0.0:
+                return math.inf
+            out.append(_exp_up((*log_c, math.log(w), _LOG_SQRT_PI, -1.5 * math.log(z), -z,
+                                math.log1p(0.375 / z))))
+        return math.fsum(out)
+
+    def tail(self, beta: float, start: float) -> float:
+        """A bound on the sum of B over the rungs nu > n and nu < -n of a ladder
+        whose rung nu has |tau| >= beta (|nu| - rho), with start = n - rho > 0:
+        the sum over terms of C (4 sqrt(pi) / beta) z^{-1/2} e^{-z}, z =
+        sqrt(w beta start)."""
+        out = []
+        for log_c, w in self.terms:
+            z = math.sqrt(w) * math.sqrt(beta) * math.sqrt(start)
+            if z == 0.0:
+                return math.inf
+            out.append(_exp_up((*log_c, math.log(4.0 / beta), _LOG_SQRT_PI, -0.5 * math.log(z), -z)))
+        return math.fsum(out)
 
 
 @lru_cache(maxsize=1)
@@ -255,225 +279,60 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
     )
 
 
-@lru_cache(maxsize=None)
-def _monomial_table(i: int) -> np.ndarray:
-    """N_i in powers of x: entry [m, j] multiplies x^m kappa^j.
-
-    h^{(i)} = A e^{sigma t + u} N_i(x) / (w^i P^{2i}) for one bump, with
-    x = (t - c)/w, P = 1 - x^2, u = -1/P and kappa = sigma w. N_0 = 1 and
-    N_{i+1} = P^2 N_i' + 4 i x P N_i + (kappa P^2 - 2x) N_i, run here on the
-    integer arrays, so N_i has degree 4i in x and i in kappa.
-    """
-    if i == 0:
-        return np.ones((1, 1), dtype=np.int64)
-    n = _monomial_table(i - 1)
-    dn = n[1:] * np.arange(1, n.shape[0])[:, None]
-    out = np.zeros((4 * i + 1, i + 1), dtype=np.int64)
-    # (table, power of x, power of kappa, factor): P^2 = 1 - 2x^2 + x^4
-    for part, m, j, c in ((dn, 0, 0, 1), (dn, 2, 0, -2), (dn, 4, 0, 1),
-                          (n, 1, 0, 4 * (i - 1) - 2), (n, 3, 0, -4 * (i - 1)),
-                          (n, 0, 1, 1), (n, 2, 1, -2), (n, 4, 1, 1)):
-        out[m:m + part.shape[0], j:j + part.shape[1]] += c * part
-    return out
-
-
-@lru_cache(maxsize=None)
-def _numerator_table(i: int) -> tuple[np.ndarray, np.ndarray]:
-    """N_i as A(P) + x B(P), A and B integer arrays [b, j] multiplying P^b kappa^j.
-
-    The change of basis x^2 = 1 - P of _monomial_table: x^{2r} and x^{2r+1}
-    give (1 - P)^r = sum_b C(r, b) (-P)^b in A and in B, and rows of P powers
-    above the highest nonzero one are dropped. In this form N_i evaluates
-    stably near the support ends, where P is small.
-    """
-    mono, out = _monomial_table(i), []
-    for part in (mono[0::2], mono[1::2]):
-        table = np.zeros((max(1, part.shape[0]), part.shape[1]), dtype=np.int64)
-        for r, row in enumerate(part):
-            for b in range(r + 1):
-                table[b] += (-1) ** b * math.comb(r, b) * row
-        out.append(table[:1 + np.flatnonzero(table.any(axis=1)).max(initial=0)])
-    return tuple(out)
-
-
-def _in_kappa(table: np.ndarray, kappa: float) -> np.ndarray:
-    """Float coefficients sum_j table[:, j] kappa^j, in descending powers as
-    np.roots and _in_p take them; _in_kappa(|table|, |kappa|) gives their
-    absolute-value majorants."""
-    powers = [1.0]
-    for _ in range(table.shape[1] - 1):
-        powers.append(powers[-1] * kappa)
-    return (table * powers).sum(axis=1)[::-1]
-
-
-def _in_p(a: np.ndarray, b: np.ndarray):
-    """x -> a(P) + x b(P), P = 1 - x^2, by Horner, for a float or an array.
-    Plain float loops: the Illinois refinement calls it ~11 times per
-    bracket, and _shape at each sign change."""
-    (a0, *a_rest), (b0, *b_rest) = a.tolist(), b.tolist()
-
-    def evaluate(x):
-        p = (1.0 - x) * (1.0 + x)
-        va, vb = a0, b0
-        for c in a_rest:
-            va = va * p + c
-        for c in b_rest:
-            vb = vb * p + c
-        return va + x * vb
-    return evaluate
-
-
-def _numerator(i: int, kappa: float):
-    """x -> N_i(x), by Horner in P = 1 - x^2."""
-    return _in_p(*(_in_kappa(t, kappa) for t in _numerator_table(i)))
-
-
-def _term_majorant(i: int, kappa: float):
-    """x -> Ntilde_i(|x|): N_i with every term by its absolute value (every
-    P^b >= 0 on the support)."""
-    evaluate = _in_p(*(_in_kappa(np.abs(t), abs(kappa)) for t in _numerator_table(i)))
-    return lambda x: evaluate(abs(x))
-
-
-def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Refine a bracket holding a sign change of f, with f_lo = f(lo) and
-    f_hi = f(hi) of opposite signs, by the Illinois method (Dowell and
-    Jarratt, BIT 11, 1971): false position, halving the value kept at an end
-    that stays twice in a row. Each step keeps the bracket; a step that
-    would not land strictly inside it bisects instead. Stops at adjacent
-    floats or a width of 2^-100 (an x error costs the majorant only to second
-    order; the floor stops the ~1000 steps a root at exactly x = 0 would take
-    through the subnormals) and returns the last midpoint, or at once at a
-    point where f is exactly 0, which is a root."""
-    lo_negative, side = f_lo < 0.0, 0
-    while hi - lo > 2.0**-100:
-        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == lo_negative:
-            lo, f_lo = x, fx
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi = x, fx
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-    return 0.5 * (lo + hi)
-
-
-# x = tanh(theta), |theta| <= 8: spacing 0.02 near x = 0, and towards the
-# ends P = 1 - x^2 = sech^2(theta) falls by 4 % a step, down to P = 4.5e-7
-_TANH_GRID = np.tanh(np.linspace(-8.0, 8.0, 801))
-
-
-def _sign_changes(order: int, k: float) -> np.ndarray:
-    """The sign changes x = (t - c)/w in (-1, 1) of h^{(order)}, that is of
-    N_order, for one bump with k = sigma w; sorted.
-
-    Candidates are the real parts of all roots of N_order in (-1, 1) and the
-    tanh grid: np.roots loses sign changes of the degree-4k N_k once sigma w
-    passes ~60 (k = 7) or ~100 (k = 6), where they crowd towards x = 1 at
-    ratios ~1.3 in P. A bracket (midpoints to a candidate's neighbours)
-    whose ends differ in sign is refined by _illinois, on values of N_order
-    only, starting from the values at the ends that found it. An
-    end where N_order is exactly 0 is a root itself: at sigma = 0, N_k is
-    odd for odd k, and the midpoint of the two candidates at x = 0 lands on
-    its root there.
-    """
-    coef = _in_kappa(_monomial_table(order), k)
-    # terms below rounding on |x| <= 1 only add huge roots, and can overflow the companion
-    roots = np.roots(np.where(np.abs(coef) > 1e-16 * np.abs(coef).max(), coef, 0.0))
-    x = np.sort(np.concatenate((roots.real[(-1.0 < roots.real) & (roots.real < 1.0)], _TANH_GRID)))
-    f = _numerator(order, k)
-    ends = np.concatenate(([-1.0], 0.5 * (x[1:] + x[:-1]), [1.0]))
-    at_ends = f(ends)
-    changes = {_illinois(f, *ends[i:i + 2].tolist(), *at_ends[i:i + 2].tolist())
-               for i in np.flatnonzero(at_ends[:-1] * at_ends[1:] < 0.0)}
-    return np.array(sorted(changes.union(ends[at_ends == 0.0].tolist())))
-
-
-@lru_cache(maxsize=256)
-def _shape(order: int, kappa: float) -> tuple:
-    """The part of M_order that depends on the bump only through kappa =
-    sigma w: per sign change x of N_order (_sign_changes), the tuple (x, P,
-    u, N_{order-1}(x), Ntilde_{order-1}(|x|)), P = 1 - x^2, u = -1/P.
-
-    Keyed by (order, kappa) with kappa = sigma w + 0.0, so that -0.0 and 0.0
-    share an entry. 256 entries hold a whole g <= 8 verify: at most 17 sigmas
-    times 7 orders per bump width.
-    """
-    jet_at, size_at = _numerator(order - 1, kappa), _term_majorant(order - 1, kappa)
-    out = []
-    for x in _sign_changes(order, kappa).tolist():
-        p = (1.0 - x) * (1.0 + x)
-        out.append((x, p, -1.0 / p, jet_at(x), size_at(x)))
-    return tuple(out)
-
-
-def tail_majorant(tf: TestFunction, sigma: float, order: int = 2) -> TailMajorant:
-    """Certified M_k(sigma), k = order, with |Phi(sigma + i tau)| <= M_k / |tau|^k.
-
-    k integrations by parts of e^{t(sigma + i tau)} alpha(t) put the whole
-    tau decay on integral |h^{(k)}| dt, h = e^{sigma t} alpha: the total
-    variation of h^{(k-1)}. For one bump h^{(k-1)} is monotone between the
-    support ends (where it is 0) and the sign changes z_i of h^{(k)} = A
-    e^{sigma t + u} N_k(x) / (w^k P^{2k}) (_sign_changes, _numerator_table),
-    so it is read only there: the variation is sum |h^{(k-1)}(z_{i+1}) -
-    h^{(k-1)}(z_i)|, with no quadrature. A BumpSum gets the sum of its
-    terms' M_k (triangle inequality): exact for disjoint supports, a valid
-    looser bound where supports overlap. Orders 2..K_MAX are supported: the
-    test suite holds them to a sympy grid oracle for w in [0.05, 4], sigma in
-    [0, 8] and sigma w up to 600.
-
-    The z_i, with P, u, N_{k-1} and Ntilde_{k-1} there, depend only on (k,
-    sigma w) and come from the cache _shape, so a repeated width costs only
-    the placement below: A e^{sigma (c + w z_i) + u}, the scale w^{k-1}
-    P^{2k-2}, the variation and the allowance. Cached or not, the values
-    are the same floats combined in the same order, so M_k is bitwise the
-    same.
-
-    m includes a rounding allowance, reported as error, charged at each z_i.
-    Each e = A e^{sigma t + u} is within 16 eps (1 + |sigma| (|c| + w) + |u|)
-    relative. N_{k-1}(x), by Horner in P (degree <= 2k - 2, P within 3 eps)
-    on coefficients each within 2k eps, is within 12k eps of the majorant
-    Ntilde_{k-1}(|x|) (all terms with absolute values), and w^{k-1} P^{2k-2}
-    is within 8k eps relative, so 20k eps Ntilde / (w^{k-1} P^{2k-2}) more
-    per value. Each value enters two differences; forming and summing the
-    n + 1 differences in order adds (n + 2) eps relative. The few z_i are
-    read by plain float loops. An ulp's error in z_i costs only second
-    order, as h^{(k)} vanishes there. Where w^{k-1} P^{2k-2} underflows (a
-    tiny w) or e overflows, m is +inf, a valid bound, never NaN.
-    """
-    if not 2 <= order <= K_MAX:
-        raise ValueError("tail majorant order must lie in 2..%d, got %r" % (K_MAX, order))
-    m = allowance = 0.0
+def _exp_up(parts) -> float:
+    """e^{sum of parts}, its exponent raised by the allowance of tail_majorant:
+    0.0 where a part is -inf, +inf past overflow or where +inf meets -inf."""
+    total = sum(parts)
+    if total == -math.inf:
+        return 0.0
+    total += 64.0 * math.ulp(1.0) * (1.0 + sum(abs(p) for p in parts))
+    if math.isnan(total):
+        return math.inf
     try:
-        for b in tf.terms if isinstance(tf, BumpSum) else (tf,):
-            shape = _shape(order, sigma * b.width + 0.0)
-            lead, reach = b.width ** (order - 1), 1.0 + abs(sigma) * (abs(b.center) + b.width)
-            tv = rounding = last = 0.0
-            for x, p, u, jet, size in shape:
-                e = b.amplitude * math.exp(sigma * (b.center + b.width * x) + u)
-                scale = lead
-                for _ in range(2 * order - 2):
-                    scale *= p
-                value = e * (jet / scale)
-                tv += abs(value - last)
-                last = value
-                slack = 16.0 * (reach + abs(u)) + 20.0 * order
-                rounding += slack * abs(e) * (size / scale)
-            tv += abs(last)
-            err = math.ulp(1.0) * (2.0 * rounding + (len(shape) + 2) * tv)
-            m, allowance = m + (tv + err), allowance + err
-    except (OverflowError, ZeroDivisionError):  # e overflows, w^{k-1} P^{2k-2} underflows to 0
-        m = math.inf
-    if not math.isfinite(m):
-        m = allowance = math.inf
-    return TailMajorant(sigma=sigma, order=order, m=m, error=allowance)
+        return math.exp(total)
+    except OverflowError:
+        return math.inf
+
+
+def tail_majorant(tf: TestFunction, sigma: float) -> TailMajorant:
+    """The constants of the bound B >= |Phi(sigma + i tau)| and of its ladder tail.
+
+    For one bump, x = (t - c)/w, kappa = sigma w and omega = |tau| w give Phi =
+    A w e^{(sigma + i tau) c} integral_{-1}^{1} e^{(kappa + i omega) x - 1/(1 - x^2)}
+    dx. The integrand is analytic off x = +-1 and vanishes as x meets them
+    from above, so the path moves to the triangle -1 -> i -> 1 (i -> -i for
+    tau < 0; S. G. Johnson, arXiv:1508.04376). On its side x = 1 + r
+    e^{3 pi i/4}, 0 <= r <= sqrt 2, |1 + x| <= 2 and arg(1 + x) lies in [0,
+    pi/4], so Re 1/(1 - x^2) >= 1/(2 sqrt 2 r), and the integrand is at most
+    e^{kappa Re x} e^{-omega r/sqrt 2 - 1/(2 sqrt 2 r)}; the side through -1
+    is its mirror image. With integral_0^inf e^{-a r - b/r} dr = 2 sqrt(b/a)
+    K_1(2 sqrt(ab)) and e^{kappa Re x} <= 1 on one side and e^{|kappa|} on
+    the other,
+
+      |Phi| <= |A| w e^{sigma c} (1 + e^{|kappa|}) sqrt(2/omega) K_1(sqrt omega),
+
+    about 2x above |Phi| for omega >= 10, away from Phi's zeros in tau, and
+    up to ~180x at omega = 0.3 with kappa = 4. K_1(z) <= sqrt(pi/2z) e^{-z}
+    (1 + 3/8z) (DLMF 10.40(ii): the remainder after two terms has the sign
+    of the first one dropped) gives TailMajorant.bound. The bound falls with
+    omega, so the rungs past n of a ladder with |tau| >= beta (|nu| - rho)
+    sum to at most twice its integral from n, and integral K_1 = K_0 with
+    K_0(z) <= sqrt(pi/2z) e^{-z} gives TailMajorant.tail. A BumpSum gets
+    the sum of its terms' bounds (triangle inequality): a valid bound
+    wherever supports overlap.
+
+    Rounding allowance: each part of an exponent is within 4 eps of its
+    value relative plus 4 eps absolute (logs of rounded arguments, the
+    products sigma c and sigma w, z from square roots; z never overflows
+    before e^{-z} is 0); adding up to 8 parts costs
+    8 eps times the sum of their sizes, and exp and the fsum over terms an
+    eps relative each. The exponent is raised by 64 eps (1 + sum of |parts|),
+    which covers all of it.
+    """
+    terms = []
+    for b in tf.terms if isinstance(tf, BumpSum) else (tf,):
+        if b.amplitude != 0.0:
+            kappa = abs(sigma * b.width)
+            log_c = (math.log(abs(b.amplitude)), sigma * b.center, kappa + math.log1p(math.exp(-kappa)))
+            terms.append((log_c, b.width))
+    return TailMajorant(sigma=sigma, terms=tuple(terms))

@@ -3,10 +3,10 @@
 Three independently computed quantities must coincide:
 
   1. the truncated zero sum: Phi summed with alternating sign over the zero
-     ladders of every P_j(q^{-s}), j = 0..2g, with a certified tau^-k tail
-     bound per sublattice (k = 2, or up to K_MAX where that shortens the
-     ladder). The C(2g, j) sublattices of one j are one integrand: alpha
-     times the real Lefschetz weight L_j of the Frobenius angles
+     ladders of every P_j(q^{-s}), j = 0..2g, with a certified tail bound
+     per sublattice from bumps.tail_majorant's contour bound. The C(2g, j)
+     sublattices of one j are one integrand: alpha times the real
+     Lefschetz weight L_j of the Frobenius angles
      (exterior.lefschetz_weight), so each T_j is one half ladder of a real
      function, exactly real on every input, and all 2g + 1 of them are the
      rows of one phi_ladder call on one shared grid;
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bumps import K_MAX, TestFunction, combine_bumps, phi_ladder, tail_majorant
+from .bumps import TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
 from .errors import (
     DimensionTooLarge,
@@ -63,8 +63,6 @@ class TraceResult:
     tail_bound: float  # summed over sublattices
     quad_error: float  # the row's doubling deltas, rungs 1..nu_max twice
     zero_count: int
-    order: int  # k of the majorant M_k / |tau|^k that set nu_max
-    majorant: float  # its M_k
     panels: int
 
 
@@ -159,18 +157,14 @@ def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[
     rho_j = max(1, min(j, 2g - j)) / 2 bounds |theta_S| / beta for every j.
 
     Each of the C(2g, j) sublattices keeps the rungs theta_S + beta nu,
-    |nu| <= nu_max, chosen so the majorant tail stays below budget /
-    (C(2g, j) * (2g + 1)). A dropped rung has |tau| >= beta (|nu| - rho_j),
-    so with |Phi(j/2 + i tau)| <= M_k / |tau|^k the tail of one sublattice is
-    at most 2 M_k (log q / 2 pi)^k / ((k - 1)(nu_max - rho_j)^(k-1)).
-    Order k = 2 is tried first; when it needs more than NU_FLOOR zeros,
-    k = 3, 4, ... K_MAX follow until one needs at most NU_FLOOR or the need
-    stops falling, and the order needing the fewest sets nu_max. The tail
-    reported is the smallest of the computed orders' tails at nu_max.
+    |nu| <= nu_max, chosen so the tail stays below budget / (C(2g, j) *
+    (2g + 1)). A dropped rung has |tau| >= beta (|nu| - rho_j), so the tail
+    of one sublattice is at most the sum of the contour bound B over those
+    rungs, which bumps.TailMajorant.tail bounds in closed form (_plan).
     NU_FLOOR puts a lower bound on the ladder regardless (truncation is
     monotone, so extra zeros only help). Ladders demanding more than NU_CAP
-    points (infinitely many when no M_k is finite) raise instead of
-    truncating silently.
+    points (infinitely many when B is infinite) raise instead of truncating
+    silently.
 
     Summed over S, the rungs nu of all sublattices are one transform: of
     alpha L_j at j/2 + i beta nu, with L_j = sum_S e^{i theta_S t} real (see
@@ -189,7 +183,7 @@ def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[
         raise ValueError("truncation budget must be positive")
     g = model.datum.g
     logq = math.log(model.datum.q)
-    plans = [_plan(tf, g, j, logq / (2.0 * math.pi), budget) for j in js]
+    plans = [_plan(tf, g, j, 2.0 * math.pi / logq, budget) for j in js]
     angles = tuple(theta / logq for theta in model.angles)
     rows = _LefschetzRows(tf, angles, js)
     count = max(plan[1] for plan in plans) + 1
@@ -202,46 +196,43 @@ def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[
             tail_bound=tail_sub * m,
             quad_error=math.fsum([e[r, 0], *(2.0 * e[r, 1:n + 1]).tolist()]),
             zero_count=m * (2 * n + 1),
-            order=order,
-            majorant=majorant,
             panels=panels,
         )
-        for r, (j, (m, n, tail_sub, order, majorant)) in enumerate(zip(js, plans))
+        for r, (j, (m, n, tail_sub)) in enumerate(zip(js, plans))
     ]
 
 
-def _plan(tf: TestFunction, g: int, j: int, scale: float, budget: float) -> tuple:
-    """(C(2g, j), nu_max, tail per sublattice, order, M_k) of j, as trace_j sets them."""
+def _plan(tf: TestFunction, g: int, j: int, beta: float, budget: float) -> tuple:
+    """(C(2g, j), nu_max, tail per sublattice) of j, as trace_j sets them.
+
+    nu_max is the least n >= NU_FLOOR whose tail, TailMajorant.tail(beta, n -
+    rho_j) for sigma = j/2, is within budget / (C(2g, j) (2g + 1)). The tail
+    falls as n grows, so n doubles from NU_FLOOR until it is within, and the
+    last step is bisected.
+    """
     m = math.comb(2 * g, j)
     rho = max(1, min(j, 2 * g - j)) / 2.0
     sub_budget = budget / (m * (2 * g + 1))
+    majorant = tail_majorant(tf, j / 2.0)
 
-    def tail(tm, n):
-        return 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * (n - rho) ** (tm.order - 1))
-
-    def needed(tm):
-        # the least n with tail(tm, n) <= sub_budget, inf for M_k = inf
-        root = 2.0 * tm.m * scale**tm.order / ((tm.order - 1) * sub_budget)
-        need = rho + root ** (1.0 / (tm.order - 1))
-        return math.ceil(need) if need < math.inf else math.inf
-
-    majorants = {2: tail_majorant(tf, j / 2.0)}
-    need = {2: needed(majorants[2])}
-    k = 2
-    while need[k] > NU_FLOOR and k < K_MAX:
-        k += 1
-        majorants[k] = tail_majorant(tf, j / 2.0, k)
-        need[k] = needed(majorants[k])
-        if need[k] >= need[k - 1]:
-            break
-    order = min(need, key=need.get)
-    n = max(NU_FLOOR, need[order])
-    if n > NU_CAP:
-        raise TruncationBudgetExceeded(
-            "j = %d needs nu_max = %s per sublattice for budget %.3g, cap is %d"
-            % (j, n, budget, NU_CAP)
-        )
-    return m, n, min(tail(tm, n) for tm in majorants.values()), order, majorants[order].m
+    lo, hi = NU_FLOOR - 1, NU_FLOOR
+    tail = majorant.tail(beta, hi - rho)
+    while not tail <= sub_budget:
+        if hi >= NU_CAP:
+            raise TruncationBudgetExceeded(
+                "j = %d needs nu_max > %d per sublattice for budget %.3g, cap is %d"
+                % (j, NU_CAP, budget, NU_CAP)
+            )
+        lo, hi = hi, min(2 * hi, NU_CAP)
+        tail = majorant.tail(beta, hi - rho)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        at_mid = majorant.tail(beta, mid - rho)
+        if at_mid <= sub_budget:
+            hi, tail = mid, at_mid
+        else:
+            lo = mid
+    return m, hi, tail
 
 
 def spectral_side_zero_sum(
@@ -373,8 +364,8 @@ def verify(
     anything, not for cost. Its quadrature part, the doubling deltas of the
     rows alpha L_j with |L_j| up to C(2g, g), outgrows the budget: on
     (1 + 2X^2)^g with one bump c = 2.5, w = 0.8 at the default budget 0.25
-    the certificate is 0.200 at g = 8, 6.37 at g = 9 and 1.2e6 at g = 12,
-    where a residual of 4.6e3 passes.
+    the certificate is 0.126 at g = 8, 3.56 at g = 9 and 8.4e4 at g = 12,
+    where a residual of 5.6 passes; their tail parts are at most 0.008.
     """
     t_start = time.perf_counter()
     if not 0 < tol < math.inf:

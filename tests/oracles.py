@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here avoids the package's own numerical paths on purpose:
-quadrature is composite Simpson on a dense uniform grid, point counts come
+quadrature is composite Simpson on a dense uniform grid or mpmath's
+tanh-sinh at 30 digits and more (mpmath_phi), point counts come
 from the Lucas-style trace recurrence, spectral traces from elementary
 symmetric functions of eigenvalue powers, the zeros' imaginary parts from
 the phases of products of roots, and exact linear algebra from sympy;
@@ -13,7 +14,6 @@ mpmath tanh-sinh run at 30 digits) before the library internals existed.
 
 import cmath
 import collections
-import functools
 import itertools
 import math
 
@@ -222,47 +222,34 @@ def sympy_det(rows):
     return int(Matrix(rows).det())
 
 
-def numerator_two(x, kappa):
-    """N_2 = kappa^2 P^4 - 4 kappa x P^2 - 2 (1 + 3x^2) P + 4x^2, P = 1 - x^2.
+def mpmath_phi(bumps, sigma, tau, dps=30):
+    """Phi(sigma + i tau) of a sum of bumps (c, w, a) by mpmath quadrature.
 
-    For one bump h = A e^{sigma t + u}, u = -1/P, x = (t - c)/w and kappa =
-    sigma w, h' = h (sigma + u') and h'' = h ((sigma + u')^2 + u''), which
-    is h N_2(x) / (w^2 P^4); worked by hand, not by the package's recurrence.
+    Each bump is integrated in x = (t - c)/w: a w e^{sc} times the integral
+    of e^{s w x - 1/(1 - x^2)}. Up to omega = |tau| w = 300 the path is [-1,
+    1] in about omega/3 pieces, with sqrt(omega)/2.3 more digits for the
+    cancellation (|Phi| falls like e^{-sqrt omega}). Past that it is the
+    trapezoid -1 -> -1 + e^{i pi/3}/2 -> 1 + e^{2 pi i/3}/2 -> 1, mirrored
+    for tau < 0: the integrand is analytic off x = +-1 and decays into both
+    ends inside that sector, so the value is the same, and there it neither
+    cancels nor oscillates much.
     """
-    x = np.asarray(x, dtype=float)
-    p = (1.0 - x) * (1.0 + x)
-    return kappa * kappa * p**4 - 4.0 * kappa * x * p * p - 2.0 * (1.0 + 3.0 * x * x) * p + 4.0 * x * x
+    import mpmath
 
+    with mpmath.workdps(dps + int(math.sqrt(min(abs(tau) * max(w for _, w, _ in bumps), 300.0)) / 2.3)):
+        s = mpmath.mpc(sigma, tau)
+        total = mpmath.mpc(0)
+        for c, w, a in bumps:
+            c, w, a = mpmath.mpf(c), mpmath.mpf(w), mpmath.mpf(a)
+            omega = abs(tau) * w
 
-@functools.lru_cache(maxsize=None)
-def _bump_derivative(i):
-    """d^i/dt^i of a e^{sigma t} exp(-w^2 / (w^2 - (t - c)^2)), by sympy,
-    as a numpy function of (t, sigma, c, w, a)."""
-    import sympy
+            def f(x):
+                return mpmath.exp(s * w * x - 1 / (1 - x * x))
 
-    t, sigma, c, w, a = sympy.symbols("t sigma c w a", real=True)
-    h = a * sympy.exp(sigma * t - w**2 / (w**2 - (t - c) ** 2))
-    return sympy.lambdify((t, sigma, c, w, a), sympy.diff(h, t, i), "numpy", cse=True)
-
-
-def grid_variation(sigma, bumps, k, n=1 << 18):
-    """Total variation of h^{(k-1)} for h = e^{sigma t} alpha, on a uniform grid.
-
-    h^{(k-1)} is sympy's symbolic derivative, independent of the package's
-    numerator recurrence. A partition sum of |h^{(k-1)}(t_{i+1}) -
-    h^{(k-1)}(t_i)| is never above the true variation, which is integral
-    |h^{(k)}| dt, so this is a lower bound that closes in on it as n grows
-    (the gap at each extremum shrinks as the square of the grid step).
-    """
-    lo = min(c - w for c, w, _ in bumps)
-    hi = max(c + w for c, w, _ in bumps)
-    t = np.linspace(lo, hi, n + 1)
-    deriv = _bump_derivative(k - 1)
-    total = np.zeros_like(t)
-    for c, w, a in bumps:
-        inside = np.abs(t - c) < w
-        with np.errstate(all="ignore"):
-            # exp underflows to 0 first near the support ends; 0 * inf is nan there
-            values = np.nan_to_num(deriv(t[inside], sigma, c, w, a), nan=0.0)
-        total[inside] += values
-    return float(np.sum(np.abs(np.diff(total))))
+            if omega <= 300:
+                path = mpmath.linspace(-1, 1, max(4, int(omega / 3)) + 1)
+            else:
+                lift = mpmath.mpc(0, 1 if tau > 0 else -1) * mpmath.sqrt(3) / 4
+                path = [-1, mpmath.mpf(-3) / 4 + lift, mpmath.mpf(3) / 4 + lift, 1]
+            total += a * w * mpmath.exp(s * c) * mpmath.quad(f, path)
+        return complex(total)

@@ -237,14 +237,13 @@ def test_verify_nonordinary_gate(capsys, datum):
 
 
 def test_verify_failure_exit_code(capsys, datum):
-    # unreachable truncation budget must yield the computation exit code;
-    # every order needs more than NU_CAP zeros, so no ladder runs
+    # an unreachable truncation budget must yield the computation exit code;
+    # a vanishing width needs more than NU_CAP zeros, so no ladder runs
     rc, _, err = run(
         capsys,
         [
             "verify", "--input", datum(E5A2),
-            "--alpha", "c=1.6094,w=0.5",
-            "--trunc-budget", "1e-60",
+            "--alpha", "c=0,w=1e-60",
         ],
     )
     assert rc == 2
@@ -268,7 +267,7 @@ def test_non_finite_input_is_an_input_error(capsys, datum, argv):
 
 @pytest.mark.parametrize("width", ["1e-60", "1e-100", "1e-320"])
 def test_vanishing_width_exceeds_the_budget(capsys, datum, width):
-    # M_k is astronomically large or infinite: a named limit, not a traceback
+    # B's tail is astronomically large or infinite: a named limit, not a traceback
     rc, out, err = run(capsys, ["verify", "--input", datum(E5A2), "--alpha", "c=0,w=" + width])
     assert rc == 2 and out == ""
     assert err.startswith("error: TruncationBudgetExceeded: ")

@@ -107,7 +107,7 @@ def _cache_size(decorator):
 def test_caches_are_bounded_unless_keyed_by_ints():
     # a long-lived process calls verify on ever new inputs: a cache keyed by
     # floats or tuples must stop growing, and only one keyed by small ints
-    # (an order) may keep every entry
+    # (a degree, say) may keep every entry
     bounded, unbounded = set(), set()
     for source in sorted(Path(weilflow.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
@@ -125,5 +125,4 @@ def test_caches_are_bounded_unless_keyed_by_ints():
                            for a in args), (source.name, node.name)
                 assert node.args.vararg is None and node.args.kwarg is None, node.name
                 unbounded.add(node.name)
-    assert {"_shape", "_weil_roots"} <= bounded
-    assert {"_numerator_table", "_monomial_table"} <= unbounded
+    assert {"_weil_roots", "_gl"} <= bounded

@@ -35,9 +35,9 @@ def test_traced_verify_records_plain_ladder_counts(tmp_path):
     assert names[0] == spans.OP_SPAN and names.count("bumps.phi_ladder") == 1
     assert all(type(v) is int and v > 0 for v in tracer.ladder.values())
     assert tracer.ladder["points"] == 301
-    # E/F_5 at budget 0.25: every j = 0, 1, 2 is at the ladder floor with M_2
+    # E/F_5 at budget 0.25: one majorant per j = 0, 1, 2, each at the floor
     assert names.count("bumps.tail_majorant") == 3
-    assert [t.order for t in report.spectral.per_j] == [2, 2, 2]
+    assert [t.nu_max for t in report.spectral.per_j] == [300, 300, 300]
     # one formula.trace_j span, a child of formula.spectral_side_zero_sum,
     # and the ladder runs inside it
     (stage,) = [k for k, name in enumerate(names) if name == "formula.trace_j"]
