@@ -330,6 +330,91 @@ def test_tail_is_at_least_the_direct_sum_of_the_bound():
     assert want <= got <= want * (1 + 1e-12)
 
 
+def test_tail_majorant_order_two_is_pinned():
+    # B at tau = 40 and its tail past 299.5 rungs of E/F_5's spacing, in
+    # .hex(), at the cases where the order-2 majorant was pinned; each at most
+    # 1e-11 above the closed form evaluated directly (the allowance raises
+    # exponents under 150 in size by 64 eps per unit, under 3e-12)
+    beta = 2.0 * math.pi / math.log(5.0)
+    pins = [
+        ((0.0, 1.0, 1.0), 0.0, "0x1.bb9066beffd6ap-12", "0x1.f9689345b535dp-51"),
+        ((1.6094, 0.5, 1.0), 0.5, "0x1.844ed7956c9f9p-8", "0x1.05dfdd963009ep-34"),
+        ((1.6094, 0.5, 1.0), 1.0, "0x1.f773d04c92712p-7", "0x1.53871a59da5bep-33"),
+        ((2.5, 0.8, 2.0), 1.5, "0x1.27642188b526ap-3", "0x1.baf6eaa7b3d75p-38"),
+        ((-1.2, 0.6, 1.5), 3.0, "0x1.dce6f0d2ac14ap-13", "0x1.68819b24dc4d3p-42"),
+        ((0.3, 0.05, -2.0), 8.0, "0x1.c7e377b88dbedp-1", "0x1.1a8611475f3a2p-6"),
+        ((-2.0, 4.0, 0.7), 8.0, "0x1.9ec6b2e566ad5p+1", "0x1.a52646939831ep-79"),
+        ((1.0, 2.5, 1.0), 2.0, "0x1.dd8bfd98fbac0p-8", "0x1.10a2c80393d71p-70"),
+        ((0.0, 1.0, 1.0), 1e-303, "0x1.bb9066beffd6ap-12", "0x1.f9689345b535dp-51"),
+    ]
+    for (c, w, a), sigma, bound, tail in pins:
+        tm = tail_majorant(BumpFunction(c, w, a), sigma)
+        assert (tm.bound(40.0).hex(), tm.tail(beta, 299.5).hex()) == (bound, tail), (c, w, a, sigma)
+        scale = abs(a) * math.exp(sigma * c) * (1.0 + math.exp(abs(sigma * w)))
+        z, y = math.sqrt(40.0 * w), math.sqrt(w * beta * 299.5)
+        direct = scale * w * math.sqrt(math.pi) * z**-1.5 * math.exp(-z) * (1.0 + 0.375 / z)
+        assert direct * (1 - 1e-14) <= tm.bound(40.0) <= direct * (1 + 1e-11), (c, w, a, sigma)
+        direct = scale * 4.0 / beta * math.sqrt(math.pi) * y**-0.5 * math.exp(-y)
+        assert direct * (1 - 1e-14) <= tm.tail(beta, 299.5) <= direct * (1 + 1e-11), (c, w, a, sigma)
+    two = tail_majorant(combine_bumps([BumpFunction(1.6094, 0.5), BumpFunction(2.5, 0.8, 2.0)]), 1.0)
+    assert (two.bound(40.0).hex(), two.tail(beta, 299.5).hex()) == ("0x1.7a9dbbf502dc5p-5", "0x1.567d2729ed659p-33")
+
+
+def test_tail_majorant_order_range():
+    # tail_majorant takes no order: B is one bound for every tau. It is +inf
+    # at tau = 0, even in tau, and falls across the whole range of |tau|, as
+    # does the tail in its start, which the ladder tail and _plan's search
+    # rely on
+    with pytest.raises(TypeError):
+        tail_majorant(STD, 0.5, 2)
+    beta = 2.0 * math.pi / math.log(5.0)
+    for tf, sigma in ((STD, 0.0), (BumpFunction(1.6094, 0.5, -1.5), 1.5),
+                      (combine_bumps([BumpFunction(-1.0, 0.3), BumpFunction(0.2, 2.0, 0.5)]), 3.0)):
+        tm = tail_majorant(tf, sigma)
+        assert tm.bound(0.0) == tm.tail(beta, 0.0) == math.inf
+        taus = [10.0 ** (e / 8.0) for e in range(-40, 41)]
+        bounds = [tm.bound(tau) for tau in taus]
+        assert bounds == [tm.bound(-tau) for tau in taus]
+        assert all(x > y > 0.0 for x, y in zip(bounds, bounds[1:])), sigma
+        tails = [tm.tail(beta, start) for start in taus]
+        assert all(x > y > 0.0 for x, y in zip(tails, tails[1:])), sigma
+
+
+def test_tail_majorant_reads_the_root_on_a_bracket_end():
+    # _plan's monotone search from the floor (n = NU_FLOOR, doubled, then
+    # bisected) returns the least n whose tail is within the sub-budget, also
+    # where that n is the floor itself or the end of a doubling bracket
+    from weilflow import formula
+
+    tf, g, j = BumpFunction(center=math.log(5.0), width=0.5), 1, 1
+    beta, rho, shares = 2.0 * math.pi / math.log(5.0), 0.5, 2 * 3
+    tm = tail_majorant(tf, j / 2.0)
+    floor = formula.NU_FLOOR
+    for n in (floor, floor + 1, 2 * floor - 1, 2 * floor, 2 * floor + 1, 4 * floor, 4 * floor - 1, 777):
+        budget = tm.tail(beta, n - rho) * shares
+        while budget / shares < tm.tail(beta, n - rho):
+            budget = math.nextafter(budget, math.inf)
+        m, got, tail = formula._plan(tf, g, j, beta, budget)
+        assert (m, got) == (2, n) and tail == tm.tail(beta, n - rho), n
+        assert tm.tail(beta, n - 1 - rho) > budget / shares or n == floor
+    loose = formula._plan(tf, g, j, beta, 1.0)
+    assert loose[1] == floor and loose[2] == tm.tail(beta, floor - rho) <= 1.0 / shares
+
+
+def test_tail_majorant_wide_bumps_keep_every_sign_change():
+    # w = 40 with kappa = sigma w up to 600 and either sign of sigma: B is
+    # finite, the same for sigma and -sigma at c = 0, and above |Phi| from
+    # 30-digit mpmath (loosely: e^{|kappa|} is the price of the one contour)
+    tf = BumpFunction(width=40.0)
+    for kappa in (100.0, 600.0):
+        up, down = tail_majorant(tf, kappa / 40.0), tail_majorant(tf, -kappa / 40.0)
+        for tau in (0.25, 10.0):
+            assert up.bound(tau) == down.bound(tau) < math.inf
+            want = abs(oracles.mpmath_phi([(0.0, 40.0, 1.0)], kappa / 40.0, tau))
+            assert want <= up.bound(tau), (kappa, tau)
+            assert abs(phi(tf, complex(-kappa / 40.0, tau)).value) <= down.bound(tau), (kappa, tau)
+
+
 @pytest.mark.parametrize("width", [1e-60, 1e-100, 1e-320, 1e300])
 def test_tail_majorant_never_nan(width):
     # tiny widths make B huge or +inf, a valid bound; a huge width or c = +-700

@@ -314,7 +314,7 @@ def test_verify_rejects_bad_tolerances(kwargs):
         verify(E5A2, BumpFunction(center=LOG5, width=0.5), **kwargs)
 
 
-def test_the_bound_sets_nu_max_only_above_the_floor():
+def test_higher_orders_set_nu_max_only_above_the_floor():
     # j = 1 of E/F_5 has 2 sublattices: its tail is twice B's closed-form
     # tail at nu_max, and nu_max is the least rung count past the floor
     # whose sublattice tail is within budget / (2 * 3)
