@@ -44,7 +44,6 @@ from .errors import (
     NonOrdinaryInput,
     NotPrimePower,
     OutputTooLarge,
-    QuadratureNonConvergence,
     RiemannHypothesisViolation,
     TruncationBudgetExceeded,
     WeilflowError,
@@ -86,8 +85,7 @@ __all__ = [
     "RiemannHypothesisViolation", "NonOrdinaryInput", "DimensionTooLarge",
     "OutputTooLarge",
     "CrossCheckFailure",
-    "NonIntegralInversion", "QuadratureNonConvergence",
-    "TruncationBudgetExceeded", "InsufficientCountRange",
+    "NonIntegralInversion", "TruncationBudgetExceeded", "InsufficientCountRange",
     "PjFamily", "build_pj_family", "zeros_in_window",
     "GeometricCell", "GeometricResult", "SpectralResult", "TraceResult",
     "VerificationReport", "geometric_side", "spectral_side_closed_form",

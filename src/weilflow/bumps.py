@@ -29,14 +29,15 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InputError, QuadratureNonConvergence
+from .errors import InputError, TruncationBudgetExceeded
 
 # integral of exp(-1/(1-t^2)) over [-1,1]; used only as a tolerance scale
 MOLLIFIER_MASS = 0.4439938161680794
 
 GL_ORDER = 64
 RTOL = 1e-12  # relative agreement of successive doubling passes
-_MAX_NODES = 1 << 21  # bail out of doubling past ~2M evaluation points
+LADDER_CAP = 1 << 31  # evaluation points of one ladder pass: rows x rungs x nodes
+_MAX_NODES = 1 << 21  # nodes of one pass, which its arrays hold
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
@@ -56,6 +57,8 @@ class BumpFunction:
             raise InputError("bump width must be positive and finite, got %r" % (self.width,))
         if not math.isfinite(self.center) or not math.isfinite(self.amplitude):
             raise InputError("bump parameters must be finite")
+        if not all(map(math.isfinite, self.support)):
+            raise InputError("bump support %r is not finite" % (self.support,))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -254,7 +257,8 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
     the hull of their supports, its first panels set by the largest |f|.
     Panels double until every row agrees with the previous pass to RTOL
     against its own scale (max |Phi| over the row, floored by the row's
-    envelope); a pass past _MAX_NODES nodes raises QuadratureNonConvergence.
+    envelope). A pass of over LADDER_CAP points (rows x rungs x nodes) or
+    _MAX_NODES nodes raises TruncationBudgetExceeded before it runs.
     Returns (values, errors, panels): values and the per-point doubling
     deltas have shape (rows, count).
     """
@@ -265,7 +269,7 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
     env = np.array([_envelope(h, s) for h, s in zip(rows, sigmas)]) + 1e-300
     fmax = max(abs(f0), abs(f0 + step * (count - 1)))
     panels, prev = max(8, _oscillation_panels(hi - lo, fmax)), None
-    while panels * GL_ORDER <= _MAX_NODES:
+    while (nodes := panels * GL_ORDER) <= _MAX_NODES and len(rows) * count * nodes <= LADDER_CAP:
         cur = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
         if prev is not None:
             err = np.abs(cur - prev)
@@ -273,10 +277,9 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
             if np.all(err.max(axis=1) <= RTOL * scale):
                 return cur, err, panels
         prev, panels = cur, 2 * panels
-    raise QuadratureNonConvergence(
-        "ladder of %d x %d points not settled below the node cap: %d panels "
-        "would take %d nodes, cap %d" % (len(rows), count, panels, panels * GL_ORDER, _MAX_NODES)
-    )
+    raise TruncationBudgetExceeded(
+        "ladder of %d rows x %d rungs: a pass of %d nodes (cap %d) takes %d points (LADDER_CAP %d)"
+        % (len(rows), count, nodes, _MAX_NODES, len(rows) * count * nodes, LADDER_CAP))
 
 
 def _exp_up(parts) -> float:

@@ -66,12 +66,8 @@ class NonIntegralInversion(ComputationError):
     """A Mobius / divisor-sum inversion produced a non-integer."""
 
 
-class QuadratureNonConvergence(ComputationError):
-    """Panel doubling hit its cap before the tolerance was met."""
-
-
 class TruncationBudgetExceeded(ComputationError):
-    """Certified tail demands more lattice points than the hard cap."""
+    """A Phi ladder pass would take over bumps.LADDER_CAP points or _MAX_NODES nodes."""
 
 
 class InsufficientCountRange(ComputationError):

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bumps import TestFunction, combine_bumps, phi_ladder, tail_majorant
+from .bumps import LADDER_CAP, TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
 from .errors import (
     DimensionTooLarge,
@@ -42,7 +42,6 @@ from .errors import (
 from .exterior import lefschetz_weight
 from .weil import FrobeniusModel, WeilDatum, check_ordinary, frobenius_model
 
-NU_CAP = 10_000_000  # hard per-sublattice ladder cap; beyond it is an error
 NU_FLOOR = 300  # minimum ladder half-length; more zeros only tighten the tail
 COUNT_CAP = 64  # largest Frobenius power the counting stage will take
 G_CAP = 8  # largest g that verify takes; see verify
@@ -162,9 +161,9 @@ def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[
     of one sublattice is at most the sum of the contour bound B over those
     rungs, which bumps.TailMajorant.tail bounds in closed form (_plan).
     NU_FLOOR puts a lower bound on the ladder regardless (truncation is
-    monotone, so extra zeros only help). Ladders demanding more than NU_CAP
-    points (infinitely many when B is infinite) raise instead of truncating
-    silently.
+    monotone, so extra zeros only help). A ladder pass of more than
+    bumps.LADDER_CAP points (rows x rungs x nodes), as any with B infinite,
+    raises TruncationBudgetExceeded before it runs instead of truncating.
 
     Summed over S, the rungs nu of all sublattices are one transform: of
     alpha L_j at j/2 + i beta nu, with L_j = sum_S e^{i theta_S t} real (see
@@ -208,7 +207,8 @@ def _plan(tf: TestFunction, g: int, j: int, beta: float, budget: float) -> tuple
     nu_max is the least n >= NU_FLOOR whose tail, TailMajorant.tail(beta, n -
     rho_j) for sigma = j/2, is within budget / (C(2g, j) (2g + 1)). The tail
     falls as n grows, so n doubles from NU_FLOOR until it is within, and the
-    last step is bisected.
+    last step is bisected. A rung costs at least one point, so n stops at
+    bumps.LADDER_CAP with TruncationBudgetExceeded.
     """
     m = math.comb(2 * g, j)
     rho = max(1, min(j, 2 * g - j)) / 2.0
@@ -218,12 +218,11 @@ def _plan(tf: TestFunction, g: int, j: int, beta: float, budget: float) -> tuple
     lo, hi = NU_FLOOR - 1, NU_FLOOR
     tail = majorant.tail(beta, hi - rho)
     while not tail <= sub_budget:
-        if hi >= NU_CAP:
+        if hi >= LADDER_CAP:
             raise TruncationBudgetExceeded(
-                "j = %d needs nu_max > %d per sublattice for budget %.3g, cap is %d"
-                % (j, NU_CAP, budget, NU_CAP)
-            )
-        lo, hi = hi, min(2 * hi, NU_CAP)
+                "j = %d needs more than %d rungs for budget %.3g, and the cap is "
+                "LADDER_CAP = %d points" % (j, LADDER_CAP, budget, LADDER_CAP))
+        lo, hi = hi, min(2 * hi, LADDER_CAP)
         tail = majorant.tail(beta, hi - rho)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -358,7 +357,8 @@ def verify(
     geometric side} stays within tol * (1 + |geometric|) plus the certified
     truncation-plus-quadrature budget of the zero sum. tol must be positive
     and finite; trunc_budget positive, where inf means floor-only ladders
-    with their honest tail. Anything else, NaN included, is an InputError.
+    with their honest tail. Anything else, NaN included, is an InputError; a
+    budget whose ladder outgrows bumps.LADDER_CAP is a TruncationBudgetExceeded.
 
     g above G_CAP (8) is refused because the certificate stops meaning
     anything, not for cost. Its quadrature part, the doubling deltas of the

@@ -19,7 +19,7 @@ from weilflow.bumps import (
     phi_ladder,
     tail_majorant,
 )
-from weilflow.errors import InputError, QuadratureNonConvergence
+from weilflow.errors import InputError, TruncationBudgetExceeded
 
 STD = BumpFunction()  # c=0, w=1, A=1
 
@@ -46,6 +46,12 @@ def test_bump_parameters():
     for width in (math.inf, math.nan):
         with pytest.raises(InputError):
             BumpFunction(width=width)
+    # c +- w past the largest float is an infinite support end, which
+    # formula._lattice_times would meet as math.ceil(inf)
+    for c, w in ((1e308, 1e308), (-1e308, 1e308), (1.7e308, 1e307)):
+        with pytest.raises(InputError, match="support .* is not finite"):
+            BumpFunction(center=c, width=w)
+    assert BumpFunction(center=1e308, width=1e307).support[1] == 1.1e308
 
 
 def test_mass_scale_matches_quadrature():
@@ -463,5 +469,40 @@ def test_tail_majorant_bounds_phi(c, w, a, sigma, tau):
 
 
 def test_quadrature_refuses_absurd_frequency():
-    with pytest.raises(QuadratureNonConvergence):
+    # 8 nodes per wavelength asks for 2.5e9 nodes on the first pass
+    with pytest.raises(TruncationBudgetExceeded, match="LADDER_CAP"):
         phi(STD, 1e9j)
+
+
+def test_ladder_cap_is_checked_before_every_pass(monkeypatch):
+    # a pass of rows x rungs x nodes points over LADDER_CAP, or of more than
+    # _MAX_NODES nodes, is refused before it runs, the first pass included;
+    # a pass of exactly LADDER_CAP points runs
+    passes = []
+    ladder_pass = bumps._ladder_pass
+    monkeypatch.setattr(bumps, "_ladder_pass", lambda *a: passes.append(a[5]) or ladder_pass(*a))
+    rows = [BumpFunction(), BumpFunction(0.5, 0.25), BumpFunction(-0.3, 0.5, 2.0)]
+    args = (rows, [0.0, 0.5, 1.0], 0.0, 3.9, 301)
+    values, _, panels = phi_ladder(*args)
+    every = passes[:]
+    assert every[-1] == panels and len(every) >= 2
+
+    def points(p):
+        return 3 * 301 * p * bumps.GL_ORDER
+
+    for cap, runs in ((points(panels), every), (points(panels) - 1, every[:-1]),
+                      (points(every[0]) - 1, [])):
+        passes.clear()
+        monkeypatch.setattr(bumps, "LADDER_CAP", cap)
+        if runs == every:
+            assert np.array_equal(phi_ladder(*args)[0], values)
+        else:
+            with pytest.raises(TruncationBudgetExceeded, match="rows x 301 rungs"):
+                phi_ladder(*args)
+        assert passes == runs
+    monkeypatch.setattr(bumps, "LADDER_CAP", 1 << 62)
+    monkeypatch.setattr(bumps, "_MAX_NODES", panels * bumps.GL_ORDER - 1)
+    passes.clear()
+    with pytest.raises(TruncationBudgetExceeded, match=r"\(cap %d\)" % bumps._MAX_NODES):
+        phi_ladder(*args)
+    assert panels not in passes

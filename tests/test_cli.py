@@ -238,7 +238,7 @@ def test_verify_nonordinary_gate(capsys, datum):
 
 def test_verify_failure_exit_code(capsys, datum):
     # an unreachable truncation budget must yield the computation exit code;
-    # a vanishing width needs more than NU_CAP zeros, so no ladder runs
+    # a vanishing width needs more rungs than bumps.LADDER_CAP, so no ladder runs
     rc, _, err = run(
         capsys,
         [
@@ -253,6 +253,7 @@ def test_verify_failure_exit_code(capsys, datum):
 @pytest.mark.parametrize("argv", [
     ["verify", "--alpha", "c=0,w=inf"],
     ["verify", "--alpha", "c=0,w=nan"],
+    ["verify", "--alpha", "c=1e308,w=1e308"],  # support (0, inf)
     ["verify", "--alpha", "c=1.6,w=0.5", "--trunc-budget", "nan"],
     ["verify", "--alpha", "c=1.6,w=0.5", "--tol", "nan"],
     ["verify", "--alpha", "c=1.6,w=0.5", "--tol", "inf"],

@@ -46,6 +46,19 @@ def test_readme_names_exist():
         assert name in weilflow.__all__, name
 
 
+def test_readme_cites_every_cap():
+    # every module-level *_CAP limit in src/weilflow is named in README as
+    # `module.NAME`, so a new limit cannot go undocumented
+    caps = set()
+    for source in sorted(Path(weilflow.__file__).parent.glob("*.py")):
+        for node in ast.parse(source.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            caps |= {"%s.%s" % (source.stem, t.id) for t in targets
+                     if isinstance(t, ast.Name) and t.id.endswith("_CAP")}
+    assert {"formula.COUNT_CAP", "formula.G_CAP", "bumps.LADDER_CAP"} <= caps
+    assert [cap for cap in sorted(caps) if "`%s`" % cap not in README] == []
+
+
 def _resolve(path: str) -> bool:
     """Whether the dotted path weilflow[.sub...].NAME exists, importing the
     submodules the package itself does not (weilflow.cli)."""

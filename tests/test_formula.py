@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from test_exterior import _angles, _period, _weil_products
-from weilflow import exterior, formula
+from weilflow import bumps, exterior, formula
 from weilflow.bumps import BumpFunction, combine_bumps, phi, phi_ladder, tail_majorant
 from weilflow.counting import build_count_table
 from weilflow.errors import (
@@ -279,8 +279,9 @@ def test_truncation_budget_drives_nu():
         with pytest.raises(ValueError, match="budget must be positive"):
             trace_j(M1, [1], tf, budget=budget)
     # the tail falls like e^{-sqrt(w beta n)}: budget 1e-60 plans 10,000
-    # rungs and 1e-300 about 2.4e5, both far inside NU_CAP, while a vanishing
-    # width needs more than NU_CAP zeros at any budget
+    # rungs and 1e-300 about 2.4e5 (whose ladder pass is over LADDER_CAP;
+    # see test_runaway_ladders_are_refused_before_they_run), while a
+    # vanishing width needs more rungs than LADDER_CAP at any budget
     beta = 2.0 * math.pi / LOG5
     for budget, rungs in ((1e-60, 10_000), (1e-300, 244_986)):
         assert formula._plan(tf, 1, 1, beta, budget)[1] == rungs
@@ -291,13 +292,48 @@ def test_truncation_budget_drives_nu():
 
 @pytest.mark.parametrize("width", [1e-60, 1e-100, 1e-320])
 def test_vanishing_width_raises_a_named_limit(width):
-    # B's tail stays above every budget up to NU_CAP rungs, or is +inf;
+    # B's tail stays above every budget up to LADDER_CAP rungs, or is +inf;
     # never NaN
     tf = BumpFunction(center=0.0, width=width)
     with pytest.raises(TruncationBudgetExceeded):
         trace_j(M1, [0], tf, budget=0.25)
     with pytest.raises(TruncationBudgetExceeded):
         verify(E5A2, tf)
+
+
+@pytest.mark.parametrize("bump, budget", [
+    (BumpFunction(center=1.6, width=0.5, amplitude=1e200), 0.25),  # 109,872 rungs
+    (BumpFunction(center=LOG5, width=0.5), 1e-300),  # 245,171 rungs
+])
+def test_runaway_ladders_are_refused_before_they_run(monkeypatch, bump, budget):
+    # E/F_5 ladders whose first pass alone would take 1.8e11 and 9.0e11
+    # points, about 3 and 15 minutes of CPU: refused at once, no pass run
+    def run(*args):
+        raise AssertionError("a pass over LADDER_CAP ran")
+
+    monkeypatch.setattr(bumps, "_ladder_pass", run)
+    start = time.process_time()
+    with pytest.raises(TruncationBudgetExceeded, match="LADDER_CAP 2147483648"):
+        verify(E5A2, bump, trunc_budget=budget)
+    assert time.process_time() - start < 1.0
+
+
+def test_a_large_amplitude_verifies_inside_the_ladder_cap(monkeypatch):
+    # A = 1e50 on E/F_5 plans 7,182 rungs; its last pass, 3 rows x 7,183
+    # rungs x 71,424 nodes, is 72 % of LADDER_CAP and runs in about 1.6 s
+    sizes = []
+    ladder_pass = bumps._ladder_pass
+
+    def sized(rows, sigmas, f0, step, count, panels, lo, hi):
+        sizes.append(len(rows) * count * panels * bumps.GL_ORDER)
+        return ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
+
+    monkeypatch.setattr(bumps, "_ladder_pass", sized)
+    start = time.process_time()
+    rep = verify(E5A2, BumpFunction(center=1.6, width=0.5, amplitude=1e50))
+    assert time.process_time() - start < 10.0
+    assert rep.passed and [t.nu_max for t in rep.spectral.per_j] == [6957, 7152, 7182]
+    assert sizes == [769_557_888, 1_539_115_776] and max(sizes) <= bumps.LADDER_CAP
 
 
 def test_trace_with_an_infinite_budget_stays_at_the_floor():
@@ -339,10 +375,10 @@ def test_g3_product_verifies_at_budget_1e6():
 
 @pytest.mark.parametrize("center, rungs", [(40.0, 378), (44.0, 454)])
 def test_far_supports_on_a_small_field_verify_quickly(center, rungs):
-    # E/F_2 with the bump far out, where a ladder of 2,281 rungs on j = 2
-    # raised QuadratureNonConvergence after 26 s. The tail is within budget,
-    # but the certificate (1.7e6 and 1.6e8) is the ladder's quad_error on
-    # values ~e^{sigma c}, far above the budget 0.25
+    # E/F_2 with the bump far out, where the order-k majorants planned 2,281
+    # rungs on j = 2 and the doubling ran 26 s into the node cap. The tail
+    # is within budget, but the certificate (1.7e6 and 1.6e8) is the
+    # ladder's quad_error on values ~e^{sigma c}, far above the budget 0.25
     start = time.process_time()
     rep = verify(parse_weil_datum({"q": 2, "trace": 1}), BumpFunction(center=center, width=0.5))
     assert time.process_time() - start < 3.0
@@ -618,12 +654,16 @@ def test_verify_never_enumerates_subsets(monkeypatch):
 @example(doc=_product(4, [4, 4, -4]))  # mu = 2 twice and -2 twice
 @example(doc=_product(27, [3, 3, 3]))  # a repeated factor, q = 3^3
 @example(doc=_product(8, [0, 5]))  # q = 2^3
+@example(doc=_product(2**61 - 1, [3]))  # j = 2 needs 30,590 rungs; doubling stops at the cap
 def test_valid_weil_products_verify_or_stop_at_a_named_limit(doc):
-    # every valid input verifies, or raises a documented limit; a
-    # CrossCheckFailure or QuadratureNonConvergence here is a defect
+    # every valid input verifies, or raises a documented limit, within 10 s
+    # of CPU: no ladder pass exceeds LADDER_CAP points (about 2 s); a
+    # CrossCheckFailure here is a defect
     w = parse_weil_datum(doc)
+    start = time.process_time()
     try:
         rep = verify(w, BumpFunction(center=math.log(w.q), width=0.5), allow_non_ordinary=True)
     except (TruncationBudgetExceeded, InsufficientCountRange):
-        return
-    assert rep.passed, doc
+        rep = None
+    assert time.process_time() - start < 10.0, doc
+    assert rep is None or rep.passed, doc
