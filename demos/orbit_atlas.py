@@ -1,20 +1,22 @@
 """Point counts, closed points, primitive orbits, fixed-point groups.
 
 The same integers show up four ways and the demo prints the crosswalk:
-N_n as det(F^n - I), the Moebius-inverted closed points a_d, the
-primitive orbit counts b_nu of the Frobenius action (a primitive orbit
-of length nu is a closed point of degree nu, so b_nu = a_nu), and the
-Smith normal form of the group of F^n-fixed points.
+N_n as det(F^n - I), the closed points a_d from the divisor-sum identity,
+the primitive orbit counts b_nu of the Frobenius action (a primitive orbit
+of length nu log q is a closed point of degree nu, so b_nu = a_nu and the
+table's closed points are the orbit counts), and the Smith normal form of
+the group of F^n-fixed points.
 
 Run:  python demos/orbit_atlas.py
 """
 
+import math
+
 from weilflow import (
     build_count_table,
     closed_point_count,
-    fixed_point_group,
+    fixed_point_groups,
     frobenius_model,
-    orbit_table,
     parse_weil_datum,
 )
 
@@ -32,14 +34,14 @@ def main():
         w = parse_weil_datum(doc)
         model = frobenius_model(w)
         ct = build_count_table(model, N_MAX)
-        orbits = orbit_table(ct)
+        groups = fixed_point_groups(model, N_MAX)
 
         print(f"=== {w.label}   (q={w.q}, g={w.g})")
         print(f"{'n':>3} {'N_n':>12} {'a_n':>12} {'b_n':>12}   fixed group")
         for n in range(1, N_MAX + 1):
             a_n = closed_point_count(ct, n)
-            b_n = orbits.counts[n - 1]
-            grp = fixed_point_group(model, n)
+            b_n = ct.closed_points[n - 1]  # b_nu = a_nu
+            grp = groups[n - 1]
             shape = " x ".join(f"Z/{d}" for d in grp.divisors if d > 1)
             print(f"{n:>3} {ct.count(n):>12} {a_n:>12} {b_n:>12}   {shape}")
             assert grp.order == ct.count(n)
@@ -51,7 +53,7 @@ def main():
                     for d in range(1, n + 1) if n % d == 0)
         print(f"sum of d*a_d over d | {n}: {total} = N_{n}")
         print(f"orbit lengths are d*log q: first few "
-              f"{[round(l, 4) for l in orbits.lengths[:4]]}")
+              f"{[round(d * math.log(w.q), 4) for d in range(1, 5)]}")
         print()
 
 

@@ -25,11 +25,9 @@ from .bumps import (
 from .counting import (
     CountTable,
     FixedPointGroup,
-    OrbitTable,
     build_count_table,
     closed_point_count,
-    fixed_point_group,
-    orbit_table,
+    fixed_point_groups,
 )
 from .errors import (
     BadLength,
@@ -77,9 +75,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BumpFunction", "BumpSum", "PhiResult", "TailMajorant",
     "combine_bumps", "phi", "phi_ladder", "tail_majorant",
-    "CountTable", "FixedPointGroup", "OrbitTable",
-    "build_count_table", "closed_point_count", "fixed_point_group",
-    "orbit_table",
+    "CountTable", "FixedPointGroup",
+    "build_count_table", "closed_point_count", "fixed_point_groups",
     "WeilflowError", "InputError", "ComputationError",
     "NotPrimePower", "FieldTooLarge", "BadLength", "BadNormalization",
     "RiemannHypothesisViolation", "NonOrdinaryInput", "DimensionTooLarge",

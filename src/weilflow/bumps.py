@@ -258,7 +258,9 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
     Panels double until every row agrees with the previous pass to RTOL
     against its own scale (max |Phi| over the row, floored by the row's
     envelope). A pass of over LADDER_CAP points (rows x rungs x nodes) or
-    _MAX_NODES nodes raises TruncationBudgetExceeded before it runs.
+    _MAX_NODES nodes raises TruncationBudgetExceeded before it runs, and so
+    does a first pass whose successor would (a pass returns only against
+    the one before it, so the first pass is checked at twice its nodes).
     Returns (values, errors, panels): values and the per-point doubling
     deltas have shape (rows, count).
     """
@@ -269,7 +271,8 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
     env = np.array([_envelope(h, s) for h, s in zip(rows, sigmas)]) + 1e-300
     fmax = max(abs(f0), abs(f0 + step * (count - 1)))
     panels, prev = max(8, _oscillation_panels(hi - lo, fmax)), None
-    while (nodes := panels * GL_ORDER) <= _MAX_NODES and len(rows) * count * nodes <= LADDER_CAP:
+    while ((nodes := panels * GL_ORDER * (2 if prev is None else 1)) <= _MAX_NODES
+           and len(rows) * count * nodes <= LADDER_CAP):
         cur = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
         if prev is not None:
             err = np.abs(cur - prev)

@@ -18,7 +18,7 @@ import math
 import sys
 
 from .bumps import BumpFunction, combine_bumps
-from .counting import build_count_table, fixed_point_group, orbit_table
+from .counting import build_count_table, fixed_point_groups
 from .errors import ComputationError, InputError, OutputTooLarge, WeilflowError
 from .exterior import ZETA_G_CAP, build_pj_family, zeros_in_window
 from .formula import COUNT_CAP, verify
@@ -187,8 +187,8 @@ def _cmd_zeta(args) -> tuple[int, str]:
 
 
 def _count_tables(args, snf: bool):
-    """Count and orbit tables for --max, and the Smith forms of F^n - I only
-    when snf is set: they cost ~90 % of the work at g = 4."""
+    """Count table for --max, and the Smith forms of F^n - I only when snf
+    is set: they cost ~90 % of the work at g = 4."""
     w = _load_datum(args.input)
     if args.max < 1:
         raise InputError("--max must be >= 1, got %d" % args.max)
@@ -198,20 +198,20 @@ def _count_tables(args, snf: bool):
     _refuse_long_integers("%s --max %d" % (args.command, args.max), w.q, args.max, 2 * w.g)
     model = frobenius_model(w)
     ct = build_count_table(model, args.max)
-    ot = orbit_table(ct)
-    groups = [fixed_point_group(model, n) for n in range(1, args.max + 1)] if snf else None
-    return w, ct, ot, groups
+    groups = fixed_point_groups(model, args.max) if snf else None
+    return w, ct, groups
 
 
-def _count_doc(w, ct, ot, groups) -> str:
+def _count_doc(w, ct, groups) -> str:
     n_max = ct.n_max
+    logq = math.log(w.q)
     return _dumps({
         "q": w.q,
         "g": w.g,
         "N": {str(n): str(ct.counts[n - 1]) for n in range(1, n_max + 1)},
         "a": {str(d): str(ct.closed_points[d - 1]) for d in range(1, n_max + 1)},
         "orbits": {
-            str(nu): {"count": str(ot.counts[nu - 1]), "length": ot.lengths[nu - 1]}
+            str(nu): {"count": str(ct.closed_points[nu - 1]), "length": nu * logq}
             for nu in range(1, n_max + 1)
         },
         "snf": {str(fg.n): [str(d) for d in fg.divisors] for fg in groups},
@@ -219,9 +219,9 @@ def _count_doc(w, ct, ot, groups) -> str:
 
 
 def _cmd_count(args) -> tuple[int, str]:
-    w, ct, ot, groups = _count_tables(args, snf=True)
+    w, ct, groups = _count_tables(args, snf=True)
     if args.format == "json":
-        return 0, _count_doc(w, ct, ot, groups)
+        return 0, _count_doc(w, ct, groups)
     if args.format == "csv":
         rows = [["n", "N_n", "a_n", "snf"]]
         for n in range(1, args.max + 1):
@@ -238,19 +238,20 @@ def _cmd_count(args) -> tuple[int, str]:
 
 def _cmd_orbits(args) -> tuple[int, str]:
     # text and csv print no Smith forms, so only json builds them
-    w, ct, ot, groups = _count_tables(args, snf=args.format == "json")
+    w, ct, groups = _count_tables(args, snf=args.format == "json")
     if args.format == "json":
-        return 0, _count_doc(w, ct, ot, groups)
+        return 0, _count_doc(w, ct, groups)
+    # b_nu = a_nu: a primitive orbit of length nu log q is a closed point of degree nu
+    logq = math.log(w.q)
     if args.format == "csv":
         rows = [["nu", "b_nu", "length"]]
         for nu in range(1, args.max + 1):
-            rows.append([nu, str(ot.counts[nu - 1]), _fmt_float(ot.lengths[nu - 1])])
+            rows.append([nu, str(ct.closed_points[nu - 1]), _fmt_float(nu * logq)])
         return 0, _csv_rows(rows)
-    lines = ["primitive orbits for q=%d g=%d (length unit log q = %.12f)"
-             % (w.q, w.g, math.log(w.q))]
+    lines = ["primitive orbits for q=%d g=%d (length unit log q = %.12f)" % (w.q, w.g, logq)]
     for nu in range(1, args.max + 1):
         lines.append("nu=%-3d b=%-24d length=%.12f"
-                     % (nu, ot.counts[nu - 1], ot.lengths[nu - 1]))
+                     % (nu, ct.closed_points[nu - 1], nu * logq))
     return 0, "\n".join(lines)
 
 

@@ -2,11 +2,12 @@
 
 Counts over extension fields come from the exact integer determinant
 N_n = det(F^n - I) (positive because the eigenvalues pair off the unit
-circle), closed-point counts by Mobius inversion of the divisor-sum identity
-sum_{d|n} d a_d = N_n, and the group of points of degree dividing n from the
-Smith normal form of F^n - I. A primitive orbit of period nu is a closed
-point of degree nu, so the orbit count b_nu is a_nu itself; acceptance
-criterion 4 checks it against the orders of the Smith normal forms.
+circle), closed-point counts from the divisor-sum identity
+sum_{d|n} d a_d = N_n solved degree by degree, and the group of points of
+degree dividing n from the Smith normal form of F^n - I. A primitive orbit
+of period nu is a closed point of degree nu, so the orbit count b_nu is a_nu
+itself; acceptance criterion 4 checks it against the orders of the Smith
+normal forms.
 """
 
 from __future__ import annotations
@@ -15,26 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import CrossCheckFailure, InsufficientCountRange, NonIntegralInversion
-from .intlinalg import identity, mat_mul, mat_pow, mat_sub, det_bareiss, smith_normal_form
+from .intlinalg import identity, mat_mul, mat_sub, det_bareiss, smith_normal_form
 from .weil import FrobeniusModel
-
-
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius undefined for n < 1")
-    count = 0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            count += 1
-        p += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -43,7 +26,7 @@ class CountTable:
     g: int
     n_max: int
     counts: tuple[int, ...]  # N_1 .. N_{n_max}
-    closed_points: tuple[int, ...]  # a_1 .. a_{n_max}
+    closed_points: tuple[int, ...]  # a_1 .. a_{n_max}; also the orbit counts b_nu
 
     def count(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
@@ -60,37 +43,36 @@ class FixedPointGroup:
     divisors: tuple[int, ...]  # SNF diagonal d_1 | d_2 | ... , all positive
 
 
-@dataclass(frozen=True)
-class OrbitTable:
-    q: int
-    n_max: int
-    counts: tuple[int, ...]  # orbits of primitive period nu = 1 ..
-    lengths: tuple[float, ...]  # nu * log q
+def _powers_minus_identity(model: FrobeniusModel, n_max: int):
+    """F^n - I for n = 1 .. n_max, one mat_mul per n."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    f = [list(row) for row in model.matrix]
+    eye = identity(len(f))
+    fn = eye
+    for _ in range(n_max):
+        fn = mat_mul(fn, f)
+        yield mat_sub(fn, eye)
 
 
 def build_count_table(model: FrobeniusModel, n_max: int) -> CountTable:
     """N_n and a_d for 1 <= n <= n_max, exactly.
 
-    Every N_n must be positive, every division of the Mobius inversion
-    exact and every a_d non-negative. The independent routes to N_n (the
-    trace recurrence, prod(mu^n - 1)) live in the test suite.
+    Every N_n must be positive, every division of the inversion
+    d a_d = N_d - sum_{e|d, e<d} e a_e exact and every a_d non-negative.
+    The independent routes to N_n (the trace recurrence, prod(mu^n - 1)) and
+    to a_d (Mobius inversion) live in the test suite.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    f = [list(row) for row in model.matrix]
-    size = len(f)
     counts: list[int] = []
-    fn = identity(size)
-    for n in range(1, n_max + 1):
-        fn = mat_mul(fn, f)
-        det = det_bareiss(mat_sub(fn, identity(size)))
+    for n, mat in enumerate(_powers_minus_identity(model, n_max), start=1):
+        det = det_bareiss(mat)
         if det <= 0:
             raise CrossCheckFailure("det(F^%d - I) = %d is not positive" % (n, det))
         counts.append(det)
 
     closed: list[int] = []
     for d in range(1, n_max + 1):
-        total = sum(mobius(d // e) * counts[e - 1] for e in range(1, d + 1) if d % e == 0)
+        total = counts[d - 1] - sum(e * closed[e - 1] for e in range(1, d) if d % e == 0)
         if total % d:
             raise NonIntegralInversion(
                 "Mobius inversion at d = %d gave %d, not divisible by %d"
@@ -119,26 +101,18 @@ def closed_point_count(table: CountTable, d: int) -> int:
     return table.closed_points[d - 1]
 
 
-def fixed_point_group(model: FrobeniusModel, n: int) -> FixedPointGroup:
-    """Structure of the fixed points of F^n: SNF divisors of F^n - I.
+def fixed_point_groups(model: FrobeniusModel, n_max: int) -> tuple[FixedPointGroup, ...]:
+    """Structure of the fixed points of F^n for n = 1 .. n_max: SNF divisors
+    of F^n - I.
 
-    The group is a direct sum of Z/d_i with d_1 | d_2 | ...; its order is
+    Each group is a direct sum of Z/d_i with d_1 | d_2 | ...; its order is
     |det(F^n - I)| = N_n, which the test suite checks against
     build_count_table.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    mat = mat_sub(mat_pow(model.matrix, n), identity(len(model.matrix)))
-    divisors = smith_normal_form(mat)
-    if any(d == 0 for d in divisors):
-        raise CrossCheckFailure("F^%d - I is singular" % n)
-    return FixedPointGroup(n=n, order=math.prod(divisors), divisors=tuple(divisors))
-
-
-def orbit_table(table: CountTable) -> OrbitTable:
-    """All primitive orbit counts in range (b_nu = a_nu), with lengths nu * log q."""
-    logq = math.log(table.q)
-    lengths = tuple(nu * logq for nu in range(1, table.n_max + 1))
-    return OrbitTable(
-        q=table.q, n_max=table.n_max, counts=table.closed_points, lengths=lengths
-    )
+    groups = []
+    for n, mat in enumerate(_powers_minus_identity(model, n_max), start=1):
+        divisors = smith_normal_form(mat)
+        if any(d == 0 for d in divisors):
+            raise CrossCheckFailure("F^%d - I is singular" % n)
+        groups.append(FixedPointGroup(n=n, order=math.prod(divisors), divisors=tuple(divisors)))
+    return tuple(groups)

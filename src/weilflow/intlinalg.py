@@ -23,20 +23,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(row[t] * col[t] for t in range(k)) for col in bt] for row in a]
 
 
-def mat_pow(a: Matrix, n: int) -> Matrix:
-    if n < 0:
-        raise ValueError("negative matrix power")
-    result = identity(len(a))
-    base = [list(row) for row in a]
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
-    return result
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

@@ -476,22 +476,23 @@ def test_quadrature_refuses_absurd_frequency():
 
 def test_ladder_cap_is_checked_before_every_pass(monkeypatch):
     # a pass of rows x rungs x nodes points over LADDER_CAP, or of more than
-    # _MAX_NODES nodes, is refused before it runs, the first pass included;
-    # a pass of exactly LADDER_CAP points runs
+    # _MAX_NODES nodes, is refused before it runs, the first pass included,
+    # and so is a first pass whose doubled successor would be (it could never
+    # return); a pass of exactly LADDER_CAP points runs
     passes = []
     ladder_pass = bumps._ladder_pass
     monkeypatch.setattr(bumps, "_ladder_pass", lambda *a: passes.append(a[5]) or ladder_pass(*a))
-    rows = [BumpFunction(), BumpFunction(0.5, 0.25), BumpFunction(-0.3, 0.5, 2.0)]
+    rows = [BumpFunction(), BumpFunction(0.5, 0.05), BumpFunction(-0.3, 0.5, 2.0)]
     args = (rows, [0.0, 0.5, 1.0], 0.0, 3.9, 301)
     values, _, panels = phi_ladder(*args)
     every = passes[:]
-    assert every[-1] == panels and len(every) >= 2
+    assert every[-1] == panels and len(every) >= 3
 
     def points(p):
         return 3 * 301 * p * bumps.GL_ORDER
 
     for cap, runs in ((points(panels), every), (points(panels) - 1, every[:-1]),
-                      (points(every[0]) - 1, [])):
+                      (points(every[1]) - 1, []), (points(every[0]) - 1, [])):
         passes.clear()
         monkeypatch.setattr(bumps, "LADDER_CAP", cap)
         if runs == every:
@@ -505,4 +506,4 @@ def test_ladder_cap_is_checked_before_every_pass(monkeypatch):
     passes.clear()
     with pytest.raises(TruncationBudgetExceeded, match=r"\(cap %d\)" % bumps._MAX_NODES):
         phi_ladder(*args)
-    assert panels not in passes
+    assert passes == every[:-1]

@@ -342,14 +342,14 @@ def test_orbits_builds_smith_forms_only_for_json(capsys, datum, monkeypatch):
     import weilflow.cli
 
     calls = []
-    real = weilflow.cli.fixed_point_group
-    monkeypatch.setattr(weilflow.cli, "fixed_point_group",
-                        lambda model, n: calls.append(n) or real(model, n))
+    real = weilflow.cli.fixed_point_groups
+    monkeypatch.setattr(weilflow.cli, "fixed_point_groups",
+                        lambda model, n_max: calls.append(n_max) or real(model, n_max))
     for fmt in ("text", "csv"):
         rc, _, _ = run(capsys, ["orbits", "--input", datum(G2), "--max", "6", "--format", fmt])
         assert rc == 0 and calls == []
     rc, out, _ = run(capsys, ["orbits", "--input", datum(G2), "--max", "6", "--format", "json"])
-    assert rc == 0 and calls == [1, 2, 3, 4, 5, 6]
+    assert rc == 0 and calls == [6]
     assert list(json.loads(out)["snf"]) == ["1", "2", "3", "4", "5", "6"]
 
 

@@ -1,7 +1,5 @@
 """Point counts, closed points, fixed-point groups, orbit correspondence."""
 
-import math
-
 import pytest
 
 import oracles
@@ -9,9 +7,7 @@ from test_weil import CORPUS
 from weilflow.counting import (
     build_count_table,
     closed_point_count,
-    fixed_point_group,
-    mobius,
-    orbit_table,
+    fixed_point_groups,
 )
 from weilflow.errors import InsufficientCountRange
 from weilflow.weil import frobenius_model, parse_weil_datum
@@ -26,9 +22,8 @@ G2 = _model({"q": 5, "g": 2, "weil_poly": [1, -6, 18, -30, 25]})
 
 
 def test_mobius_values():
-    assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
-    with pytest.raises(ValueError, match="n < 1"):
-        mobius(0)
+    # the oracle's Mobius function, which closed_points inverts with
+    assert [oracles.mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
 
 def test_point_count_hand_values():
@@ -95,39 +90,36 @@ def test_float_exact_consistency():
 
 
 def test_fixed_point_group_hand_values():
-    g1 = fixed_point_group(E5A2, 1)
-    assert g1.divisors == (1, 4) and g1.order == 4
-    g2 = fixed_point_group(E5A2, 2)
-    assert g2.divisors == (2, 16) and g2.order == 32
-    g3 = fixed_point_group(E5A2, 3)
-    assert g3.divisors == (1, 148)
-    h2 = fixed_point_group(G2, 2)
+    g1, g2, g3 = fixed_point_groups(E5A2, 3)
+    assert g1.n == 1 and g1.divisors == (1, 4) and g1.order == 4
+    assert g2.n == 2 and g2.divisors == (2, 16) and g2.order == 32
+    assert g3.n == 3 and g3.divisors == (1, 148)
+    h2 = fixed_point_groups(G2, 2)[1]
     assert h2.divisors == (1, 1, 4, 160) and h2.order == 640
 
 
 def test_fixed_point_group_vs_sympy_and_counts():
-    from weilflow.intlinalg import identity, mat_pow, mat_sub
+    import sympy
 
     for m, n_hi in ((E5A2, 8), (G2, 5)):
         ct = build_count_table(m, n_hi)
-        for n in range(1, n_hi + 1):
-            fg = fixed_point_group(m, n)
+        groups = fixed_point_groups(m, n_hi)
+        f = sympy.Matrix(m.matrix)
+        assert [fg.n for fg in groups] == list(range(1, n_hi + 1))
+        for n, fg in enumerate(groups, start=1):
             assert fg.order == ct.counts[n - 1]
             for a, b in zip(fg.divisors, fg.divisors[1:]):
                 assert b % a == 0
-            mat = mat_sub(mat_pow(m.matrix, n), identity(len(m.matrix)))
+            mat = (f ** n - sympy.eye(f.rows)).tolist()
             assert list(fg.divisors) == oracles.sympy_snf_divisors(mat)
 
 
 def test_primitive_orbits():
+    # b_nu = a_nu: a primitive orbit of period nu is a closed point of degree nu
     ct = build_count_table(E5A2, 12)
-    ot = orbit_table(ct)
-    assert ot.counts[:2] == (4, 14)
+    assert ct.closed_points[:2] == (4, 14)
     for nu in (2, 3, 5, 7, 11):  # prime nu: b = (N_nu - N_1)/nu
-        assert ot.counts[nu - 1] == (ct.counts[nu - 1] - ct.counts[0]) // nu
-    assert list(ot.counts) == list(ct.closed_points)
-    for nu in range(1, 13):
-        assert abs(ot.lengths[nu - 1] - nu * math.log(5)) < 1e-12
+        assert ct.closed_points[nu - 1] == (ct.counts[nu - 1] - ct.counts[0]) // nu
 
 
 def test_range_errors():
@@ -136,8 +128,8 @@ def test_range_errors():
         ct.count(4)
     with pytest.raises(InsufficientCountRange):
         closed_point_count(ct, 4)
-    with pytest.raises(ValueError):
-        fixed_point_group(E5A2, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        fixed_point_groups(E5A2, 0)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         build_count_table(E5A2, 0)
 
@@ -146,3 +138,4 @@ def test_positivity_whole_corpus():
     for doc in CORPUS:
         ct = build_count_table(_model(doc), 10)
         assert all(n > 0 for n in ct.counts)
+        assert list(ct.closed_points) == oracles.closed_points(list(ct.counts))

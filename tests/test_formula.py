@@ -304,10 +304,13 @@ def test_vanishing_width_raises_a_named_limit(width):
 @pytest.mark.parametrize("bump, budget", [
     (BumpFunction(center=1.6, width=0.5, amplitude=1e200), 0.25),  # 109,872 rungs
     (BumpFunction(center=LOG5, width=0.5), 1e-300),  # 245,171 rungs
+    (BumpFunction(center=1.6, width=0.5, amplitude=1e55), 0.25),  # 8,642 rungs
 ])
 def test_runaway_ladders_are_refused_before_they_run(monkeypatch, bump, budget):
     # E/F_5 ladders whose first pass alone would take 1.8e11 and 9.0e11
-    # points, about 3 and 15 minutes of CPU: refused at once, no pass run
+    # points, about 3 and 15 minutes of CPU, and one whose first pass (1.1e9
+    # points, about 1 s) fits but whose doubled successor (2.2e9) does not,
+    # so that it could never return: refused at once, no pass run
     def run(*args):
         raise AssertionError("a pass over LADDER_CAP ran")
 
