@@ -57,7 +57,13 @@ def test_charpoly_hand_companion():
     # char(T) of the companion of X^2 - 2X + 5 read off directly
     assert charpoly([[0, -5], [1, 2]]) == [5, -2, 1]
     assert charpoly([[2]]) == [-2, 1]
+
+
+def test_charpoly_empty_and_pow_edge():
+    # the 0x0 matrix has char poly 1; F^0 = I has char poly (X - 1)^n
+    assert charpoly([]) == [1]
     assert charpoly([[1]]) == [-1, 1]
+    assert charpoly(identity(3)) == [-1, 3, -3, 1]
 
 
 def test_charpoly_random_vs_sympy():
