@@ -3,8 +3,10 @@
 For each j the j-th exterior power of F acts on lexicographic j-subsets of
 the eigenvalue indices; its characteristic polynomial, reversed, is the
 degree-C(2g, j) factor P_j(X) = prod_{|S|=j} (1 - lambda_S X) with
-lambda_S = prod_{i in S} mu_i. Each inverse root contributes a vertical
-ladder of zeros s_S + 2 pi i nu / log q of P_j(q^{-s}), all on Re s = j/2.
+lambda_S = prod_{i in S} mu_i. zeta takes that charpoly for j <= g only:
+lambda_{S^c} = q^g / lambda_S gives P_j for j > g exactly from P_{2g-j}.
+Each inverse root contributes a vertical ladder of zeros
+s_S + 2 pi i nu / log q of P_j(q^{-s}), all on Re s = j/2.
 
 Parse has decided the Riemann hypothesis exactly (weil._weil_roots), so
 |lambda_S| = q^{j/2} is a theorem: Re s_S = j/2 exactly, and Im s_S is the
@@ -36,7 +38,7 @@ from .errors import CrossCheckFailure, DimensionTooLarge
 from .intlinalg import Matrix, charpoly, det_bareiss
 from .weil import FrobeniusModel
 
-ZETA_G_CAP = 5  # largest g that zeta takes; see build_pj_family
+ZETA_G_CAP = 5  # largest g that zeta takes: about 65 s of charpoly at g = 5; see build_pj_family
 
 
 def subsets(n: int, j: int) -> list[tuple[int, ...]]:
@@ -87,15 +89,34 @@ def _expand_products(lams) -> list[complex]:
     return poly
 
 
+def _complement_poly(partner: tuple[int, ...], q: int, g: int, j: int) -> tuple[int, ...]:
+    """P_j from P_{2g-j} = sum c_k X^k: lambda_S = q^g / lambda_{S^c}, so with
+    N = C(2g, j) coefficient m of P_j is c_{N-m} q^{gm} / c_N, exactly."""
+    top = partner[-1]
+    out = []
+    for m in range(len(partner)):
+        c, rem = divmod(partner[-1 - m] * q ** (g * m), top)
+        if rem:
+            raise CrossCheckFailure(
+                "P_%d coefficient %d: %d q^%d not divisible by %d"
+                % (j, m, partner[-1 - m], g * m, top)
+            )
+        out.append(c)
+    return tuple(out)
+
+
 def build_pj_family(model: FrobeniusModel) -> PjFamily:
     """All P_j from exact exterior-power char polynomials, float cross-checked.
 
-    The float route expands prod (1 - lambda_S X) from the roots and
-    must match every integer coefficient to 1e-8 relative; P_0 and P_2g are
-    additionally pinned to their closed forms. g above ZETA_G_CAP is refused:
-    the exterior powers have dimension up to C(2g, g), and charpoly takes n
-    products of n x n big-integer matrices: at g = 5 the 210-dimensional
-    j = 4 block already takes minutes, and g = 6 has a 924-dimensional one.
+    P_j for j <= g is the reversed charpoly (Berkowitz) of the exterior power;
+    P_j for j > g follows exactly from P_{2g-j} (_complement_poly). The float
+    route expands prod (1 - lambda_S X) from the roots and must match every
+    integer coefficient to 1e-8 relative; P_0 and P_2g are additionally pinned
+    to their closed forms. g above ZETA_G_CAP is refused: charpoly takes
+    about n^4 / 4 big-integer products on an n-dimensional block, and the
+    blocks reach C(2g, g) rows. At g = 5 the 120-, 210- and 252-dimensional
+    j = 3, 4 and 5 blocks take about 3, 19 and 43 s; g = 6 has a
+    924-dimensional one.
     """
     w = model.datum
     if w.g > ZETA_G_CAP:
@@ -105,7 +126,10 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
     n = 2 * w.g
     polys: list[tuple[int, ...]] = []
     for j in range(n + 1):
-        pj = tuple(reversed(charpoly(exterior_power_matrix(f, j))))
+        if j <= w.g:
+            pj = tuple(reversed(charpoly(exterior_power_matrix(f, j))))
+        else:
+            pj = _complement_poly(polys[n - j], w.q, w.g, j)
         for k, (ci, cf) in enumerate(zip(pj, _expand_products(products[j]))):
             scale = max(1.0, abs(ci))
             if abs(cf - ci) > 1e-8 * scale:

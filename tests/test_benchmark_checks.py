@@ -1,12 +1,17 @@
-"""The benchmark's correctness check (perfbench/checks.py) still reads verify.
+"""The benchmark's correctness checks (perfbench/checks.py) still read the
+reports they check.
 
 check_verify reads spectral.alternating_full, .closed_form, .tail_bound and
-the report's allowance. A report change that broke it would mark every
-benchmark op as wrong, and only perfbench's own tests would notice. This runs
-one E/F_5 verify, as the e5-battery workload does, and checks it against
-check_verify.
+the report's allowance; check_zeta reads zeta's JSON "P" and compares it with
+P_j from Newton's identities. A report change that broke either would mark
+every benchmark op as wrong, and only perfbench's own tests would notice.
+This runs one E/F_5 verify, as the e5-battery workload does, and one g = 4
+zeta, as g4-tables does, and checks them.
 """
 
+import contextlib
+import io
+import json
 import math
 import sys
 from pathlib import Path
@@ -17,6 +22,7 @@ import checks  # noqa: E402
 
 import weilflow  # noqa: E402
 from weilflow.bumps import BumpFunction  # noqa: E402
+from weilflow.cli import main  # noqa: E402
 from weilflow.weil import parse_weil_datum  # noqa: E402
 
 
@@ -26,3 +32,14 @@ def test_check_verify_accepts_an_e5_verify_report():
     report = weilflow.verify(datum, bump, tol=1e-6, trunc_budget=0.25)
     params = (bump.center, bump.width, bump.amplitude)
     assert checks.check_verify(report, 5, (2,), params, 0.25, 1e-6) == []
+
+
+def test_check_zeta_accepts_a_g4_zeta(tmp_path):
+    # a g = 4 draw that the g4-tables screen accepts
+    q, traces = 5, (-3, 0, -3, 3)
+    path = tmp_path / "g4.json"
+    path.write_text(json.dumps({"q": q, "g": 4, "weil_poly": checks.weil_poly(q, traces)}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["zeta", "--input", str(path), "--format", "json"]) == 0
+    assert checks.check_zeta(out.getvalue(), q, traces) == []

@@ -16,7 +16,7 @@ import oracles
 from test_weil import CORPUS
 from weilflow import exterior
 from weilflow.cli import main
-from weilflow.errors import DimensionTooLarge
+from weilflow.errors import CrossCheckFailure, DimensionTooLarge
 from weilflow.exterior import (
     build_pj_family,
     exterior_power_matrix,
@@ -107,14 +107,23 @@ def test_family_degrees_and_pins():
 
 def test_family_vs_sympy_charpoly():
     # independent exact route: sympy charpoly of the exterior matrix,
-    # reversed into the inverse-root convention
-    w = parse_weil_datum(G2_PRODUCT)
-    m = frobenius_model(w)
-    for j in (2, 3):
-        lam = exterior_power_matrix(m.matrix, j)
-        asc = oracles.sympy_charpoly_ascending(lam)
+    # reversed into the inverse-root convention; j > g checks the P_j that
+    # build_pj_family takes from the functional equation
+    for doc in (G2_PRODUCT, G3_PRODUCT):
+        m = _model(doc)
         fam = build_pj_family(m)
-        assert list(fam.polys[j]) == list(reversed(asc))
+        for j in range(2 * fam.g + 1):
+            lam = exterior_power_matrix(m.matrix, j)
+            asc = oracles.sympy_charpoly_ascending(lam)
+            assert list(fam.polys[j]) == list(reversed(asc))
+
+
+def test_complement_poly_is_exact_and_checked():
+    # P_1 of E/F_5 is its own partner; P_4 of the g = 2 product from P_0
+    assert exterior._complement_poly((1, -2, 5), 5, 1, 1) == (1, -2, 5)
+    assert exterior._complement_poly((1, -1), 5, 2, 4) == (1, -25)
+    with pytest.raises(CrossCheckFailure, match=re.escape("P_2 coefficient 1: -6 q^1 not divisible by 4")):
+        exterior._complement_poly((1, -6, 4), 5, 1, 2)
 
 
 def test_lambda_moduli():

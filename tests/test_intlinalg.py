@@ -1,7 +1,10 @@
-"""Exact integer linear algebra against sympy and hand values."""
+"""Exact integer linear algebra against sympy, hand values and each other."""
 
 import math
 import random
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from weilflow.intlinalg import (
@@ -81,6 +84,26 @@ def test_charpoly_constant_term_is_signed_det():
         m = _random_matrix(rng, n)
         c = charpoly(m)
         assert c[0] == (-1) ** n * det_bareiss(m)
+
+
+SQUARE = st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(m=SQUARE)
+@example(m=[[0, 2, -1], [3, 1, 4], [5, -2, 7]])  # zero (0, 0) entry
+@example(m=[[1, 2, 3, 4], [0, 0, 0, 0], [4, -5, 6, 1], [2, 2, -3, 0]])  # zero row
+@example(m=[[1 if j == i + 1 else 0 for j in range(6)] for i in range(6)])  # nilpotent Jordan block
+def test_charpoly_at_integers_is_det_of_the_shift(m):
+    # elimination shares no step with the recurrence: char(t) = det(t I - A)
+    n = len(m)
+    c = charpoly(m)
+    assert len(c) == n + 1 and c[n] == 1
+    for t in range(n + 1):
+        shifted = [[t * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
+        assert sum(ck * t**k for k, ck in enumerate(c)) == det_bareiss(shifted)
 
 
 def test_snf_hand_values():
