@@ -14,7 +14,9 @@ from weilflow import BumpFunction, combine_bumps, phi, tail_majorant
 
 def main():
     b = BumpFunction(center=0.0, width=1.0)
-    print(f"standard bump: support {b.support}, mass scale {b.mass_scale:.6f}")
+    # alpha >= 0, so its mass, the integral of |alpha|, is Phi(0): the floor
+    # against which phi's panel doubling converges at sigma = 0
+    print(f"standard bump: support {b.support}, mass Phi(0) = {phi(b, 0.0).value.real:.6f}")
     print(f"alpha(0)   = {b.values([0.0])[0]:.6f}   (e^-1 = {math.exp(-1):.6f})")
     print(f"alpha(0.5) = {b.values([0.5])[0]:.6f}")
     print()

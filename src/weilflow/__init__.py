@@ -43,6 +43,7 @@ from .errors import (
     NotPrimePower,
     OutputTooLarge,
     RiemannHypothesisViolation,
+    SidesTooLarge,
     TruncationBudgetExceeded,
     WeilflowError,
 )
@@ -80,7 +81,7 @@ __all__ = [
     "WeilflowError", "InputError", "ComputationError",
     "NotPrimePower", "FieldTooLarge", "BadLength", "BadNormalization",
     "RiemannHypothesisViolation", "NonOrdinaryInput", "DimensionTooLarge",
-    "OutputTooLarge",
+    "OutputTooLarge", "SidesTooLarge",
     "CrossCheckFailure",
     "NonIntegralInversion", "TruncationBudgetExceeded", "InsufficientCountRange",
     "PjFamily", "build_pj_family", "zeros_in_window",

@@ -4,14 +4,15 @@ The basic building block is the scaled mollifier
 alpha(t) = A exp(-w^2 / (w^2 - (t - c)^2)) on |t - c| < w, zero outside,
 which is C-infinity with all derivatives vanishing at the support boundary.
 Finite sums of bumps are first-class: everything downstream only needs
-pointwise values, the support hull, and a mass scale.
+pointwise values and the support hull.
 
 Phi(s) = integral e^{t s} alpha(t) dt is entire in s. phi_ladder computes it
 along arithmetic progressions of imaginary parts for rows of integrands,
 each with its own sigma, all on one shared composite Gauss-Legendre
-panelization (order 64, panels doubled until successive passes agree to RTOL
-= 1e-12 relative in every row, with each row's envelope as a floor so
-near-zero values terminate). Each pass is a cache-blocked matrix product of
+panelization (order 64, panels doubled until successive passes agree in
+every row to RTOL = 1e-12 of the row's floor, the pass's own quadrature of
+integral |e^{sigma t} h(t)| dt, which bounds |Phi| on the whole line, plus
+the pass's phase rounding). Each pass is a cache-blocked matrix product of
 the rows' node weights against rung phases built once for all rows; phi is a
 ladder of one row and one rung. This quadrature is the only approximation:
 tail_majorant's bound B >= |Phi(sigma + i tau)| is a closed form from a
@@ -30,9 +31,6 @@ from typing import Union
 import numpy as np
 
 from .errors import InputError, TruncationBudgetExceeded
-
-# integral of exp(-1/(1-t^2)) over [-1,1]; used only as a tolerance scale
-MOLLIFIER_MASS = 0.4439938161680794
 
 GL_ORDER = 64
 RTOL = 1e-12  # relative agreement of successive doubling passes
@@ -64,11 +62,6 @@ class BumpFunction:
     def support(self) -> tuple[float, float]:
         return (self.center - self.width, self.center + self.width)
 
-    @property
-    def mass_scale(self) -> float:
-        """Upper-bound scale for integral of |alpha|; not a certified value."""
-        return abs(self.amplitude) * self.width * MOLLIFIER_MASS
-
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         s = t - self.center
@@ -97,10 +90,6 @@ class BumpSum:
             min(b.support[0] for b in self.terms),
             max(b.support[1] for b in self.terms),
         )
-
-    @property
-    def mass_scale(self) -> float:
-        return sum(b.mass_scale for b in self.terms)
 
     def values(self, t: np.ndarray) -> np.ndarray:
         out = self.terms[0].values(t)
@@ -181,11 +170,6 @@ def _grid(lo: float, hi: float, panels: int):
     return t, wt
 
 
-def _envelope(tf: TestFunction, sigma: float) -> float:
-    lo, hi = tf.support
-    return tf.mass_scale * math.exp(max(sigma * lo, sigma * hi))
-
-
 def phi(tf: TestFunction, s: complex) -> PhiResult:
     """Phi(s) = integral e^{t s} alpha(t) dt with an error estimate.
 
@@ -208,9 +192,11 @@ _ANCHOR = 512  # rungs between exact exp re-anchors of the phase
 
 
 def _ladder_pass(rows: tuple, sigmas: tuple, f0: float, step: float,
-                 count: int, panels: int, lo: float, hi: float) -> np.ndarray:
+                 count: int, panels: int, lo: float, hi: float) -> tuple:
     """One quadrature pass of F_r(f) = integral e^{sigma_r t} h_r(t) e^{i f t} dt
-    for f = f0 + step k, k = 0..count-1, every row r on one shared grid.
+    for f = f0 + step k, k = 0..count-1, every row r on one shared grid, of
+    shape (rows, count), and each row's floor: the same quadrature of
+    integral |e^{sigma_r t} h_r(t)| dt.
 
     Blocked as a matrix product (Goto and van de Geijn's GEMM blocking): the
     nodes go in slices of at most _BLOCK_BYTES / (16 B) for B = _BLOCK rungs.
@@ -242,25 +228,31 @@ def _ladder_pass(rows: tuple, sigmas: tuple, f0: float, step: float,
                 a *= advance
             b = min(block, count - k)
             out[:, k:k + b] += a @ e[:b].T
-    return out
+    return out, np.abs(base).sum(axis=1)
 
 
 def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
     """Phi of each row along s = sigma_r + i(f0 + step k), k = 0..count-1,
     with per-point error estimates from the final panel doubling.
 
-    rows is a sequence of integrands, each with its own sigma from the
-    matching sequence sigmas, and each evaluated at all count rungs. Rows
-    that share work come as a tuple with its own values(t), which returns
-    every row's values at once, each as that row's values(t) would
+    rows is a sequence of integrands (a support and values(t)), each with
+    its own sigma from the matching sequence sigmas, and each evaluated at
+    all count rungs. A sequence with its own values(t) gives every row's
+    values at once, and its rows are read for their supports only
     (formula's Lefschetz rows). All rows share one Gauss-Legendre grid over
-    the hull of their supports, its first panels set by the largest |f|.
-    Panels double until every row agrees with the previous pass to RTOL
-    against its own scale (max |Phi| over the row, floored by the row's
-    envelope). A pass of over LADDER_CAP points (rows x rungs x nodes) or
-    _MAX_NODES nodes raises TruncationBudgetExceeded before it runs, and so
-    does a first pass whose successor would (a pass returns only against
-    the one before it, so the first pass is checked at twice its nodes).
+    the hull [lo, hi] of their supports, its first panels set by the
+    largest |f|, f_max. Panels double until every row agrees with the
+    previous pass to RTOL times its floor F, the pass's quadrature of
+    integral |e^{sigma t} h(t)| dt (>= |Phi| on the whole line), plus what
+    rounding leaves: a pass rounds each phase f t to eps |f t| and its
+    recurrence adds a few dozen eps, at most eps F (2 f_max max(|lo|, |hi|)
+    + 64), and subnormal node weights round to multiples of 2^-1074, at
+    most nodes * 2^-1074. So a row of rungs far below its floor stops with
+    the rest, and a row of zeros (A = 0) at once. A pass of over LADDER_CAP
+    points (rows x rungs x nodes) or _MAX_NODES nodes raises
+    TruncationBudgetExceeded before it runs, and so does a first pass whose
+    successor would (a pass returns only against the one before it, so the
+    first pass is checked at twice its nodes).
     Returns (values, errors, panels): values and the per-point doubling
     deltas have shape (rows, count).
     """
@@ -268,16 +260,15 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
         raise ValueError("count must be >= 1")
     lo = min(h.support[0] for h in rows)
     hi = max(h.support[1] for h in rows)
-    env = np.array([_envelope(h, s) for h, s in zip(rows, sigmas)]) + 1e-300
     fmax = max(abs(f0), abs(f0 + step * (count - 1)))
     panels, prev = max(8, _oscillation_panels(hi - lo, fmax)), None
+    slack = RTOL + 2.0 * math.ulp(1.0) * (2.0 * fmax * max(abs(lo), abs(hi)) + 64.0)
     while ((nodes := panels * GL_ORDER * (2 if prev is None else 1)) <= _MAX_NODES
            and len(rows) * count * nodes <= LADDER_CAP):
-        cur = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
+        cur, floor = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
         if prev is not None:
             err = np.abs(cur - prev)
-            scale = np.maximum(np.abs(cur).max(axis=1), env)
-            if np.all(err.max(axis=1) <= RTOL * scale):
+            if np.all(err.max(axis=1) <= slack * floor + nodes * math.ulp(0.0)):
                 return cur, err, panels
         prev, panels = cur, 2 * panels
     raise TruncationBudgetExceeded(

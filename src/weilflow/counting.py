@@ -75,7 +75,7 @@ def build_count_table(model: FrobeniusModel, n_max: int) -> CountTable:
         total = counts[d - 1] - sum(e * closed[e - 1] for e in range(1, d) if d % e == 0)
         if total % d:
             raise NonIntegralInversion(
-                "Mobius inversion at d = %d gave %d, not divisible by %d"
+                "divisor-sum recursion at d = %d gave d a_d = %d, not divisible by %d"
                 % (d, total, d)
             )
         a = total // d

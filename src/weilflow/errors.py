@@ -54,6 +54,11 @@ class OutputTooLarge(InputError):
     Python converts to str (sys.get_int_max_str_digits)."""
 
 
+class SidesTooLarge(InputError):
+    """A float that verify's sides form, e^{sigma t} alpha L_j, float(N_k) or
+    float(d a_d), would leave the double range (README states the condition)."""
+
+
 class ComputationError(WeilflowError):
     """A downstream computation violated its contract."""
 
@@ -63,7 +68,7 @@ class CrossCheckFailure(ComputationError):
 
 
 class NonIntegralInversion(ComputationError):
-    """A Mobius / divisor-sum inversion produced a non-integer."""
+    """The divisor-sum recursion for a_d gave a non-integer or a negative a_d."""
 
 
 class TruncationBudgetExceeded(ComputationError):

@@ -1,6 +1,7 @@
 """Spectral and geometric sides of the zero-sum identity.
 
-Three independently computed quantities must coincide:
+Three computed quantities must coincide (sides 2 and 3 read the same exact
+N_d, so they are one route until the closed form gets one of its own):
 
   1. the truncated zero sum: Phi summed with alternating sign over the zero
      ladders of every P_j(q^{-s}), j = 0..2g, with a certified tail bound
@@ -24,19 +25,21 @@ discarded.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .bumps import LADDER_CAP, TestFunction, combine_bumps, phi_ladder, tail_majorant
+from .bumps import LADDER_CAP, BumpSum, TestFunction, combine_bumps, phi_ladder, tail_majorant
 from .counting import CountTable, build_count_table
 from .errors import (
     DimensionTooLarge,
     InputError,
     InsufficientCountRange,
     NonOrdinaryInput,
+    SidesTooLarge,
     TruncationBudgetExceeded,
 )
 from .exterior import lefschetz_weight
@@ -111,39 +114,19 @@ class VerificationReport:
     j_range_note: str = J_RANGE_NOTE
 
 
-@dataclass(frozen=True, slots=True)
-class _LefschetzWeighted:
-    """alpha L_j as a test function: the transform of alpha L_j at j/2 + i tau
-    is the sum of alpha's over the j-th sublattices at j/2 + i(theta_S + tau)."""
-    alpha: TestFunction
-    angles: tuple[float, ...]
-    j: int
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.alpha.support
-
-    @property
-    def mass_scale(self) -> float:
-        return math.comb(2 * len(self.angles), self.j) * self.alpha.mass_scale  # |L_j| <= C(2g, j)
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return self.alpha.values(t) * lefschetz_weight(self.angles, self.j, t)
-
-
 class _LefschetzRows(tuple):
-    """The rows alpha L_j, j in js, as one phi_ladder row tuple of
-    _LefschetzWeighted. Its values evaluate alpha once and every L_j from one
-    recurrence (exterior.lefschetz_weight); each row is bitwise its own
-    values."""
-    __slots__ = ()
+    """The rows alpha L_j, j in js, as one phi_ladder row sequence: each row
+    is alpha as far as its support goes, and values evaluates alpha once and
+    every L_j from one recurrence (exterior.lefschetz_weight), each row
+    bitwise alpha times its own L_j."""
 
     def __new__(cls, alpha: TestFunction, angles: tuple[float, ...], js):
-        return super().__new__(cls, (_LefschetzWeighted(alpha, angles, j) for j in js))
+        rows = super().__new__(cls, (alpha,) * len(js))
+        rows.angles, rows.js = angles, js
+        return rows
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        head = self[0]
-        return head.alpha.values(t) * lefschetz_weight(head.angles, [row.j for row in self], t)
+        return self[0].values(t) * lefschetz_weight(self.angles, self.js, t)
 
 
 def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[TraceResult]:
@@ -344,6 +327,23 @@ def geometric_side(ct: CountTable, tf: TestFunction) -> GeometricResult:
     )
 
 
+def _refuse_past_double_range(tf: TestFunction, g: int, ct: CountTable) -> None:
+    """SidesTooLarge where a float the sides form would leave the double range.
+
+    On the support t < hi the rows form e^{sigma t} and e^{sigma t} alpha L_j,
+    sigma = j/2, both at most e^r as |alpha| <= sum |A_i| / e and |L_j| <=
+    C(2g, j); the other sides form float(N_k) and float(d a_d) <= float(N_d)
+    for k, d <= n_max, which overflow from N_k >= 2^1024 - 2^970 on.
+    """
+    size = sum(abs(b.amplitude) for b in (tf.terms if isinstance(tf, BumpSum) else (tf,)))
+    r = (max(j * tf.support[1] / 2.0 + math.log(math.comb(2 * g, j)) for j in range(2 * g + 1))
+         + math.log(max(size, math.e)) - 1.0)
+    top = max(ct.counts)
+    if r > math.log(sys.float_info.max) or top >= (1 << 1024) - (1 << 970):
+        raise SidesTooLarge("the sides reach e^%.6g in the zero-sum rows and %d bits in N_k, past "
+                            "the double range (e^709.78, 2^1024)" % (r, top.bit_length()))
+
+
 def verify(
     w: WeilDatum,
     bumps,
@@ -389,6 +389,7 @@ def verify(
             "support demands counts through n = %d, cap is %d" % (n_max, COUNT_CAP)
         )
     ct = build_count_table(model, n_max)
+    _refuse_past_double_range(tf, w.g, ct)
 
     spectral = spectral_side_zero_sum(model, tf, trunc_budget)
     closed_value, _ = spectral_side_closed_form(ct, tf)

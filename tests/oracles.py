@@ -40,19 +40,29 @@ def alpha(t, bumps):
     return out
 
 
-def simpson_phi(s, bumps, n=1 << 20):
-    """Phi(s) = integral of e^{st} alpha(t) dt by composite Simpson."""
+def _simpson(f, bumps, n):
+    """Composite Simpson of f over the hull of the bumps' supports, n even."""
     lo = min(c - w for c, w, _ in bumps)
     hi = max(c + w for c, w, _ in bumps)
     if n % 2:
         n += 1
     t = np.linspace(lo, hi, n + 1)
-    y = alpha(t, bumps) * np.exp(complex(s) * t)
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     h = (hi - lo) / n
-    return complex(np.sum(weights * y) * h / 3.0)
+    return np.sum(weights * f(t)) * h / 3.0
+
+
+def simpson_phi(s, bumps, n=1 << 20):
+    """Phi(s) = integral of e^{st} alpha(t) dt by composite Simpson."""
+    return complex(_simpson(lambda t: alpha(t, bumps) * np.exp(complex(s) * t), bumps, n))
+
+
+def simpson_abs(sigma, bumps, n=1 << 20):
+    """integral of |e^{sigma t} alpha(t)| dt by composite Simpson: the mass
+    that bounds |Phi| on the line Re s = sigma."""
+    return float(_simpson(lambda t: np.abs(alpha(t, bumps)) * np.exp(sigma * t), bumps, n))
 
 
 FE_TOLERANCE = 1e-8  # largest zero-symmetry deviation criterion 7 accepts
@@ -193,6 +203,56 @@ def symmetric_trace(roots, q, j, bumps):
         powered = [mu ** k for mu in roots]
         total += elementary_symmetric(powered, j) * a_val
     return logq * total
+
+
+def real_weil_box(g, q):
+    """The tails (h_1, .., h_g) of the monic h(x) = x^g + h_1 x^{g-1} + ... +
+    h_g whose roots could all lie in [-2 sqrt q, 2 sqrt q]: |h_k| <= C(g, k)
+    (2 sqrt q)^k, in lexicographic order."""
+    bounds = [math.isqrt(math.comb(g, k) ** 2 * (4 * q) ** k) for k in range(1, g + 1)]
+    return list(itertools.product(*(range(-b, b + 1) for b in bounds)))
+
+
+def weil_poly_from_h(g, q, tail):
+    """The char polynomial T^g h(T + q/T) of h = x^g + h_1 x^{g-1} + ... +
+    h_g, read backwards: the Weil polynomial, ascending."""
+    char = [0] * (2 * g + 1)  # ascending in T
+    for k, hk in enumerate((1, *tail)):  # h_k T^g (T + q/T)^{g-k} = h_k T^k (T^2 + q)^{g-k}
+        for i in range(g - k + 1):
+            char[k + 2 * i] += hk * math.comb(g - k, i) * q ** (g - k - i)
+    return char[::-1]
+
+
+def weil_polynomials(g, q):
+    """Every Weil q-polynomial of degree 2g, ascending, in the order of
+    real_weil_box.
+
+    weil_poly_from_h(h) is one iff every root of h is real and lies in
+    [-2 sqrt q, 2 sqrt q]. Equivalently all g roots of F(y) = (-1)^g
+    h(sqrt y) h(-sqrt y), counted with multiplicity, are real and lie in [0,
+    4q], which sympy's real-root isolation decides exactly on rational
+    bounds. A float screen (roots of h more than 1e-3 off the real segment,
+    far past the perturbation of a root of multiplicity 3 or less) only
+    skips the exact decision: a valid polynomial it dropped would show as
+    one that weilflow accepts and this list lacks.
+    """
+    from sympy import Poly, symbols
+
+    y = symbols("y")
+    box = real_weil_box(g, q)
+    companion = np.zeros((len(box), g, g))
+    companion[:, 0, :] = -np.array(box, dtype=float)
+    companion[:, np.arange(1, g), np.arange(g - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    near = np.all((np.abs(roots.imag) <= 1e-3) & (np.abs(roots.real) <= 2 * math.sqrt(q) + 1e-3), axis=1)
+    out = []
+    for tail in itertools.compress(box, near):
+        h = (1, *tail)  # descending in x; h(x) h(-x) in y = x^2, descending
+        even = [sum(h[i] * h[2 * m - i] * (-1) ** (g - i) for i in range(max(0, 2 * m - g), min(g, 2 * m) + 1))
+                for m in range(g + 1)]
+        if sum(mult for _, mult in Poly(even, y).intervals(inf=0, sup=4 * q)) == g:
+            out.append(weil_poly_from_h(g, q, tail))
+    return out
 
 
 def sympy_charpoly_ascending(rows):

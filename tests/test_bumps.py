@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import weilflow
 from weilflow import bumps
 from weilflow.bumps import (
     RTOL,
@@ -52,13 +54,6 @@ def test_bump_parameters():
         with pytest.raises(InputError, match="support .* is not finite"):
             BumpFunction(center=c, width=w)
     assert BumpFunction(center=1e308, width=1e307).support[1] == 1.1e308
-
-
-def test_mass_scale_matches_quadrature():
-    for c, w, a in [(0, 1, 1), (2, 0.5, 3), (-1, 0.25, 0.7)]:
-        b = BumpFunction(center=c, width=w, amplitude=a)
-        mass = oracles.simpson_phi(0, [(c, w, a)], n=1 << 18).real
-        assert abs(b.mass_scale - mass) < 1e-10 * max(1.0, mass)
 
 
 def test_phi_standard_value():
@@ -130,7 +125,7 @@ def test_phi_crude_envelope_bound():
         a = rng.uniform(0.2, 4.0)
         b = BumpFunction(center=c, width=w, amplitude=a)
         s = complex(rng.uniform(-2, 2), rng.uniform(-50, 50))
-        bound = math.exp(abs(s.real) * (abs(c) + w)) * b.mass_scale
+        bound = math.exp(abs(s.real) * (abs(c) + w)) * oracles.simpson_abs(0.0, [(c, w, a)], n=1 << 16)
         assert abs(phi(b, s).value) <= bound * (1 + 1e-9)
 
 
@@ -175,37 +170,100 @@ def test_ladder_matches_pointwise():
     assert len(errs) == 2 * n + 1 and panels >= 8
 
 
-PAIR = combine_bumps([BumpFunction(center=1.6, width=0.5),
-                      BumpFunction(center=-0.4, width=0.3, amplitude=1.5)])
-WIDE = BumpFunction(center=0.7, width=1.4, amplitude=-2.0)  # PAIR's support hull
+PAIR_PARTS = [(1.6, 0.5, 1.0), (-0.4, 0.3, 1.5)]
+PAIR = combine_bumps([BumpFunction(*part) for part in PAIR_PARTS])
+WIDE_PARTS = [(0.7, 1.4, -2.0)]  # PAIR's support hull
+WIDE = BumpFunction(*WIDE_PARTS[0])
 
 
 def test_ladder_rows_match_single_row_calls():
     # rows are integrands, each with its own sigma, on one shared grid; each
-    # row stops doubling against its own scale and envelope, and still agrees
-    # with its own call to that call's error + RTOL * scale
+    # row stops doubling against its own floor, integral |e^{sigma t} h|, and
+    # still agrees with its own call to that call's error + RTOL * floor
     beta = 2 * math.pi / math.log(5)
     n = 40
     rows, sigmas = [PAIR, WIDE, PAIR, WIDE], [0.5, 0.0, 2.0, 3.0]
     vals, errs, panels = phi_ladder(rows, sigmas, 0.9 - beta * n, beta, 2 * n + 1)
     assert vals.shape == errs.shape == (4, 2 * n + 1)
     single_panels = []
-    for row, (tf, sigma) in enumerate(zip(rows, sigmas)):
-        (v,), (e,), p = phi_ladder([tf], [sigma], 0.9 - beta * n, beta, 2 * n + 1)
+    for row, (parts, sigma) in enumerate(zip([PAIR_PARTS, WIDE_PARTS] * 2, sigmas)):
+        (v,), (e,), p = phi_ladder([rows[row]], [sigma], 0.9 - beta * n, beta, 2 * n + 1)
         single_panels.append(p)
-        scale = max(float(np.abs(v).max()), bumps._envelope(tf, sigma))
-        assert np.all(np.abs(vals[row] - v) <= e + RTOL * scale)
+        floor = oracles.simpson_abs(sigma, parts, n=1 << 16)
+        assert np.all(np.abs(vals[row] - v) <= e + RTOL * floor)
     assert panels == max(single_panels) > min(single_panels)
 
 
+def _last_floors(monkeypatch):
+    # the floors of every pass phi_ladder runs, appended as they come
+    floors = []
+    ladder_pass = bumps._ladder_pass
+
+    def recording(*args):
+        out = ladder_pass(*args)
+        floors.append(out[1])
+        return out
+
+    monkeypatch.setattr(bumps, "_ladder_pass", recording)
+    return floors
+
+
+def test_ladder_floor_is_each_rows_absolute_mass(monkeypatch):
+    # a pass's floor for row r is its quadrature of integral |e^{sigma_r t}
+    # h_r(t)| dt, within 1e-10 of the Simpson oracle: A < 0, sigma = -2, 0
+    # and 3, and a sum of overlapping terms
+    beta = 2 * math.pi / math.log(5)
+    cases = [[(0.0, 1.0, 1.0)], [(0.7, 0.4, -2.5)], [(-0.3, 0.8, 1.2), (0.2, 0.5, 0.7)]]
+    for parts in cases:
+        tf = combine_bumps([BumpFunction(*part) for part in parts])
+        for sigma in (-2.0, 0.0, 3.0):
+            _, floor = bumps._ladder_pass([tf], [sigma], 0.0, beta, 1, 40, *tf.support)
+            want = oracles.simpson_abs(sigma, parts)
+            assert abs(floor[0] - want) <= 1e-10 * want, (parts, sigma)
+    # the floor is at least every |Phi| of its row, the triangle inequality
+    # on the nodes, also where the terms of a sum cancel
+    floors = _last_floors(monkeypatch)
+    cancel = [(0.0, 1.0, 1.0), (0.3, 0.8, -1.5)]
+    rows = [STD, BumpFunction(0.7, 0.4, -2.5), combine_bumps([BumpFunction(*p) for p in cancel])]
+    for sigma in (-2.0, 0.0, 3.0):
+        vals, _, _ = phi_ladder(rows, [sigma] * 3, -40 * beta, beta, 81)
+        assert np.all(np.abs(vals) <= floors[-1][:, None] * (1 + 1e-13))
+        assert floors[-1][2] < sum(oracles.simpson_abs(sigma, [p], n=1 << 16) for p in cancel)
+
+
+def test_ladder_floor_stops_tiny_and_zero_rows(monkeypatch):
+    # rungs far out in tau, where |Phi| ~ e^{-sqrt(w tau)} ~ 1e-24 is below
+    # the sum's rounding (a few eps times the floor), so that no pass agrees
+    # with the last relative to |Phi|: they stop at the first comparison (two
+    # passes), as does a row of A = 0, whose values and errors are exact zeros
+    floors = _last_floors(monkeypatch)
+    rows = [STD, BumpFunction(0.5, 0.3, 0.0)]
+    vals, errs, _ = phi_ladder(rows, [0.5, 0.5], 3000.0, 3.9, 101)
+    assert len(floors) == 2
+    assert np.abs(vals[0]).max() < 0.05 * RTOL * floors[-1][0]
+    assert not vals[1].any() and not errs[1].any() and floors[-1][1] == 0.0
+    # a row whose node weights are subnormal doubles agrees only to their
+    # spacing, 2^-1074; it stops with the rest (held to its floor alone, it
+    # would double on to LADDER_CAP), and so does verify with such a bump
+    floors.clear()
+    rows = [STD, BumpFunction(0.0, 1.0, 1e-310)]
+    vals, _, _ = phi_ladder(rows, [0.5, 0.5], 0.0, 3.9, 101)
+    assert 0.0 < floors[-1][1] < sys.float_info.min and len(floors) <= 4
+    assert np.all(np.abs(vals[1]) <= floors[-1][1] * (1 + 1e-13))
+    e5 = weilflow.parse_weil_datum({"q": 5, "trace": 2})
+    assert weilflow.verify(e5, BumpFunction(math.log(5.0), 0.5, 1e-310)).passed
+
+
 def _direct_pass(rows, sigmas, f0, step, count, panels):
-    # reference: every rung's phase from its own exp, no recurrence, no blocks
+    # reference: every rung's phase from its own exp, no recurrence, no
+    # blocks; returns the sums, each row's sum of |node weights| and the
+    # largest phase
     lo, hi = rows[0].support
     t, wt = bumps._grid(lo, hi, panels)
     h = np.array([wt * tf.values(t) * np.exp(sigma * t) for tf, sigma in zip(rows, sigmas)])
     f = f0 + step * np.arange(count)
     sums = np.array([[np.sum(hr * np.exp(1j * fk * t)) for fk in f] for hr in h])
-    return sums, float(np.abs(h).sum(axis=1).max()), float(np.abs(f).max() * np.abs(t).max())
+    return sums, np.abs(h).sum(axis=1), float(np.abs(f).max() * np.abs(t).max())
 
 
 @pytest.mark.parametrize("count", [1, 15, 17, 1100])
@@ -216,11 +274,12 @@ def test_ladder_pass_matches_direct_sum(count):
     rows, sigmas = (PAIR, PAIR, WIDE), (1.0, 0.0, 2.5)
     f0 = -1.3 - 40 * beta
     lo, hi = PAIR.support
-    got = bumps._ladder_pass(rows, sigmas, f0, beta, count, 40, lo, hi)
+    got, floor = bumps._ladder_pass(rows, sigmas, f0, beta, count, 40, lo, hi)
     want, mass, phase = _direct_pass(rows, sigmas, f0, beta, count, 40)
     # both sides round each phase f t to ~eps |f t|; the recurrence adds a
-    # few dozen eps between anchors
-    assert np.abs(got - want).max() <= math.ulp(1.0) * mass * (2 * phase + 64)
+    # few dozen eps between anchors. The floors are the same node sums
+    assert np.abs(got - want).max() <= math.ulp(1.0) * mass.max() * (2 * phase + 64)
+    assert got.shape == (3, count) and np.array_equal(floor, mass)
 
 
 def test_ladder_of_one_point_is_phi():
@@ -236,7 +295,7 @@ def test_ladder_of_one_point_is_phi():
     assert abs(rows[0, 0] - r.value) <= r.error + RTOL * abs(r.value)
     assert abs(rows[1, 0] + 2.0 * r.value) <= 2.0 * (r.error + RTOL * abs(r.value))
     want, mass, phase = _direct_pass([tf], [s.real], s.imag, 0.0, 1, r.panels)
-    assert abs(r.value - want[0, 0]) <= math.ulp(1.0) * mass * (2 * phase + 64)
+    assert abs(r.value - want[0, 0]) <= math.ulp(1.0) * mass[0] * (2 * phase + 64)
     with pytest.raises(ValueError, match="count must be >= 1"):
         phi_ladder([tf], [s.real], s.imag, 0.0, 0)
 

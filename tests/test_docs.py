@@ -59,6 +59,21 @@ def test_readme_cites_every_cap():
     assert [cap for cap in sorted(caps) if "`%s`" % cap not in README] == []
 
 
+def test_readme_cites_every_error():
+    # every class in weilflow.errors has a row in README's error table, with
+    # its parent and the exit code the command line gives it
+    from weilflow import errors
+
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, Exception) and cls.__module__ == errors.__name__}
+    rows = dict(re.findall(r"^\| `(\w+)` \| `(\w+)` \|", README, re.MULTILINE))
+    assert len(classes) >= 16 and "SidesTooLarge" in classes
+    assert rows == {name: cls.__bases__[0].__name__ for name, cls in classes.items()}
+    for name, cls in classes.items():
+        code = 2 if issubclass(cls, errors.ComputationError) else 1
+        assert re.search(r"^\| `%s` \| `\w+` \| %d \|" % (name, code), README, re.MULTILINE), name
+
+
 def _resolve(path: str) -> bool:
     """Whether the dotted path weilflow[.sub...].NAME exists, importing the
     submodules the package itself does not (weilflow.cli)."""

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from weilflow.errors import (
     InputError,
     InsufficientCountRange,
     NonOrdinaryInput,
+    SidesTooLarge,
     TruncationBudgetExceeded,
 )
 from weilflow.formula import (
@@ -166,13 +168,15 @@ def test_shared_ladder_rows_match_one_row_ladders(doc, c, width, amp, budget):
     tf = BumpFunction(center=c * math.log(model.datum.q), width=width, amplitude=amp)
     spec = spectral_side_zero_sum(model, tf, budget)
     count = max(t.nu_max for t in spec.per_j) + 1
-    rows = [formula._LefschetzWeighted(tf, _angles(model), t.j) for t in spec.per_j]
-    sigmas = [t.j / 2 for t in spec.per_j]
-    v, e, panels = phi_ladder(rows, sigmas, 0.0, _period(model), count)
+    js = tuple(t.j for t in spec.per_j)
+    sigmas = [j / 2 for j in js]
+    v, e, panels = phi_ladder(formula._LefschetzRows(tf, _angles(model), js), sigmas, 0.0,
+                              _period(model), count)
     assert {t.panels for t in spec.per_j} == {panels}
-    for t, row, sigma in zip(spec.per_j, rows, sigmas):
+    for t, sigma in zip(spec.per_j, sigmas):
         assert t.value == math.fsum([v[t.j, 0].real, *(2.0 * v[t.j, 1:t.nu_max + 1].real)])
-        (v1,), (e1,), _ = phi_ladder([row], [sigma], 0.0, _period(model), count)
+        row = formula._LefschetzRows(tf, _angles(model), (t.j,))
+        (v1,), (e1,), _ = phi_ladder(row, [sigma], 0.0, _period(model), count)
         assert np.abs(v[t.j] - v1).max() <= math.fsum(e[t.j]) + math.fsum(e1)
 
 
@@ -184,9 +188,10 @@ def test_shared_rows_are_each_rows_own_values():
     t = np.linspace(-0.31, 0.91, 257)
     for w in (E5A2, G3, parse_weil_datum(_product(2, [0] * 8))):
         angles, n = _angles(frobenius_model(w)), 2 * w.g + 1
-        rows = formula._LefschetzRows(tf, angles, range(n))
+        rows = formula._LefschetzRows(tf, angles, tuple(range(n)))
         shared = rows.values(t)
-        assert shared.shape == (n, t.size) and [row.j for row in rows] == list(range(n))
+        assert shared.shape == (n, t.size) and len(rows) == n
+        assert [row.support for row in rows] == [tf.support] * n
         for j in range(n):
             assert np.array_equal(shared[j], tf.values(t) * exterior.lefschetz_weight(angles, j, t))
 
@@ -241,10 +246,6 @@ class _Shifted:
     @property
     def support(self):
         return self.alpha.support
-
-    @property
-    def mass_scale(self):
-        return self.alpha.mass_scale
 
     def values(self, t):
         return self.alpha.values(t) * np.exp(1j * self.theta * t)
@@ -657,7 +658,7 @@ def test_verify_never_enumerates_subsets(monkeypatch):
 @example(doc=_product(4, [4, 4, -4]))  # mu = 2 twice and -2 twice
 @example(doc=_product(27, [3, 3, 3]))  # a repeated factor, q = 3^3
 @example(doc=_product(8, [0, 5]))  # q = 2^3
-@example(doc=_product(2**61 - 1, [3]))  # j = 2 needs 30,590 rungs; doubling stops at the cap
+@example(doc=_product(2**61 - 1, [3]))  # j = 2 needs 30,590 rungs, which agree to their phase rounding
 def test_valid_weil_products_verify_or_stop_at_a_named_limit(doc):
     # every valid input verifies, or raises a documented limit, within 10 s
     # of CPU: no ladder pass exceeds LADDER_CAP points (about 2 s); a
@@ -670,3 +671,50 @@ def test_valid_weil_products_verify_or_stop_at_a_named_limit(doc):
         rep = None
     assert time.process_time() - start < 10.0, doc
     assert rep is None or rep.passed, doc
+
+
+G8_F5 = _product(5, [1, -1, 2, -2, 3, -3, 4, -4])
+LOGQ = math.log(10007)
+
+
+@pytest.mark.parametrize("doc, bump, cpu", [
+    (G8_F5, BumpFunction(55.5 * LOG5, 0.4 * LOG5), 0.1),  # e^{g hi} = e^719.7
+    (_product(10007, [1, 2, -3]), BumpFunction(25.5 * LOGQ, 0.4 * LOGQ), 0.1),
+    (_product(10007, [1, 2, -3, 5, 7, -11, 13, 17]), BumpFunction(9.5 * LOGQ, 0.4 * LOGQ), 0.1),
+    (G8_F5, BumpFunction(55.5 * LOG5, 0.4 * LOG5, 1e-300), 0.1),  # rows finite, e^{sigma t} not
+    (G8_F5, BumpFunction(-60.0 * LOG5, 0.4 * LOG5), 1.0),  # float(N_60) of 1,115 bits
+], ids=["g8-F5", "g3-F10007", "g8-F10007", "g8-F5-tiny-A", "g8-F5-far-left"])
+def test_sides_past_the_double_range_are_refused_up_front(monkeypatch, doc, bump, cpu):
+    # each once raised a raw OverflowError (math.exp of the old envelope, or
+    # float(N_60)); each is a SidesTooLarge before any ladder pass or float
+    # side runs, with no RuntimeWarning, in under 0.1 s of CPU (the last
+    # builds the exact N_1..N_60 first, about 0.06 s)
+    def run(*args):
+        raise AssertionError("a float side ran")
+
+    monkeypatch.setattr(bumps, "_ladder_pass", run)
+    for name in ("spectral_side_zero_sum", "spectral_side_closed_form", "geometric_side"):
+        monkeypatch.setattr(formula, name, run)
+    w = parse_weil_datum(doc)
+    start = time.process_time()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SidesTooLarge, match="double range"):
+            verify(w, bump, allow_non_ordinary=True)
+    assert time.process_time() - start < cpu
+    assert issubclass(SidesTooLarge, InputError)
+
+
+def test_sides_just_inside_the_double_range_verify():
+    # c = 54 log 5 on the g = 8 product keeps every row below e^701 and N_54
+    # below 2^1004: not refused, and verified with floor-only ladders. At
+    # c = -63.5 log 5 the row j = 14 lies among subnormal doubles, and every
+    # row agrees between passes only to its phase rounding; the ladder still
+    # stops (held to RTOL times its floor alone, it would double on to
+    # LADDER_CAP, about 12 s)
+    w = parse_weil_datum(G8_F5)
+    for c, budget in ((54.0, math.inf), (-63.5, 0.25)):
+        start = time.process_time()
+        rep = verify(w, BumpFunction(c * LOG5, 0.4 * LOG5), trunc_budget=budget,
+                     allow_non_ordinary=True)
+        assert rep.passed and time.process_time() - start < 5.0, c
