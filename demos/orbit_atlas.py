@@ -14,7 +14,6 @@ import math
 
 from weilflow import (
     build_count_table,
-    closed_point_count,
     fixed_point_groups,
     frobenius_model,
     parse_weil_datum,
@@ -39,17 +38,17 @@ def main():
         print(f"=== {w.label}   (q={w.q}, g={w.g})")
         print(f"{'n':>3} {'N_n':>12} {'a_n':>12} {'b_n':>12}   fixed group")
         for n in range(1, N_MAX + 1):
-            a_n = closed_point_count(ct, n)
-            b_n = ct.closed_points[n - 1]  # b_nu = a_nu
-            grp = groups[n - 1]
-            shape = " x ".join(f"Z/{d}" for d in grp.divisors if d > 1)
-            print(f"{n:>3} {ct.count(n):>12} {a_n:>12} {b_n:>12}   {shape}")
-            assert grp.order == ct.count(n)
+            n_n, a_n = ct.counts[n - 1], ct.closed_points[n - 1]
+            b_n = a_n  # b_nu = a_nu
+            divisors = groups[n - 1]
+            shape = " x ".join(f"Z/{d}" for d in divisors if d > 1)
+            print(f"{n:>3} {n_n:>12} {a_n:>12} {b_n:>12}   {shape}")
+            assert math.prod(divisors) == n_n
 
         # every degree-n point lies on exactly one primitive orbit, so the
         # weighted orbit counts reassemble the fixed-point totals
         n = N_MAX
-        total = sum(d * closed_point_count(ct, d)
+        total = sum(d * ct.closed_points[d - 1]
                     for d in range(1, n + 1) if n % d == 0)
         print(f"sum of d*a_d over d | {n}: {total} = N_{n}")
         print(f"orbit lengths are d*log q: first few "

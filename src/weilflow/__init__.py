@@ -24,9 +24,7 @@ from .bumps import (
 )
 from .counting import (
     CountTable,
-    FixedPointGroup,
     build_count_table,
-    closed_point_count,
     fixed_point_groups,
 )
 from .errors import (
@@ -76,8 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BumpFunction", "BumpSum", "PhiResult", "TailMajorant",
     "combine_bumps", "phi", "phi_ladder", "tail_majorant",
-    "CountTable", "FixedPointGroup",
-    "build_count_table", "closed_point_count", "fixed_point_groups",
+    "CountTable", "build_count_table", "fixed_point_groups",
     "WeilflowError", "InputError", "ComputationError",
     "NotPrimePower", "FieldTooLarge", "BadLength", "BadNormalization",
     "RiemannHypothesisViolation", "NonOrdinaryInput", "DimensionTooLarge",

@@ -214,7 +214,7 @@ def _count_doc(w, ct, groups) -> str:
             str(nu): {"count": str(ct.closed_points[nu - 1]), "length": nu * logq}
             for nu in range(1, n_max + 1)
         },
-        "snf": {str(fg.n): [str(d) for d in fg.divisors] for fg in groups},
+        "snf": {str(n): [str(d) for d in divisors] for n, divisors in enumerate(groups, start=1)},
     })
 
 
@@ -226,13 +226,13 @@ def _cmd_count(args) -> tuple[int, str]:
         rows = [["n", "N_n", "a_n", "snf"]]
         for n in range(1, args.max + 1):
             rows.append([n, str(ct.counts[n - 1]), str(ct.closed_points[n - 1]),
-                         ";".join(str(d) for d in groups[n - 1].divisors)])
+                         ";".join(str(d) for d in groups[n - 1])])
         return 0, _csv_rows(rows)
     lines = ["point counts for q=%d g=%d" % (w.q, w.g)]
     for n in range(1, args.max + 1):
         lines.append("n=%-3d N=%-24d a=%-24d snf=%s"
                      % (n, ct.counts[n - 1], ct.closed_points[n - 1],
-                        list(groups[n - 1].divisors)))
+                        list(groups[n - 1])))
     return 0, "\n".join(lines)
 
 

@@ -4,19 +4,19 @@ Counts over extension fields come from the exact integer determinant
 N_n = det(F^n - I) (positive because the eigenvalues pair off the unit
 circle), closed-point counts from the divisor-sum identity
 sum_{d|n} d a_d = N_n solved degree by degree, and the group of points of
-degree dividing n from the Smith normal form of F^n - I. A primitive orbit
-of period nu is a closed point of degree nu, so the orbit count b_nu is a_nu
-itself; acceptance criterion 4 checks it against the orders of the Smith
-normal forms.
+degree dividing n from the Smith normal form of F^n - I. F is the companion
+matrix of char(T), so F^n - I comes from the recurrence T^(n+1) = T T^n
+mod char(T), never from a matrix product. A primitive orbit of period nu is
+a closed point of degree nu, so the orbit count b_nu is a_nu itself;
+acceptance criterion 4 checks it against the products of the Smith divisors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import CrossCheckFailure, InsufficientCountRange, NonIntegralInversion
-from .intlinalg import identity, mat_mul, mat_sub, det_bareiss, smith_normal_form
+from .errors import CrossCheckFailure, NonIntegralInversion
+from .intlinalg import det_bareiss, smith_normal_form
 from .weil import FrobeniusModel
 
 
@@ -28,31 +28,25 @@ class CountTable:
     counts: tuple[int, ...]  # N_1 .. N_{n_max}
     closed_points: tuple[int, ...]  # a_1 .. a_{n_max}; also the orbit counts b_nu
 
-    def count(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise InsufficientCountRange(
-                "N_%d requested but table covers 1..%d" % (n, self.n_max)
-            )
-        return self.counts[n - 1]
-
-
-@dataclass(frozen=True)
-class FixedPointGroup:
-    n: int
-    order: int
-    divisors: tuple[int, ...]  # SNF diagonal d_1 | d_2 | ... , all positive
-
 
 def _powers_minus_identity(model: FrobeniusModel, n_max: int):
-    """F^n - I for n = 1 .. n_max, one mat_mul per n."""
+    """F^n - I for n = 1 .. n_max.
+
+    Column i of F^n is T^(n+i) mod char(T) in the basis 1, T, ..., T^(2g-1).
+    The walk keeps the columns of F^(n-1): each step drops the first and
+    appends T times the last, reduced by char(T) = T^2g + sum_k c_{2g-k} T^k,
+    which is 2g multiply-adds per n.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    f = [list(row) for row in model.matrix]
-    eye = identity(len(f))
-    fn = eye
+    coeffs = model.datum.coeffs
+    size = len(coeffs) - 1
+    cols = [[int(i == k) for k in range(size)] for i in range(size)]
     for _ in range(n_max):
-        fn = mat_mul(fn, f)
-        yield mat_sub(fn, eye)
+        last = cols[-1]
+        cols = cols[1:] + [[low - last[-1] * coeffs[size - k]
+                            for k, low in enumerate([0] + last[:-1])]]
+        yield [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(zip(*cols))]
 
 
 def build_count_table(model: FrobeniusModel, n_max: int) -> CountTable:
@@ -92,27 +86,17 @@ def build_count_table(model: FrobeniusModel, n_max: int) -> CountTable:
     )
 
 
-def closed_point_count(table: CountTable, d: int) -> int:
-    """a_d: closed points of degree d (orbits of size d on geometric points)."""
-    if not 1 <= d <= table.n_max:
-        raise InsufficientCountRange(
-            "a_%d requested but table covers 1..%d" % (d, table.n_max)
-        )
-    return table.closed_points[d - 1]
+def fixed_point_groups(model: FrobeniusModel, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Structure of the fixed points of F^n for n = 1 .. n_max: the SNF
+    divisors d_1 | d_2 | ... of F^n - I, all positive, at index n - 1.
 
-
-def fixed_point_groups(model: FrobeniusModel, n_max: int) -> tuple[FixedPointGroup, ...]:
-    """Structure of the fixed points of F^n for n = 1 .. n_max: SNF divisors
-    of F^n - I.
-
-    Each group is a direct sum of Z/d_i with d_1 | d_2 | ...; its order is
-    |det(F^n - I)| = N_n, which the test suite checks against
-    build_count_table.
+    The group of F^n is the direct sum of the Z/d_i; its order
+    |det(F^n - I)| = N_n comes from build_count_table.
     """
     groups = []
     for n, mat in enumerate(_powers_minus_identity(model, n_max), start=1):
-        divisors = smith_normal_form(mat)
-        if any(d == 0 for d in divisors):
+        divisors = tuple(smith_normal_form(mat))
+        if 0 in divisors:
             raise CrossCheckFailure("F^%d - I is singular" % n)
-        groups.append(FixedPointGroup(n=n, order=math.prod(divisors), divisors=tuple(divisors)))
+        groups.append(divisors)
     return tuple(groups)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CrossCheckFailure, DimensionTooLarge
 from .intlinalg import Matrix, charpoly, det_bareiss
-from .weil import FrobeniusModel
+from .weil import FrobeniusModel, companion_matrix
 
 ZETA_G_CAP = 5  # largest g that zeta takes: about 65 s of charpoly at g = 5; see build_pj_family
 
@@ -122,7 +122,7 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
     if w.g > ZETA_G_CAP:
         raise DimensionTooLarge("zeta (build_pj_family): g = %d exceeds the cap %d" % (w.g, ZETA_G_CAP))
     products = _subset_products(model)
-    f = [list(row) for row in model.matrix]
+    f = companion_matrix(w)
     n = 2 * w.g
     polys: list[tuple[int, ...]] = []
     for j in range(n + 1):

@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers.
 
 Frobenius matrices stay small (2g <= 16 under verify's cap; zeta's exterior
-powers reach C(10, 5) = 252 rows under its cap) but entries of matrix powers
-grow without bound, so everything here runs on Python big ints: no modulus,
-no floats, no overflow. All functions treat matrices as lists of row lists
-and never mutate their arguments.
+powers reach C(10, 5) = 252 rows under its cap) but the entries of F^n - I
+and the determinants here grow without bound, so everything runs on Python
+big ints: no modulus, no floats, no overflow. All functions treat matrices
+as lists of row lists and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -12,20 +12,6 @@ from __future__ import annotations
 from operator import mul
 
 Matrix = list[list[int]]
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, k = len(a), len(b[0]), len(b)
-    bt = [[b[t][j] for t in range(k)] for j in range(m)]
-    return [[sum(row[t] * col[t] for t in range(k)) for col in bt] for row in a]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def det_bareiss(a: Matrix) -> int:

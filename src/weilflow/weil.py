@@ -70,8 +70,11 @@ class OrdinarityVerdict:
 
 @dataclass(frozen=True)
 class FrobeniusModel:
+    """The roots of the Frobenius of datum, decided exactly. Its matrix is
+    companion_matrix(datum); counting walks the powers F^n from
+    datum.coeffs without forming it."""
+
     datum: WeilDatum
-    matrix: tuple[tuple[int, ...], ...]
     roots: tuple[complex, ...]  # sorted by (principal argument, real part)
     angles: tuple[float, ...]  # theta_i = |arg mu_i| per conjugate pair, ascending
     precision: float  # largest proven radius of an angle bracket
@@ -135,7 +138,8 @@ def parse_weil_datum(doc: dict) -> WeilDatum:
     """Parse and fully validate an input document.
 
     Two forms: {"q", "g", "weil_poly", "label"?} or the elliptic shorthand
-    {"q", "trace"} which expands to [1, -trace, q]. Validation order:
+    {"q", "trace"} (with "g" = 1 at most) which expands to [1, -trace, q];
+    "trace" beside "weil_poly" or another "g" is refused. Validation order:
     prime-power q, length, end normalization, then the exact Riemann
     hypothesis decision of _weil_roots.
     """
@@ -149,9 +153,14 @@ def parse_weil_datum(doc: dict) -> WeilDatum:
     if not isinstance(label, str):
         raise InputError("label must be a string")
 
-    if "trace" in doc and "weil_poly" not in doc:
+    if "trace" in doc:
+        if "weil_poly" in doc:
+            raise InputError("input document gives both 'trace' and 'weil_poly'; "
+                             "give one of the two forms")
+        g = _as_int(doc.get("g", 1), "g")
+        if g != 1:
+            raise InputError("'trace' is the g = 1 shorthand, but 'g' is %d" % g)
         a = _as_int(doc["trace"], "trace")
-        g = 1
         coeffs = (1, -a, q)
     else:
         if "weil_poly" not in doc:
@@ -443,12 +452,11 @@ def _weil_roots(coeffs: tuple[int, ...], q: int):
 
 
 def frobenius_model(w: WeilDatum) -> FrobeniusModel:
-    """Companion matrix plus the exactly decided roots and angles; a datum
-    built without parse_weil_datum gets the same decision here."""
+    """The exactly decided roots and angles of w; a datum built without
+    parse_weil_datum gets the same decision here."""
     angles, roots, precision = _weil_roots(w.coeffs, w.q)
     return FrobeniusModel(
         datum=w,
-        matrix=tuple(tuple(row) for row in companion_matrix(w)),
         roots=roots,
         angles=angles,
         precision=precision,

@@ -306,6 +306,9 @@ def test_input_error_paths(capsys, datum, tmp_path):
     rc, _, err = run(capsys, ["count", "--input", path, "--max", "101"])
     assert rc == 1
 
+    rc, out, err = run(capsys, ["validate", "--input", datum({"q": 5, "g": 2, "trace": 1})])
+    assert rc == 1 and out == "" and err == "error: InputError: 'trace' is the g = 1 shorthand, but 'g' is 2\n"
+
 
 def test_integers_past_the_str_limit_are_refused_up_front(capsys, datum):
     # N_64 of the g = 3 product over q = 10^24 + 7 has ~4,600 digits, and P_5

@@ -1,16 +1,13 @@
 """Point counts, closed points, fixed-point groups, orbit correspondence."""
 
+import math
+
 import pytest
 
 import oracles
 from test_weil import CORPUS
-from weilflow.counting import (
-    build_count_table,
-    closed_point_count,
-    fixed_point_groups,
-)
-from weilflow.errors import InsufficientCountRange
-from weilflow.weil import frobenius_model, parse_weil_datum
+from weilflow.counting import _powers_minus_identity, build_count_table, fixed_point_groups
+from weilflow.weil import companion_matrix, frobenius_model, parse_weil_datum
 
 
 def _model(doc):
@@ -61,10 +58,7 @@ def test_counts_match_recurrence_all_elliptic_corpus():
 
 def test_closed_point_examples():
     ct = build_count_table(E5A2, 4)
-    assert closed_point_count(ct, 1) == 4
-    assert closed_point_count(ct, 2) == (32 - 4) // 2
-    assert closed_point_count(ct, 3) == (148 - 4) // 3
-    assert closed_point_count(ct, 4) == (640 - 32) // 4
+    assert ct.closed_points == (4, (32 - 4) // 2, (148 - 4) // 3, (640 - 32) // 4)
     assert 1 * 4 + 2 * 14 + 4 * 152 == 640  # divisor-sum identity at n = 4
 
 
@@ -90,12 +84,8 @@ def test_float_exact_consistency():
 
 
 def test_fixed_point_group_hand_values():
-    g1, g2, g3 = fixed_point_groups(E5A2, 3)
-    assert g1.n == 1 and g1.divisors == (1, 4) and g1.order == 4
-    assert g2.n == 2 and g2.divisors == (2, 16) and g2.order == 32
-    assert g3.n == 3 and g3.divisors == (1, 148)
-    h2 = fixed_point_groups(G2, 2)[1]
-    assert h2.divisors == (1, 1, 4, 160) and h2.order == 640
+    assert fixed_point_groups(E5A2, 3) == ((1, 4), (2, 16), (1, 148))
+    assert fixed_point_groups(G2, 2)[1] == (1, 1, 4, 160)
 
 
 def test_fixed_point_group_vs_sympy_and_counts():
@@ -104,14 +94,42 @@ def test_fixed_point_group_vs_sympy_and_counts():
     for m, n_hi in ((E5A2, 8), (G2, 5)):
         ct = build_count_table(m, n_hi)
         groups = fixed_point_groups(m, n_hi)
-        f = sympy.Matrix(m.matrix)
-        assert [fg.n for fg in groups] == list(range(1, n_hi + 1))
-        for n, fg in enumerate(groups, start=1):
-            assert fg.order == ct.counts[n - 1]
-            for a, b in zip(fg.divisors, fg.divisors[1:]):
+        f = sympy.Matrix(companion_matrix(m.datum))
+        assert len(groups) == n_hi
+        for n, divisors in enumerate(groups, start=1):
+            assert math.prod(divisors) == ct.counts[n - 1]
+            for a, b in zip(divisors, divisors[1:]):
                 assert b % a == 0
             mat = (f ** n - sympy.eye(f.rows)).tolist()
-            assert list(fg.divisors) == oracles.sympy_snf_divisors(mat)
+            assert list(divisors) == oracles.sympy_snf_divisors(mat)
+
+
+def _elliptic_product(q, traces):
+    """The datum of the product of the curves 1 - a X + q X^2, a in traces."""
+    coeffs = [1]
+    for a in traces:
+        coeffs = [x - a * y + q * z for x, y, z in
+                  zip(coeffs + [0, 0], [0] + coeffs + [0], [0, 0] + coeffs)]
+    return {"q": q, "g": len(traces), "weil_poly": coeffs}
+
+
+@pytest.mark.parametrize("doc, n_hi", [
+    (_elliptic_product(5, [2]), 20),
+    (_elliptic_product(5, [2, 4]), 20),
+    (_elliptic_product(7, [1, -3, 5]), 20),
+    (_elliptic_product(3, [1, -1, 2, 3, 0, -2, 3, 1]), 20),
+    (_elliptic_product(10007, [1, 2, 3, -5]), 64),
+])
+def test_companion_walk_vs_sympy_powers(doc, n_hi):
+    # the recurrence T^(n+1) = T T^n mod char(T) gives F^n - I exactly
+    import sympy
+
+    m = _model(doc)
+    f = sympy.Matrix(companion_matrix(m.datum))
+    walk = list(_powers_minus_identity(m, n_hi))
+    assert len(walk) == n_hi
+    for n in sorted({*range(1, 21), n_hi}):
+        assert walk[n - 1] == (f ** n - sympy.eye(f.rows)).tolist(), n
 
 
 def test_primitive_orbits():
@@ -123,11 +141,6 @@ def test_primitive_orbits():
 
 
 def test_range_errors():
-    ct = build_count_table(E5A2, 3)
-    with pytest.raises(InsufficientCountRange):
-        ct.count(4)
-    with pytest.raises(InsufficientCountRange):
-        closed_point_count(ct, 4)
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         fixed_point_groups(E5A2, 0)
     with pytest.raises(ValueError, match="n_max must be >= 1"):

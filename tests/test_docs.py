@@ -59,6 +59,15 @@ def test_readme_cites_every_cap():
     assert [cap for cap in sorted(caps) if "`%s`" % cap not in README] == []
 
 
+def test_readme_layout_lists_every_module():
+    # README's Layout block has a line for each module of the package, so a
+    # new module cannot go unlisted
+    layout = README.split("## Layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^  (\w+)\.py ", layout, re.MULTILINE))
+    assert "errors" in SUBMODULES
+    assert sorted(SUBMODULES - listed) == []
+
+
 def test_readme_cites_every_error():
     # every class in weilflow.errors has a row in README's error table, with
     # its parent and the exit code the command line gives it

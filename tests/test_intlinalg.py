@@ -7,14 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weilflow.intlinalg import (
-    charpoly,
-    det_bareiss,
-    identity,
-    mat_mul,
-    mat_sub,
-    smith_normal_form,
-)
+from weilflow.intlinalg import charpoly, det_bareiss, smith_normal_form
 
 
 def _random_matrix(rng, n, lo=-9, hi=9):
@@ -25,7 +18,7 @@ def test_det_hand_values():
     assert det_bareiss([[0, -5], [1, 2]]) == 5
     assert det_bareiss([[-1, -5], [1, 1]]) == 4
     assert det_bareiss([[7]]) == 7
-    assert det_bareiss(identity(4)) == 1
+    assert det_bareiss([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 1
 
 
 def test_det_random_vs_sympy():
@@ -41,21 +34,6 @@ def test_det_singular():
     assert det_bareiss([[1, 2, 3], [1, 2, 3], [0, 1, 4]]) == 0
 
 
-def test_mat_mul_vs_sympy():
-    import sympy
-
-    rng = random.Random(7)
-    for _ in range(10):
-        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
-        b = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
-        assert mat_mul(a, b) == (sympy.Matrix(a) * sympy.Matrix(b)).tolist()
-
-
-def test_mat_sub():
-    assert mat_sub([[3, 1], [0, 2]], identity(2)) == [[2, 1], [0, 1]]
-
-
 def test_charpoly_hand_companion():
     # char(T) of the companion of X^2 - 2X + 5 read off directly
     assert charpoly([[0, -5], [1, 2]]) == [5, -2, 1]
@@ -66,7 +44,7 @@ def test_charpoly_empty_and_pow_edge():
     # the 0x0 matrix has char poly 1; F^0 = I has char poly (X - 1)^n
     assert charpoly([]) == [1]
     assert charpoly([[1]]) == [-1, 1]
-    assert charpoly(identity(3)) == [-1, 3, -3, 1]
+    assert charpoly([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [-1, 3, -3, 1]
 
 
 def test_charpoly_random_vs_sympy():
@@ -111,7 +89,7 @@ def test_snf_hand_values():
     assert smith_normal_form([[-6, -10], [2, -2]]) == [2, 16]
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
     assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
-    assert smith_normal_form(identity(3)) == [1, 1, 1]
+    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
 
 
 def test_snf_random_vs_sympy():

@@ -108,6 +108,19 @@ def test_parse_trace_shorthand():
     assert w.coeffs == (1, 3, 7)
 
 
+def test_trace_shorthand_refuses_a_second_form():
+    # "trace" is the g = 1 shorthand: beside "weil_poly" or another "g" the
+    # document says two things, and neither is silently dropped
+    for doc, keys in (({"q": 5, "g": 2, "trace": 1}, ("'trace'", "'g'")),
+                      ({"q": 5, "g": 1, "trace": 2, "weil_poly": [1, -2, 5]},
+                       ("'trace'", "'weil_poly'"))):
+        with pytest.raises(InputError) as err:
+            parse_weil_datum(doc)
+        assert all(key in str(err.value) for key in keys), err.value
+    for doc in ({"q": 5, "trace": 2}, {"q": 5, "g": 1, "trace": 2}):
+        assert parse_weil_datum(doc).coeffs == (1, -2, 5)
+
+
 def test_parse_rejections():
     with pytest.raises(RiemannHypothesisViolation):
         parse_weil_datum({"q": 5, "g": 1, "weil_poly": [1, -5, 5]})
