@@ -33,7 +33,7 @@ def main():
         w = parse_weil_datum(doc)
         model = frobenius_model(w)
         ct = build_count_table(model, N_MAX)
-        groups = fixed_point_groups(model, N_MAX)
+        groups = fixed_point_groups(model, ct)
 
         print(f"=== {w.label}   (q={w.q}, g={w.g})")
         print(f"{'n':>3} {'N_n':>12} {'a_n':>12} {'b_n':>12}   fixed group")

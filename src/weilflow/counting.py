@@ -4,11 +4,12 @@ Counts over extension fields come from the exact integer determinant
 N_n = det(F^n - I) (positive because the eigenvalues pair off the unit
 circle), closed-point counts from the divisor-sum identity
 sum_{d|n} d a_d = N_n solved degree by degree, and the group of points of
-degree dividing n from the Smith normal form of F^n - I. F is the companion
-matrix of char(T), so F^n - I comes from the recurrence T^(n+1) = T T^n
-mod char(T), never from a matrix product. A primitive orbit of period nu is
-a closed point of degree nu, so the orbit count b_nu is a_nu itself;
-acceptance criterion 4 checks it against the products of the Smith divisors.
+degree dividing n from the Smith normal form of F^n - I, eliminated
+modulo N_n. F is the companion matrix of char(T), so F^n - I comes from
+the recurrence T^(n+1) = T T^n mod char(T), never from a matrix product.
+A primitive orbit of period nu is a closed point of degree nu, so the
+orbit count b_nu is a_nu itself; acceptance criterion 4 checks it against
+the products of the Smith divisors.
 """
 
 from __future__ import annotations
@@ -86,17 +87,13 @@ def build_count_table(model: FrobeniusModel, n_max: int) -> CountTable:
     )
 
 
-def fixed_point_groups(model: FrobeniusModel, n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Structure of the fixed points of F^n for n = 1 .. n_max: the SNF
+def fixed_point_groups(model: FrobeniusModel, table: CountTable) -> tuple[tuple[int, ...], ...]:
+    """Structure of the fixed points of F^n for n = 1 .. table.n_max: the SNF
     divisors d_1 | d_2 | ... of F^n - I, all positive, at index n - 1.
 
     The group of F^n is the direct sum of the Z/d_i; its order
-    |det(F^n - I)| = N_n comes from build_count_table.
+    |det(F^n - I)| = N_n, which table (built from model) holds exactly, is
+    the modulus of the elimination.
     """
-    groups = []
-    for n, mat in enumerate(_powers_minus_identity(model, n_max), start=1):
-        divisors = tuple(smith_normal_form(mat))
-        if 0 in divisors:
-            raise CrossCheckFailure("F^%d - I is singular" % n)
-        groups.append(divisors)
-    return tuple(groups)
+    return tuple(tuple(smith_normal_form(mat, count))
+                 for mat, count in zip(_powers_minus_identity(model, table.n_max), table.counts))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -131,6 +132,11 @@ def build_pj_family(model: FrobeniusModel) -> PjFamily:
         else:
             pj = _complement_poly(polys[n - j], w.q, w.g, j)
         for k, (ci, cf) in enumerate(zip(pj, _expand_products(products[j]))):
+            if abs(ci) > sys.float_info.max:
+                raise CrossCheckFailure(
+                    "P_%d coefficient %d: exact value of %d bits is past the double range "
+                    "of the float cross-check" % (j, k, abs(ci).bit_length())
+                )
             scale = max(1.0, abs(ci))
             if abs(cf - ci) > 1e-8 * scale:
                 raise CrossCheckFailure(

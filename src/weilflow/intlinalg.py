@@ -3,12 +3,15 @@
 Frobenius matrices stay small (2g <= 16 under verify's cap; zeta's exterior
 powers reach C(10, 5) = 252 rows under its cap) but the entries of F^n - I
 and the determinants here grow without bound, so everything runs on Python
-big ints: no modulus, no floats, no overflow. All functions treat matrices
-as lists of row lists and never mutate their arguments.
+big ints: no floats, no overflow. Only the Smith normal form works modulo
+an integer, a multiple of |det A| that the caller knows exactly (N_n for
+F^n - I), so its entries stay below it. All functions treat matrices as
+lists of row lists and never mutate their arguments.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
 
 Matrix = list[list[int]]
@@ -66,59 +69,57 @@ def charpoly(a: Matrix) -> list[int]:
     return desc[::-1]
 
 
-def smith_normal_form(a: Matrix) -> list[int]:
-    """Diagonal of the Smith normal form: d_1 | d_2 | ... , all >= 0.
+def _bezout(a: int, b: int) -> tuple[int, int, int, int]:
+    """u, v, a/g, b/g with u a + v b = g = gcd(a, b), for a >= 0 and b > 0.
 
-    Classic elementary-operation reduction with minimal-|pivot| selection.
-    The divisibility chain holds because a pivot is only accepted once it
-    divides every entry of the remaining block.
+    [[u, v], [-b/g, a/g]] has determinant 1. When g = a it is plain
+    elimination (u = 1, v = 0), which leaves the pivot's line unchanged.
     """
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank_bound = min(rows, cols)
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    u = 1 if a == 1 else pow(a, -1, b)
+    return u, (1 - u * a) // b, a, b
+
+
+def smith_normal_form(a: Matrix, modulus: int) -> list[int]:
+    """Diagonal d_1 | d_2 | ... | d_n of the Smith normal form of a square
+    nonsingular A, all positive, given a positive multiple D of |det A|.
+
+    Elimination modulo D (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.4.14): D Z^n lies in the lattice A Z^n, so every step may
+    reduce modulo R, which starts at D and is divided by each d_k found. The
+    pivot column is cleared by 2 x 2 unimodular Bezout row steps, one per
+    entry (Kannan and Bachem, SIAM J. Comput. 8 (1979) 499-507), then its
+    row by column steps, until both are clear. d = gcd(pivot, R) is emitted
+    once it divides the rest of the block; otherwise a row it does not
+    divide is added to the pivot row and the clearing goes on.
+    """
+    if modulus <= 0:
+        raise ValueError("modulus must be a positive multiple of |det A|, got %d" % modulus)
+    r = modulus
+    m = [[x % r for x in row] for row in a]
     diag: list[int] = []
-    top = 0
-    while top < rank_bound:
-        piv = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = m[i][j]
-                if v != 0 and (piv is None or abs(v) < abs(m[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        m[top], m[i0] = m[i0], m[top]
-        for row in m:
-            row[top], row[j0] = row[j0], row[top]
-        p = m[top][top]
-        dirty = False
-        for i in range(top + 1, rows):
-            if m[i][top]:
-                q = m[i][top] // p
-                for j in range(top, cols):
-                    m[i][j] -= q * m[top][j]
-                dirty = dirty or m[i][top] != 0
-        for j in range(top + 1, cols):
-            if m[top][j]:
-                q = m[top][j] // p
-                for i in range(top, rows):
-                    m[i][j] -= q * m[i][top]
-                dirty = dirty or m[top][j] != 0
-        if dirty:
-            continue
-        offender = None
-        for i in range(top + 1, rows):
-            if any(m[i][j] % p for j in range(top + 1, cols)):
-                offender = i
+    while m:
+        while True:
+            for i in range(1, len(m)):
+                if m[i][0]:
+                    u, v, a1, b1 = _bezout(m[0][0], m[i][0])
+                    m[0], m[i] = ([(u * x + v * y) % r for x, y in zip(m[0], m[i])],
+                                  [(a1 * y - b1 * x) % r for x, y in zip(m[0], m[i])])
+            for j in range(1, len(m)):
+                if m[0][j]:
+                    u, v, a1, b1 = _bezout(m[0][0], m[0][j])
+                    for row in m:
+                        x, y = row[0], row[j]
+                        row[0], row[j] = (u * x + v * y) % r, (a1 * y - b1 * x) % r
+            if any(row[0] for row in m[1:]):
+                continue
+            d = gcd(m[0][0], r)
+            offender = next((row for row in m[1:] if any(x % d for x in row)), None)
+            if offender is None:
                 break
-        if offender is not None:
-            for j in range(top, cols):
-                m[top][j] += m[offender][j]
-            continue
-        diag.append(abs(p))
-        top += 1
-    while len(diag) < rank_bound:
-        diag.append(0)
+            m[0] = [(x + y) % r for x, y in zip(m[0], offender)]
+        diag.append(d)
+        r //= d
+        m = [[x % r for x in row[1:]] for row in m[1:]]
     return diag

@@ -115,7 +115,7 @@ def test_criterion_4_orbit_fixed_point_match():
     for doc in cases:
         model = frobenius_model(parse_weil_datum(doc))
         ct = build_count_table(model, 12)
-        groups = fixed_point_groups(model, 12)
+        groups = fixed_point_groups(model, ct)
         # independent route: the oracle's Mobius inversion of the Smith
         # normal form orders, each the product of its divisors; b_nu = a_nu
         orders = [math.prod(divisors) for divisors in groups]

@@ -347,7 +347,7 @@ def test_orbits_builds_smith_forms_only_for_json(capsys, datum, monkeypatch):
     calls = []
     real = weilflow.cli.fixed_point_groups
     monkeypatch.setattr(weilflow.cli, "fixed_point_groups",
-                        lambda model, n_max: calls.append(n_max) or real(model, n_max))
+                        lambda model, table: calls.append(table.n_max) or real(model, table))
     for fmt in ("text", "csv"):
         rc, _, _ = run(capsys, ["orbits", "--input", datum(G2), "--max", "6", "--format", fmt])
         assert rc == 0 and calls == []
@@ -444,6 +444,18 @@ def test_lattice_commands_pass_where_the_exact_route_fails(capsys, datum):
     # only zeta prints the exact P_j, and its fixed cross-check still refuses
     rc, _, err = run(capsys, ["zeta", "--input", path])
     assert rc == 2 and err.startswith("error: CrossCheckFailure: P_2 coefficient 5: exact 0 ")
+
+
+def test_zeta_refuses_coefficients_past_the_double_range(capsys, datum):
+    # P_3 of this g = 4 product over F_10007 has a coefficient of 1041 bits,
+    # which the float cross-check cannot compare: a refusal, not a traceback
+    path = datum({"q": 10007, "g": 4, "weil_poly": [
+        1, 163, 30428, 4094723, 431735894, 40975893061, 3047061410972,
+        163342539665909, 10028029413722401]})
+    rc, out, err = run(capsys, ["zeta", "--input", path])
+    assert rc == 2 and out == ""
+    assert err == ("error: CrossCheckFailure: P_3 coefficient 52: exact value of 1041 bits "
+                   "is past the double range of the float cross-check\n")
 
 
 def test_only_zeta_builds_the_exact_factors(capsys, datum, monkeypatch):

@@ -45,3 +45,18 @@ def test_cli_output_matches_golden(capsys, tmp_path, name, command, fmt):
     assert out.err == ""
     expected = (GOLDEN / ("%s_%s.%s" % (name, command, EXTENSIONS[fmt]))).read_text()
     assert out.out == expected
+
+
+# count --max 64 on a g = 4 product over F_9, where N_64 has about 250
+# digits and the Smith forms have several divisors other than 1 and N_n
+G4Q9 = {"q": 9, "g": 4, "weil_poly": [1, -5, 29, -94, 330, -846, 2349, -3645, 6561]}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXTENSIONS))
+def test_count_at_scale_matches_golden(capsys, tmp_path, fmt):
+    path = tmp_path / "g4q9.json"
+    path.write_text(json.dumps(G4Q9))
+    rc = main(["count", "--input", str(path), "--format", fmt, "--max", "64"])
+    out = capsys.readouterr()
+    assert rc == 0 and out.err == ""
+    assert out.out == (GOLDEN / ("g4q9_count64.%s" % EXTENSIONS[fmt])).read_text()

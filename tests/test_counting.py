@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from test_weil import CORPUS
-from weilflow.counting import _powers_minus_identity, build_count_table, fixed_point_groups
+from weilflow.counting import CountTable, _powers_minus_identity, build_count_table, fixed_point_groups
 from weilflow.weil import companion_matrix, frobenius_model, parse_weil_datum
 
 
@@ -84,8 +84,8 @@ def test_float_exact_consistency():
 
 
 def test_fixed_point_group_hand_values():
-    assert fixed_point_groups(E5A2, 3) == ((1, 4), (2, 16), (1, 148))
-    assert fixed_point_groups(G2, 2)[1] == (1, 1, 4, 160)
+    assert fixed_point_groups(E5A2, build_count_table(E5A2, 3)) == ((1, 4), (2, 16), (1, 148))
+    assert fixed_point_groups(G2, build_count_table(G2, 2))[1] == (1, 1, 4, 160)
 
 
 def test_fixed_point_group_vs_sympy_and_counts():
@@ -93,7 +93,7 @@ def test_fixed_point_group_vs_sympy_and_counts():
 
     for m, n_hi in ((E5A2, 8), (G2, 5)):
         ct = build_count_table(m, n_hi)
-        groups = fixed_point_groups(m, n_hi)
+        groups = fixed_point_groups(m, ct)
         f = sympy.Matrix(companion_matrix(m.datum))
         assert len(groups) == n_hi
         for n, divisors in enumerate(groups, start=1):
@@ -132,6 +132,26 @@ def test_companion_walk_vs_sympy_powers(doc, n_hi):
         assert walk[n - 1] == (f ** n - sympy.eye(f.rows)).tolist(), n
 
 
+@pytest.mark.parametrize("doc", [
+    _elliptic_product(5, [1, 2, 3, 4]),
+    _elliptic_product(9, [1, 2, -3, 5]),
+    _elliptic_product(10007, [1, 2, 3, -5]),
+    _elliptic_product(5, [1, 2, 3, 4, -1, -2, 0, 2]),
+])
+def test_fixed_point_groups_at_scale_vs_sympy(doc):
+    # the elimination modulo N_n against sympy's over Z, where N_n runs to
+    # thousands of bits and Smith divisors other than 1 and N_n appear
+    m = _model(doc)
+    ct = build_count_table(m, 64)
+    groups = fixed_point_groups(m, ct)
+    walk = list(_powers_minus_identity(m, 64))
+    for n in [*range(1, 13), 24, 48, 64]:
+        divisors = groups[n - 1]
+        assert len(divisors) == 2 * m.datum.g and math.prod(divisors) == ct.counts[n - 1]
+        assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+        assert list(divisors) == oracles.sympy_snf_divisors(walk[n - 1]), n
+
+
 def test_primitive_orbits():
     # b_nu = a_nu: a primitive orbit of period nu is a closed point of degree nu
     ct = build_count_table(E5A2, 12)
@@ -142,7 +162,7 @@ def test_primitive_orbits():
 
 def test_range_errors():
     with pytest.raises(ValueError, match="n_max must be >= 1"):
-        fixed_point_groups(E5A2, 0)
+        fixed_point_groups(E5A2, CountTable(q=5, g=1, n_max=0, counts=(), closed_points=()))
     with pytest.raises(ValueError, match="n_max must be >= 1"):
         build_count_table(E5A2, 0)
 

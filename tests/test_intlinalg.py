@@ -3,6 +3,7 @@
 import math
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,38 +85,73 @@ def test_charpoly_at_integers_is_det_of_the_shift(m):
         assert sum(ck * t**k for k, ck in enumerate(c)) == det_bareiss(shifted)
 
 
+def _random_nonsingular(rng, n, lo, hi):
+    while True:
+        m = _random_matrix(rng, n, lo, hi)
+        if det_bareiss(m):
+            return m
+
+
 def test_snf_hand_values():
-    assert smith_normal_form([[-1, -5], [1, 1]]) == [1, 4]
-    assert smith_normal_form([[-6, -10], [2, -2]]) == [2, 16]
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
+    assert smith_normal_form([[-1, -5], [1, 1]], 4) == [1, 4]
+    assert smith_normal_form([[-6, -10], [2, -2]], 32) == [2, 16]
+    assert smith_normal_form([[2, 0], [0, 3]], 6) == [1, 6]
+    assert smith_normal_form([[2, 0], [0, 3]], 36) == [1, 6]
+    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1) == [1, 1, 1]
+    assert smith_normal_form([], 1) == []
+    # the modulus is a positive multiple of |det A|, so A must be nonsingular
+    for modulus in (0, -4):
+        with pytest.raises(ValueError, match="modulus must be a positive multiple"):
+            smith_normal_form([[-1, -5], [1, 1]], modulus)
 
 
 def test_snf_random_vs_sympy():
+    # modulo |det A| and modulo a multiple of it, the same divisors as sympy's
+    # elimination over Z, in a divisibility chain whose product is |det A|
     rng = random.Random(202)
     for _ in range(30):
         n = rng.randint(1, 5)
-        m = _random_matrix(rng, n, -7, 7)
-        ours = smith_normal_form(m)
-        nonzero = [d for d in ours if d != 0]
-        assert nonzero == oracles.sympy_snf_divisors(m)
-        # divisibility chain and determinant preservation
+        m = _random_nonsingular(rng, n, -7, 7)
+        det = abs(det_bareiss(m))
+        ours = smith_normal_form(m, det)
+        assert ours == oracles.sympy_snf_divisors(m)
+        assert smith_normal_form(m, 6 * det) == ours
         for a, b in zip(ours, ours[1:]):
-            if b != 0:
-                assert a != 0 and b % a == 0
-        assert math.prod(ours) == abs(det_bareiss(m))
+            assert b % a == 0
+        assert math.prod(ours) == det
 
 
 def test_snf_unimodular_invariance():
     # shearing rows/columns must not change the divisors
     rng = random.Random(11)
     for _ in range(10):
-        m = _random_matrix(rng, 3, -5, 5)
-        base = smith_normal_form(m)
+        m = _random_nonsingular(rng, 3, -5, 5)
+        det = abs(det_bareiss(m))
+        base = smith_normal_form(m, det)
         sheared = [row[:] for row in m]
         for k in range(3):
             sheared[0][k] += 4 * sheared[2][k]  # row op
         for row in sheared:
             row[1] -= 3 * row[0]  # column op
-        assert smith_normal_form(sheared) == base
+        assert smith_normal_form(sheared, det) == base
+
+
+def test_snf_planted_chains():
+    # U diag(d) V with random unimodular U, V has Smith divisors d exactly;
+    # chains with several divisors > 1 need the divisibility fix-up
+    rng = random.Random(28)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        chain = [rng.choice((1, 1, 2, 5))]
+        for _ in range(n - 1):
+            chain.append(chain[-1] * rng.choice((1, 1, 2, 3, 6, 35)))
+        m = [[chain[i] * (i == j) for j in range(n)] for i in range(n)]
+        for _ in range(4 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-3, 3)
+            for row in m:  # column j += c column i
+                row[j] += c * row[i]
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]  # row i += c row j
+        rng.shuffle(m)
+        assert smith_normal_form(m, math.prod(chain)) == chain
+        assert smith_normal_form(m, 6 * math.prod(chain)) == chain
