@@ -3,13 +3,13 @@
 The basic building block is the scaled mollifier
 alpha(t) = A exp(-w^2 / (w^2 - (t - c)^2)) on |t - c| < w, zero outside,
 which is C-infinity with all derivatives vanishing at the support boundary.
-Finite sums of bumps are first-class: everything downstream only needs
-pointwise values and the support hull.
+Finite sums of bumps are first-class: an integrand is a support and
+pointwise values(t), which may give several rows at once.
 
 Phi(s) = integral e^{t s} alpha(t) dt is entire in s. phi_ladder computes it
-along arithmetic progressions of imaginary parts for rows of integrands,
-each with its own sigma, all on one shared composite Gauss-Legendre
-panelization (order 64, panels doubled until successive passes agree in
+along arithmetic progressions of imaginary parts for the rows of one
+integrand, each with its own sigma, on one composite Gauss-Legendre
+panelization of its support (order 64, panels doubled until passes agree in
 every row to RTOL = 1e-12 of the row's floor, the pass's own quadrature of
 integral |e^{sigma t} h(t)| dt, which bounds |Phi| on the whole line, plus
 the pass's phase rounding). Each pass is a cache-blocked matrix product of
@@ -176,7 +176,7 @@ def phi(tf: TestFunction, s: complex) -> PhiResult:
     A phi_ladder of one row and one rung, under the same convergence contract.
     """
     s = complex(s)
-    values, errors, panels = phi_ladder((tf,), (s.real,), s.imag, 0.0, 1)
+    values, errors, panels = phi_ladder(tf, (s.real,), s.imag, 0.0, 1)
     return PhiResult(value=complex(values[0, 0]), error=float(errors[0, 0]), panels=panels)
 
 
@@ -191,12 +191,12 @@ _BLOCK = 16  # rungs per matrix product
 _ANCHOR = 512  # rungs between exact exp re-anchors of the phase
 
 
-def _ladder_pass(rows: tuple, sigmas: tuple, f0: float, step: float,
+def _ladder_pass(rows, sigmas, f0: float, step: float,
                  count: int, panels: int, lo: float, hi: float) -> tuple:
     """One quadrature pass of F_r(f) = integral e^{sigma_r t} h_r(t) e^{i f t} dt
-    for f = f0 + step k, k = 0..count-1, every row r on one shared grid, of
-    shape (rows, count), and each row's floor: the same quadrature of
-    integral |e^{sigma_r t} h_r(t)| dt.
+    for f = f0 + step k, k = 0..count-1, each row h_r of rows.values(t) (one
+    per sigma) on one grid over [lo, hi], of shape (len(sigmas), count), and
+    each row's floor: the same quadrature of integral |e^{sigma_r t} h_r| dt.
 
     Blocked as a matrix product (Goto and van de Geijn's GEMM blocking): the
     nodes go in slices of at most _BLOCK_BYTES / (16 B) for B = _BLOCK rungs.
@@ -205,15 +205,16 @@ def _ladder_pass(rows: tuple, sigmas: tuple, f0: float, step: float,
     gives the block as A @ E^T; A then moves on by z^B, with an exact exp
     re-anchor every _ANCHOR rungs. E, the advance and the re-anchor phases
     are built once per slice for all rows, and stay in cache across blocks.
-    A row tuple with its own values(t) gives all its rows at once.
     """
     t, wt = _grid(lo, hi, panels)
-    values = rows.values(t) if hasattr(rows, "values") else [h.values(t) for h in rows]
+    values = np.reshape(rows.values(t), (-1, t.size))
+    if len(values) != len(sigmas):
+        raise ValueError("the integrand gives %d rows for %d sigmas" % (len(values), len(sigmas)))
     base = np.array([wt * v * np.exp(s * t) for v, s in zip(values, sigmas)])
     block = min(count, _BLOCK)
     width = _BLOCK_BYTES // (16 * block)
     anchor = block * (_ANCHOR // block)
-    out = np.zeros((len(rows), count), dtype=complex)
+    out = np.zeros((len(sigmas), count), dtype=complex)
     for n in range(0, t.size, width):
         tn, hn = t[n:n + width], base[:, n:n + width]
         e = np.empty((block, tn.size), dtype=complex)
@@ -235,36 +236,33 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
     """Phi of each row along s = sigma_r + i(f0 + step k), k = 0..count-1,
     with per-point error estimates from the final panel doubling.
 
-    rows is a sequence of integrands (a support and values(t)), each with
-    its own sigma from the matching sequence sigmas, and each evaluated at
-    all count rungs. A sequence with its own values(t) gives every row's
-    values at once, and its rows are read for their supports only
-    (formula's Lefschetz rows). All rows share one Gauss-Legendre grid over
-    the hull [lo, hi] of their supports, its first panels set by the
-    largest |f|, f_max. Panels double until every row agrees with the
-    previous pass to RTOL times its floor F, the pass's quadrature of
-    integral |e^{sigma t} h(t)| dt (>= |Phi| on the whole line), plus what
-    rounding leaves: a pass rounds each phase f t to eps |f t| and its
-    recurrence adds a few dozen eps, at most eps F (2 f_max max(|lo|, |hi|)
-    + 64), and subnormal node weights round to multiples of 2^-1074, at
-    most nodes * 2^-1074. So a row of rungs far below its floor stops with
-    the rest, and a row of zeros (A = 0) at once. A pass of over LADDER_CAP
-    points (rows x rungs x nodes) or _MAX_NODES nodes raises
-    TruncationBudgetExceeded before it runs, and so does a first pass whose
-    successor would (a pass returns only against the one before it, so the
-    first pass is checked at twice its nodes).
+    rows is one integrand: the grid covers its support (lo, hi), and its
+    values(t) gives one row per sigma in sigmas, else ValueError (a 1-D
+    array for one sigma: a bump is a ladder of one row; formula's Lefschetz
+    rows give every alpha L_j at once). Every row takes all count rungs on
+    one Gauss-Legendre grid, its first panels set by the largest |f|, f_max.
+    Panels double until every row agrees with the previous pass to RTOL
+    times its floor F, the pass's quadrature of integral |e^{sigma t} h(t)|
+    dt (>= |Phi| on the whole line), plus what rounding leaves: a pass
+    rounds each phase f t to eps |f t| and its recurrence adds a few dozen
+    eps, at most eps F (2 f_max max(|lo|, |hi|) + 64), and subnormal node
+    weights round to multiples of 2^-1074, at most nodes * 2^-1074. So a row
+    of rungs far below its floor stops with the rest, and a row of zeros
+    (A = 0) at once. A pass of over LADDER_CAP points (rows x rungs x nodes) or
+    _MAX_NODES nodes raises TruncationBudgetExceeded before it runs, and so
+    does a first pass whose successor would (a pass returns only against the
+    one before it, so the first pass is checked at twice its nodes).
     Returns (values, errors, panels): values and the per-point doubling
-    deltas have shape (rows, count).
+    deltas have shape (len(sigmas), count).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    lo = min(h.support[0] for h in rows)
-    hi = max(h.support[1] for h in rows)
+    lo, hi = rows.support
     fmax = max(abs(f0), abs(f0 + step * (count - 1)))
     panels, prev = max(8, _oscillation_panels(hi - lo, fmax)), None
     slack = RTOL + 2.0 * math.ulp(1.0) * (2.0 * fmax * max(abs(lo), abs(hi)) + 64.0)
     while ((nodes := panels * GL_ORDER * (2 if prev is None else 1)) <= _MAX_NODES
-           and len(rows) * count * nodes <= LADDER_CAP):
+           and len(sigmas) * count * nodes <= LADDER_CAP):
         cur, floor = _ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
         if prev is not None:
             err = np.abs(cur - prev)
@@ -273,7 +271,7 @@ def phi_ladder(rows, sigmas, f0: float, step: float, count: int):
         prev, panels = cur, 2 * panels
     raise TruncationBudgetExceeded(
         "ladder of %d rows x %d rungs: a pass of %d nodes (cap %d) takes %d points (LADDER_CAP %d)"
-        % (len(rows), count, nodes, _MAX_NODES, len(rows) * count * nodes, LADDER_CAP))
+        % (len(sigmas), count, nodes, _MAX_NODES, len(sigmas) * count * nodes, LADDER_CAP))
 
 
 def _exp_up(parts) -> float:

@@ -166,6 +166,8 @@ def lefschetz_weight(angles, j, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     d = np.minimum(j, 2 * len(angles) - np.asarray(j))
+    if d.min() < 0:
+        raise ValueError("degree j = %s is outside 0..2g = 0..%d" % (j, 2 * len(angles)))
     coef = np.zeros((d.max() + 1,) + t.shape)
     coef[0] = 1.0
     for theta in angles:
@@ -195,6 +197,8 @@ def zeros_in_window(model: FrobeniusModel, j: int, height: float) -> tuple[tuple
     log q add (3j + 4) eps pi, all of it over log q in Im s; the product
     period nu and the sum add 3 eps (height + period).
     """
+    if not 0 <= j <= 2 * model.datum.g:
+        raise ValueError("degree j = %d is outside 0..2g = 0..%d" % (j, 2 * model.datum.g))
     logq = math.log(model.datum.q)
     period = 2 * math.pi / logq
     eps = math.ulp(1.0)

@@ -24,10 +24,12 @@ discarded.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -114,19 +116,12 @@ class VerificationReport:
     j_range_note: str = J_RANGE_NOTE
 
 
-class _LefschetzRows(tuple):
-    """The rows alpha L_j, j in js, as one phi_ladder row sequence: each row
-    is alpha as far as its support goes, and values evaluates alpha once and
-    every L_j from one recurrence (exterior.lefschetz_weight), each row
-    bitwise alpha times its own L_j."""
-
-    def __new__(cls, alpha: TestFunction, angles: tuple[float, ...], js):
-        rows = super().__new__(cls, (alpha,) * len(js))
-        rows.angles, rows.js = angles, js
-        return rows
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return self[0].values(t) * lefschetz_weight(self.angles, self.js, t)
+def _lefschetz_rows(alpha: TestFunction, angles: tuple[float, ...], js) -> SimpleNamespace:
+    """The rows alpha L_j, j in js, as one phi_ladder integrand on alpha's
+    support: values evaluates alpha once and every L_j from one recurrence
+    (exterior.lefschetz_weight), each row bitwise alpha times its own L_j."""
+    return SimpleNamespace(support=alpha.support,
+                           values=lambda t: alpha.values(t) * lefschetz_weight(angles, js, t))
 
 
 def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[TraceResult]:
@@ -158,16 +153,16 @@ def trace_j(model: FrobeniusModel, js, tf: TestFunction, budget: float) -> list[
 
     Each j is planned on its own (_plan), then the rows alpha L_j, each with
     its own sigma = j/2, run as one phi_ladder call of the longest row's
-    rungs on one shared grid; panels is that call's. Returns one TraceResult
-    per j, in the order of js.
+    rungs, whose one integrand gives every row at once on alpha's support;
+    panels is that call's. A j outside 0..2g is a ValueError. Returns one
+    TraceResult per j, in the order of js.
     """
     if not budget > 0:
         raise ValueError("truncation budget must be positive")
     g = model.datum.g
     logq = math.log(model.datum.q)
     plans = [_plan(tf, g, j, 2.0 * math.pi / logq, budget) for j in js]
-    angles = tuple(theta / logq for theta in model.angles)
-    rows = _LefschetzRows(tf, angles, js)
+    rows = _lefschetz_rows(tf, tuple(theta / logq for theta in model.angles), js)
     count = max(plan[1] for plan in plans) + 1
     v, e, panels = phi_ladder(rows, [j / 2.0 for j in js], 0.0, 2 * math.pi / logq, count)
     return [
@@ -189,32 +184,27 @@ def _plan(tf: TestFunction, g: int, j: int, beta: float, budget: float) -> tuple
 
     nu_max is the least n >= NU_FLOOR whose tail, TailMajorant.tail(beta, n -
     rho_j) for sigma = j/2, is within budget / (C(2g, j) (2g + 1)). The tail
-    falls as n grows, so n doubles from NU_FLOOR until it is within, and the
-    last step is bisected. A rung costs at least one point, so n stops at
-    bumps.LADDER_CAP with TruncationBudgetExceeded.
+    falls as n grows: one evaluation at NU_FLOOR settles most j, and any
+    other is one bisection of NU_FLOOR..LADDER_CAP, about 33 evaluations. A
+    rung costs at least one point, so n stops at bumps.LADDER_CAP with
+    TruncationBudgetExceeded. A j outside 0..2g is a ValueError.
     """
+    if not 0 <= j <= 2 * g:
+        raise ValueError("degree j = %d is outside 0..2g = 0..%d" % (j, 2 * g))
     m = math.comb(2 * g, j)
     rho = max(1, min(j, 2 * g - j)) / 2.0
     sub_budget = budget / (m * (2 * g + 1))
     majorant = tail_majorant(tf, j / 2.0)
-
-    lo, hi = NU_FLOOR - 1, NU_FLOOR
-    tail = majorant.tail(beta, hi - rho)
-    while not tail <= sub_budget:
-        if hi >= LADDER_CAP:
-            raise TruncationBudgetExceeded(
-                "j = %d needs more than %d rungs for budget %.3g, and the cap is "
-                "LADDER_CAP = %d points" % (j, LADDER_CAP, budget, LADDER_CAP))
-        lo, hi = hi, min(2 * hi, LADDER_CAP)
-        tail = majorant.tail(beta, hi - rho)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        at_mid = majorant.tail(beta, mid - rho)
-        if at_mid <= sub_budget:
-            hi, tail = mid, at_mid
-        else:
-            lo = mid
-    return m, hi, tail
+    tail = majorant.tail(beta, NU_FLOOR - rho)
+    if tail <= sub_budget:
+        return m, NU_FLOOR, tail
+    n = bisect.bisect_left(range(LADDER_CAP + 1), True, NU_FLOOR,
+                           key=lambda n: majorant.tail(beta, n - rho) <= sub_budget)
+    if n > LADDER_CAP:
+        raise TruncationBudgetExceeded(
+            "j = %d needs more than %d rungs for budget %.3g, and the cap is "
+            "LADDER_CAP = %d points" % (j, LADDER_CAP, budget, LADDER_CAP))
+    return m, n, majorant.tail(beta, n - rho)
 
 
 def spectral_side_zero_sum(

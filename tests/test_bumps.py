@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ from weilflow.bumps import (
 from weilflow.errors import InputError, TruncationBudgetExceeded
 
 STD = BumpFunction()  # c=0, w=1, A=1
+
+
+def stack(rows):
+    """Integrands as one phi_ladder integrand of one row each: their hull as
+    its support, and their values as its rows."""
+    return SimpleNamespace(support=(min(h.support[0] for h in rows), max(h.support[1] for h in rows)),
+                           values=lambda t: np.array([h.values(t) for h in rows]))
 
 
 def test_bump_point_values():
@@ -161,7 +169,7 @@ def test_ladder_matches_pointwise():
     tf = combine_bumps([BumpFunction(center=1.6, width=0.5),
                         BumpFunction(center=-0.4, width=0.3, amplitude=1.5)])
     n = 40
-    (vals,), (errs,), panels = phi_ladder([tf], [0.5], 0.9 - beta * n, beta, 2 * n + 1)
+    (vals,), (errs,), panels = phi_ladder(tf, [0.5], 0.9 - beta * n, beta, 2 * n + 1)
     worst = 0.0
     for k in range(0, 2 * n + 1, 5):
         direct = phi(tf, complex(0.5, 0.9 + beta * (k - n))).value
@@ -177,17 +185,17 @@ WIDE = BumpFunction(*WIDE_PARTS[0])
 
 
 def test_ladder_rows_match_single_row_calls():
-    # rows are integrands, each with its own sigma, on one shared grid; each
-    # row stops doubling against its own floor, integral |e^{sigma t} h|, and
-    # still agrees with its own call to that call's error + RTOL * floor
+    # the rows of one integrand, each with its own sigma, on one shared grid;
+    # each row stops doubling against its own floor, integral |e^{sigma t} h|,
+    # and still agrees with its own call to that call's error + RTOL * floor
     beta = 2 * math.pi / math.log(5)
     n = 40
     rows, sigmas = [PAIR, WIDE, PAIR, WIDE], [0.5, 0.0, 2.0, 3.0]
-    vals, errs, panels = phi_ladder(rows, sigmas, 0.9 - beta * n, beta, 2 * n + 1)
+    vals, errs, panels = phi_ladder(stack(rows), sigmas, 0.9 - beta * n, beta, 2 * n + 1)
     assert vals.shape == errs.shape == (4, 2 * n + 1)
     single_panels = []
     for row, (parts, sigma) in enumerate(zip([PAIR_PARTS, WIDE_PARTS] * 2, sigmas)):
-        (v,), (e,), p = phi_ladder([rows[row]], [sigma], 0.9 - beta * n, beta, 2 * n + 1)
+        (v,), (e,), p = phi_ladder(rows[row], [sigma], 0.9 - beta * n, beta, 2 * n + 1)
         single_panels.append(p)
         floor = oracles.simpson_abs(sigma, parts, n=1 << 16)
         assert np.all(np.abs(vals[row] - v) <= e + RTOL * floor)
@@ -217,7 +225,7 @@ def test_ladder_floor_is_each_rows_absolute_mass(monkeypatch):
     for parts in cases:
         tf = combine_bumps([BumpFunction(*part) for part in parts])
         for sigma in (-2.0, 0.0, 3.0):
-            _, floor = bumps._ladder_pass([tf], [sigma], 0.0, beta, 1, 40, *tf.support)
+            _, floor = bumps._ladder_pass(tf, [sigma], 0.0, beta, 1, 40, *tf.support)
             want = oracles.simpson_abs(sigma, parts)
             assert abs(floor[0] - want) <= 1e-10 * want, (parts, sigma)
     # the floor is at least every |Phi| of its row, the triangle inequality
@@ -226,7 +234,7 @@ def test_ladder_floor_is_each_rows_absolute_mass(monkeypatch):
     cancel = [(0.0, 1.0, 1.0), (0.3, 0.8, -1.5)]
     rows = [STD, BumpFunction(0.7, 0.4, -2.5), combine_bumps([BumpFunction(*p) for p in cancel])]
     for sigma in (-2.0, 0.0, 3.0):
-        vals, _, _ = phi_ladder(rows, [sigma] * 3, -40 * beta, beta, 81)
+        vals, _, _ = phi_ladder(stack(rows), [sigma] * 3, -40 * beta, beta, 81)
         assert np.all(np.abs(vals) <= floors[-1][:, None] * (1 + 1e-13))
         assert floors[-1][2] < sum(oracles.simpson_abs(sigma, [p], n=1 << 16) for p in cancel)
 
@@ -238,7 +246,7 @@ def test_ladder_floor_stops_tiny_and_zero_rows(monkeypatch):
     # passes), as does a row of A = 0, whose values and errors are exact zeros
     floors = _last_floors(monkeypatch)
     rows = [STD, BumpFunction(0.5, 0.3, 0.0)]
-    vals, errs, _ = phi_ladder(rows, [0.5, 0.5], 3000.0, 3.9, 101)
+    vals, errs, _ = phi_ladder(stack(rows), [0.5, 0.5], 3000.0, 3.9, 101)
     assert len(floors) == 2
     assert np.abs(vals[0]).max() < 0.05 * RTOL * floors[-1][0]
     assert not vals[1].any() and not errs[1].any() and floors[-1][1] == 0.0
@@ -247,7 +255,7 @@ def test_ladder_floor_stops_tiny_and_zero_rows(monkeypatch):
     # would double on to LADDER_CAP), and so does verify with such a bump
     floors.clear()
     rows = [STD, BumpFunction(0.0, 1.0, 1e-310)]
-    vals, _, _ = phi_ladder(rows, [0.5, 0.5], 0.0, 3.9, 101)
+    vals, _, _ = phi_ladder(stack(rows), [0.5, 0.5], 0.0, 3.9, 101)
     assert 0.0 < floors[-1][1] < sys.float_info.min and len(floors) <= 4
     assert np.all(np.abs(vals[1]) <= floors[-1][1] * (1 + 1e-13))
     e5 = weilflow.parse_weil_datum({"q": 5, "trace": 2})
@@ -274,7 +282,7 @@ def test_ladder_pass_matches_direct_sum(count):
     rows, sigmas = (PAIR, PAIR, WIDE), (1.0, 0.0, 2.5)
     f0 = -1.3 - 40 * beta
     lo, hi = PAIR.support
-    got, floor = bumps._ladder_pass(rows, sigmas, f0, beta, count, 40, lo, hi)
+    got, floor = bumps._ladder_pass(stack(rows), sigmas, f0, beta, count, 40, lo, hi)
     want, mass, phase = _direct_pass(rows, sigmas, f0, beta, count, 40)
     # both sides round each phase f t to ~eps |f t|; the recurrence adds a
     # few dozen eps between anchors. The floors are the same node sums
@@ -286,18 +294,30 @@ def test_ladder_of_one_point_is_phi():
     tf = BumpFunction(center=1.6, width=0.5)
     s = complex(0.5, 9.0)
     r = phi(tf, s)
-    vals, errs, panels = phi_ladder([tf], [s.real], s.imag, 0.0, 1)
+    vals, errs, panels = phi_ladder(tf, [s.real], s.imag, 0.0, 1)
     assert vals.shape == errs.shape == (1, 1)
     assert (complex(vals[0, 0]), float(errs[0, 0]), panels) == (r.value, r.error, r.panels)
     twice = BumpFunction(center=1.6, width=0.5, amplitude=-2.0)
-    rows, row_errs, _ = phi_ladder([tf, twice], [s.real, s.real], s.imag, 0.0, 1)
+    rows, row_errs, _ = phi_ladder(stack([tf, twice]), [s.real, s.real], s.imag, 0.0, 1)
     assert rows.shape == row_errs.shape == (2, 1)
     assert abs(rows[0, 0] - r.value) <= r.error + RTOL * abs(r.value)
     assert abs(rows[1, 0] + 2.0 * r.value) <= 2.0 * (r.error + RTOL * abs(r.value))
     want, mass, phase = _direct_pass([tf], [s.real], s.imag, 0.0, 1, r.panels)
     assert abs(r.value - want[0, 0]) <= math.ulp(1.0) * mass[0] * (2 * phase + 64)
     with pytest.raises(ValueError, match="count must be >= 1"):
-        phi_ladder([tf], [s.real], s.imag, 0.0, 0)
+        phi_ladder(tf, [s.real], s.imag, 0.0, 0)
+
+
+def test_ladder_rows_must_match_sigmas():
+    # one row per sigma: an integrand of two rows with one sigma, or of one
+    # row with two, is refused, not cut to the shorter or broadcast
+    a, b = STD, BumpFunction(0.5, 0.3, 2.0)
+    with pytest.raises(ValueError, match="gives 2 rows for 1 sigmas"):
+        phi_ladder(stack([a, b]), [0.5], 0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="gives 1 rows for 2 sigmas"):
+        phi_ladder(a, [0.5, 1.0], 0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="gives 1 rows for 2 sigmas"):
+        phi_ladder(stack([a]), [0.5, 1.0], 0.0, 1.0, 3)
 
 
 def test_tail_majorant_spec_points():
@@ -446,9 +466,10 @@ def test_tail_majorant_order_range():
 
 
 def test_tail_majorant_reads_the_root_on_a_bracket_end():
-    # _plan's monotone search from the floor (n = NU_FLOOR, doubled, then
-    # bisected) returns the least n whose tail is within the sub-budget, also
-    # where that n is the floor itself or the end of a doubling bracket
+    # _plan's monotone search from the floor (n = NU_FLOOR, else one
+    # bisection up to LADDER_CAP) returns the least n whose tail is within the
+    # sub-budget, also where that n is the floor itself or an end of the
+    # brackets NU_FLOOR * 2^k that a doubling search stopped at
     from weilflow import formula
 
     tf, g, j = BumpFunction(center=math.log(5.0), width=0.5), 1, 1
@@ -542,7 +563,7 @@ def test_ladder_cap_is_checked_before_every_pass(monkeypatch):
     ladder_pass = bumps._ladder_pass
     monkeypatch.setattr(bumps, "_ladder_pass", lambda *a: passes.append(a[5]) or ladder_pass(*a))
     rows = [BumpFunction(), BumpFunction(0.5, 0.05), BumpFunction(-0.3, 0.5, 2.0)]
-    args = (rows, [0.0, 0.5, 1.0], 0.0, 3.9, 301)
+    args = (stack(rows), [0.0, 0.5, 1.0], 0.0, 3.9, 301)
     values, _, panels = phi_ladder(*args)
     every = passes[:]
     assert every[-1] == panels and len(every) >= 3

@@ -2,8 +2,10 @@
 must exist."""
 
 import ast
+import contextlib
 import dataclasses
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -25,6 +27,19 @@ def _has(owner, name: str) -> bool:
     if hasattr(owner, name):
         return True
     return dataclasses.is_dataclass(owner) and name in {f.name for f in dataclasses.fields(owner)}
+
+
+def test_readme_quick_start_prints_what_it_says():
+    # README's one Python block runs as written, and its first two prints
+    # give the literals its comments show
+    (block,) = re.findall(r"^```python\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.MULTILINE)
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(comments) == 4
+    assert comments[:2] == printed[:2] == ["True", "2.368316479307293"]
 
 
 def test_readme_names_exist():

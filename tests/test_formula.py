@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_bumps import stack
 from test_exterior import _angles, _period, _weil_products
 from weilflow import bumps, exterior, formula
 from weilflow.bumps import BumpFunction, combine_bumps, phi, phi_ladder, tail_majorant
@@ -140,21 +141,23 @@ def test_ladder_work_per_verify(monkeypatch):
     # one phi_ladder call per verify: every T_j is a 301-point half-ladder row
     # from 0 of that call, 3 rows on E/F_5 and 7 on the g = 3 product (one
     # call per j took 3 and 7 calls; one row per sublattice class 1,204 and
-    # 16,254 points, one ladder per sublattice 64 x 601)
+    # 16,254 points, one ladder per sublattice 64 x 601), all from one
+    # integrand on alpha's support
     calls = []
     ladder = formula.phi_ladder
 
     def counting(rows, sigmas, f0, step, count):
-        assert f0 == 0.0 and type(count) is int
-        calls.append((len(rows), count))
+        assert f0 == 0.0 and type(count) is int and rows.support == tf.support
+        calls.append((len(sigmas), count))
         out = ladder(rows, sigmas, f0, step, count)
         assert type(out[2]) is int
         return out
 
     monkeypatch.setattr(formula, "phi_ladder", counting)
+    tf = BumpFunction(center=LOG5, width=0.5)
     for w, rows in ((E5A2, 3), (G3, 7)):
         calls.clear()
-        assert verify(w, BumpFunction(center=LOG5, width=0.5), trunc_budget=1.0).passed
+        assert verify(w, tf, trunc_budget=1.0).passed
         assert calls == [(rows, 301)]
 
 
@@ -170,12 +173,12 @@ def test_shared_ladder_rows_match_one_row_ladders(doc, c, width, amp, budget):
     count = max(t.nu_max for t in spec.per_j) + 1
     js = tuple(t.j for t in spec.per_j)
     sigmas = [j / 2 for j in js]
-    v, e, panels = phi_ladder(formula._LefschetzRows(tf, _angles(model), js), sigmas, 0.0,
+    v, e, panels = phi_ladder(formula._lefschetz_rows(tf, _angles(model), js), sigmas, 0.0,
                               _period(model), count)
     assert {t.panels for t in spec.per_j} == {panels}
     for t, sigma in zip(spec.per_j, sigmas):
         assert t.value == math.fsum([v[t.j, 0].real, *(2.0 * v[t.j, 1:t.nu_max + 1].real)])
-        row = formula._LefschetzRows(tf, _angles(model), (t.j,))
+        row = formula._lefschetz_rows(tf, _angles(model), t.j)
         (v1,), (e1,), _ = phi_ladder(row, [sigma], 0.0, _period(model), count)
         assert np.abs(v[t.j] - v1).max() <= math.fsum(e[t.j]) + math.fsum(e1)
 
@@ -188,10 +191,9 @@ def test_shared_rows_are_each_rows_own_values():
     t = np.linspace(-0.31, 0.91, 257)
     for w in (E5A2, G3, parse_weil_datum(_product(2, [0] * 8))):
         angles, n = _angles(frobenius_model(w)), 2 * w.g + 1
-        rows = formula._LefschetzRows(tf, angles, tuple(range(n)))
+        rows = formula._lefschetz_rows(tf, angles, tuple(range(n)))
         shared = rows.values(t)
-        assert shared.shape == (n, t.size) and len(rows) == n
-        assert [row.support for row in rows] == [tf.support] * n
+        assert shared.shape == (n, t.size) and rows.support == tf.support
         for j in range(n):
             assert np.array_equal(shared[j], tf.values(t) * exterior.lefschetz_weight(angles, j, t))
 
@@ -265,7 +267,7 @@ def test_trace_counts_every_sublattice_zero_once():
             r = trace_j(model, [j], tf, budget=0.25)[0]
             n = r.nu_max
             rows = [_Shifted(tf, math.fsum(signed[i] for i in s)) for s in exterior.subsets(4, j)]
-            v, e, _ = phi_ladder(rows, [j / 2] * len(rows), -period * n, period, 2 * n + 1)
+            v, e, _ = phi_ladder(stack(rows), [j / 2] * len(rows), -period * n, period, 2 * n + 1)
             want = complex(math.fsum(v.real.ravel().tolist()), math.fsum(v.imag.ravel().tolist()))
             assert abs(r.value - want) <= r.quad_error + math.fsum(e.ravel().tolist())
 
@@ -289,6 +291,22 @@ def test_truncation_budget_drives_nu():
         assert formula._plan(tf, 1, 1, beta, budget)[2] <= budget / 6
     with pytest.raises(TruncationBudgetExceeded, match="cap is"):
         trace_j(M1, [1], BumpFunction(center=LOG5, width=1e-60), budget=0.25)
+
+
+def test_a_degree_outside_0_to_2g_is_a_value_error():
+    # on E/F_5 (2g = 2): C(2, 3) = 0 shares of the budget, comb's own
+    # message for j = -1, a negative recurrence index and an empty list of
+    # subsets each became a clear refusal naming the range
+    tf, t = BumpFunction(center=LOG5, width=0.5), np.linspace(-1.0, 1.0, 5)
+    calls = [lambda: trace_j(M1, [3], tf, 0.25), lambda: trace_j(M1, [-1], tf, 0.25),
+             lambda: exterior.lefschetz_weight(_angles(M1), 3, t),
+             lambda: exterior.lefschetz_weight(_angles(M1), [0, -1], t),
+             lambda: exterior.zeros_in_window(M1, 5, 3.0), lambda: exterior.zeros_in_window(M1, -1, 3.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"outside 0\.\.2g = 0\.\.2"):
+            call()
+    assert exterior.lefschetz_weight(_angles(M1), [0, 2], t).shape == (2, t.size)
+    assert len(exterior.zeros_in_window(M1, 2, 3.0)) == 1
 
 
 @pytest.mark.parametrize("width", [1e-60, 1e-100, 1e-320])
@@ -329,7 +347,7 @@ def test_a_large_amplitude_verifies_inside_the_ladder_cap(monkeypatch):
     ladder_pass = bumps._ladder_pass
 
     def sized(rows, sigmas, f0, step, count, panels, lo, hi):
-        sizes.append(len(rows) * count * panels * bumps.GL_ORDER)
+        sizes.append(len(sigmas) * count * panels * bumps.GL_ORDER)
         return ladder_pass(rows, sigmas, f0, step, count, panels, lo, hi)
 
     monkeypatch.setattr(bumps, "_ladder_pass", sized)
