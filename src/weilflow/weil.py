@@ -10,13 +10,15 @@ That is decided exactly on parse, never in floats. P is a Weil q-polynomial
 iff c_{2g-k} = q^{g-k} c_k (the functional equation) and the monic integer h
 with T^g h(T + q/T) = char(T) has every root real in [-2 sqrt q, 2 sqrt q]
 (Kedlaya, "Search techniques for root-unitary polynomials", 2008). Sturm
-counts decide the second condition, with the signs at +-2 sqrt q evaluated
-exactly as A + B sqrt q. A root x_i of h is the pair mu + conj(mu) =
-2 sqrt(q) cos theta_i: roots at +-2 sqrt q are divided out exactly and give
-the real roots +-sqrt q (theta = 0, pi); every other root is held in a
-bracket of adjacent floats where h changes sign exactly, so theta_i comes
-with a proven radius and the roots sqrt(q) e^{+-i theta_i} are built as exact
-conjugate pairs.
+counts on the square-free factors of h decide the second condition, with
+the signs at +-2 sqrt q evaluated exactly as A + B sqrt q. The chains and
+Yun's factors come from integer pseudo-remainders, positive multiples of
+the rational remainders, so no rational arithmetic is used. A root x_i of
+h is the pair mu + conj(mu) = 2 sqrt(q) cos theta_i: roots at +-2 sqrt q
+are divided out exactly and give the real roots +-sqrt q (theta = 0, pi);
+every other root is held in a bracket of adjacent floats where h changes
+sign exactly, so theta_i comes with a proven radius and the roots
+sqrt(q) e^{+-i theta_i} are built as exact conjugate pairs.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Optional
 
 from .errors import (
@@ -217,84 +219,70 @@ def companion_matrix(w: WeilDatum) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial arithmetic: lists of ascending coefficients.
+# Exact polynomial arithmetic: lists of ascending integer coefficients.
 
-def _fpoly_strip(p: list[Fraction]) -> list[Fraction]:
+def _strip(p: list[int]) -> list[int]:
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
 
 
-def _fpoly_derivative(p: list[Fraction]) -> list[Fraction]:
-    if len(p) == 1:
-        return [Fraction(0)]
-    return _fpoly_strip([p[k] * k for k in range(1, len(p))])
+def _derivative(p: list[int]) -> list[int]:
+    return _strip([p[k] * k for k in range(1, len(p))] or [0])
 
 
-def _fpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = [Fraction(c) for c in a]
-    db, lb = len(b) - 1, b[-1]
-    if db == 0:
-        return [x / lb for x in a], [Fraction(0)]
-    quot = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        shift = len(a) - 1 - db
-        factor = a[-1] / lb
-        quot[shift] = factor
-        for i in range(db + 1):
-            a[shift + i] -= factor * b[i]
-        a.pop()
-        _fpoly_strip(a)
-    return _fpoly_strip(quot), _fpoly_strip(a)
-
-
-def _fpoly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _fpoly_strip(a[:]), _fpoly_strip(b[:])
-    while len(b) > 1 or b[0] != 0:
-        _, r = _fpoly_divmod(a, b)
-        a, b = b, r
-    return [x / a[-1] for x in a]  # monic
-
-
-def _fpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _fpoly_strip([x - y for x, y in zip(a, b)])
-
-
-def _integral(p: list[Fraction]) -> list[int]:
-    """The positive multiple of p with the smallest integer coefficients;
+def _primitive(p: list[int]) -> list[int]:
+    """p over its content: the least positive multiple of p in integers, so
     it has the sign of p everywhere."""
-    scale = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * scale) for c in p]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
+    content = math.gcd(*p) or 1
+    return [c // content for c in p]
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quot, rem) with m a = quot b + rem and deg rem < deg b, where m is a
+    power of |lc b|: the running dividend is multiplied by |lc b| only when a
+    step would not divide exactly. So rem is a positive multiple of the
+    rational remainder, and quot is the exact quotient when b is monic or
+    divides a."""
+    rem, db, lb = a[:], len(b) - 1, b[-1]
+    quot = [0] * max(1, len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        if rem[shift + db] % lb:
+            rem, quot = [abs(lb) * c for c in rem], [abs(lb) * c for c in quot]
+        quot[shift] = rem[shift + db] // lb
+        for i, c in enumerate(b):
+            rem[shift + i] -= quot[shift] * c
+    return _strip(quot), _strip(rem[:db] or [0])
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of a and b with a positive leading coefficient."""
+    while b != [0]:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return _primitive(a if a[-1] > 0 else [-c for c in a])
 
 
 def _square_free_factors(asc: list[int]) -> list[tuple[list[int], int]]:
     """Yun decomposition of a monic integer polynomial (ascending).
 
-    Returns [(factor, multiplicity), ...] with each factor square-free, in
-    integers, and the product over factors^mult equal to the input.
+    Returns [(factor, multiplicity), ...] with each factor monic and
+    square-free, and the product over factors^mult equal to the input. Every
+    gcd divides a monic integer polynomial, so by Gauss's lemma it is monic
+    in integers and every division is exact.
     """
-    asc = [Fraction(c) for c in asc]
-    d = _fpoly_derivative(asc)
-    g0 = _fpoly_gcd(asc, d)
+    d = _derivative(asc)
+    g0 = _gcd(asc, d)
     if len(g0) == 1:
-        return [(_integral(asc), 1)]
+        return [(asc, 1)]
     out: list[tuple[list[int], int]] = []
-    w, _ = _fpoly_divmod(asc, g0)
-    y, _ = _fpoly_divmod(d, g0)
-    z = _fpoly_sub(y, _fpoly_derivative(w))
+    w, y = _pseudo_divmod(asc, g0)[0], _pseudo_divmod(d, g0)[0]
     i = 1
     while len(w) > 1:
-        gi = _fpoly_gcd(w, z)
+        z = _strip([s - t for s, t in zip_longest(y, _derivative(w), fillvalue=0)])
+        gi = _gcd(w, z)
         if len(gi) > 1:
-            out.append((_integral(gi), i))
-        w, _ = _fpoly_divmod(w, gi)
-        y, _ = _fpoly_divmod(z, gi)
-        z = _fpoly_sub(y, _fpoly_derivative(w))
+            out.append((gi, i))
+        w, y = _pseudo_divmod(w, gi)[0], _pseudo_divmod(z, gi)[0]
         i += 1
     return out
 
@@ -361,10 +349,9 @@ def _variations(signs) -> int:
 def _sturm_chain(f: list[int]) -> list[list[int]]:
     """f, f', then minus each remainder, each scaled by a positive integer;
     f square-free, so the chain ends at a nonzero constant."""
-    chain = [f, _integral(_fpoly_derivative(f))]
+    chain = [f, _primitive(_derivative(f))]
     while len(chain[-1]) > 1:
-        _, r = _fpoly_divmod(chain[-2], chain[-1])
-        chain.append(_integral([-c for c in r]))
+        chain.append(_primitive([-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]))
     return chain
 
 
@@ -395,8 +382,9 @@ def _angle(x: float, q: int) -> tuple[float, complex]:
     Re mu = x/2 exactly, Im mu = sqrt(q - (x/2)^2) rounded once, theta =
     arg mu. A bracket may reach just past +-2 sqrt q; Im mu is 0 there."""
     re = x / 2
-    im2 = q - Fraction(re) ** 2
-    mu = complex(re, math.sqrt(im2) if im2 > 0 else 0.0)
+    n, d = re.as_integer_ratio()
+    im2 = q * d * d - n * n  # (q - re^2) d^2
+    mu = complex(re, math.sqrt(im2 / (d * d)) if im2 > 0 else 0.0)
     return cmath.phase(mu), mu
 
 
@@ -422,9 +410,9 @@ def _weil_roots(coeffs: tuple[int, ...], q: int):
     for f, mult in _square_free_factors(h):
         pairs = []  # (theta, mu, radius) per root x of f
         for edge, ends in edges:
-            quot, rem = _fpoly_divmod(f, edge)
+            quot, rem = _pseudo_divmod(f, edge)  # edge is monic: exact
             if rem == [0]:
-                f = _integral(quot)
+                f = quot
                 pairs += [(theta, complex(re, 0.0), 0.0) for theta, re in ends]
         if len(f) > 1:
             chain = _sturm_chain(f)

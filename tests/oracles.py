@@ -16,6 +16,7 @@ import cmath
 import collections
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -223,36 +224,77 @@ def weil_poly_from_h(g, q, tail):
     return char[::-1]
 
 
+def _sympy_accepts(g, q, tail):
+    """Whether every root of h = x^g + h_1 x^{g-1} + ... + h_g is real and
+    lies in [-2 sqrt q, 2 sqrt q]: equivalently all g roots of F(y) = (-1)^g
+    h(sqrt y) h(-sqrt y), counted with multiplicity, are real and lie in [0,
+    4q], which sympy's real-root isolation decides exactly on rational
+    bounds."""
+    from sympy import Poly, symbols
+
+    h = (1, *tail)  # descending in x; h(x) h(-x) in y = x^2, descending
+    even = [sum(h[i] * h[2 * m - i] * (-1) ** (g - i) for i in range(max(0, 2 * m - g), min(g, 2 * m) + 1))
+            for m in range(g + 1)]
+    return sum(mult for _, mult in Poly(even, symbols("y")).intervals(inf=0, sup=4 * q)) == g
+
+
 def weil_polynomials(g, q):
     """Every Weil q-polynomial of degree 2g, ascending, in the order of
     real_weil_box.
 
-    weil_poly_from_h(h) is one iff every root of h is real and lies in
-    [-2 sqrt q, 2 sqrt q]. Equivalently all g roots of F(y) = (-1)^g
-    h(sqrt y) h(-sqrt y), counted with multiplicity, are real and lie in [0,
-    4q], which sympy's real-root isolation decides exactly on rational
-    bounds. A float screen (roots of h more than 1e-3 off the real segment,
-    far past the perturbation of a root of multiplicity 3 or less) only
-    skips the exact decision: a valid polynomial it dropped would show as
-    one that weilflow accepts and this list lacks.
+    weil_poly_from_h(h) is one iff _sympy_accepts(h). A float screen (roots
+    of h more than 1e-3 off the real segment, far past the perturbation of a
+    root of multiplicity 3 or less) only skips the exact decision: a valid
+    polynomial it dropped would show as one that weilflow accepts and this
+    list lacks.
     """
-    from sympy import Poly, symbols
-
-    y = symbols("y")
     box = real_weil_box(g, q)
     companion = np.zeros((len(box), g, g))
     companion[:, 0, :] = -np.array(box, dtype=float)
     companion[:, np.arange(1, g), np.arange(g - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
     near = np.all((np.abs(roots.imag) <= 1e-3) & (np.abs(roots.real) <= 2 * math.sqrt(q) + 1e-3), axis=1)
+    return [weil_poly_from_h(g, q, tail) for tail in itertools.compress(box, near)
+            if _sympy_accepts(g, q, tail)]
+
+
+RANDOM_FIELDS = (5, 7, 49, 101, 10_007)
+
+
+def random_real_weil_tails(count, seed):
+    """count seeded tails (g, q, (h_1, .., h_g)): the coefficients of
+    prod (x - x_i) over g uniform reals x_i in [-2 sqrt q, 2 sqrt q], each
+    rounded to an integer, with g in 2..8 and q in RANDOM_FIELDS. Rounding
+    moves some roots off the segment or off the real line, so only some
+    draws give Weil polynomials, and few of those are products."""
+    rng = random.Random(seed)
     out = []
-    for tail in itertools.compress(box, near):
-        h = (1, *tail)  # descending in x; h(x) h(-x) in y = x^2, descending
-        even = [sum(h[i] * h[2 * m - i] * (-1) ** (g - i) for i in range(max(0, 2 * m - g), min(g, 2 * m) + 1))
-                for m in range(g + 1)]
-        if sum(mult for _, mult in Poly(even, y).intervals(inf=0, sup=4 * q)) == g:
-            out.append(weil_poly_from_h(g, q, tail))
+    for _ in range(count):
+        g, q = rng.randint(2, 8), rng.choice(RANDOM_FIELDS)
+        h = [1.0]  # descending
+        for _ in range(g):
+            x = rng.uniform(-2 * math.sqrt(q), 2 * math.sqrt(q))
+            h = [a - x * b for a, b in zip(h + [0.0], [0.0] + h)]
+        out.append((g, q, tuple(round(c) for c in h[1:])))
     return out
+
+
+def sympy_weil_angles(g, q, tail, dps=40):
+    """Sorted Frobenius angles arccos(x / 2 sqrt q) of h = x^g + h_1 x^{g-1}
+    + ... + h_g, as mpmath numbers at dps digits, when _sympy_accepts(h);
+    None otherwise. Each root x is the midpoint of a sympy isolating
+    interval of width at most 10^-dps, repeated by its multiplicity."""
+    import mpmath
+    from sympy import Poly, Rational, symbols
+
+    if not _sympy_accepts(g, q, tail):
+        return None
+    roots = Poly((1, *tail), symbols("x")).intervals(eps=Rational(1, 10 ** dps))
+    with mpmath.workdps(dps):
+        mids = [(mpmath.mpf(lo.p) / lo.q + mpmath.mpf(hi.p) / hi.q) / 2 for (lo, hi), _ in roots]
+        # the closed segment: a root at +-2 sqrt q may sit a rounding past it
+        cosines = [max(-1, min(1, x / (2 * mpmath.sqrt(q)))) for x in mids]
+        return sorted(mpmath.acos(c) for c, (_, mult) in zip(cosines, roots) for _ in range(mult))
 
 
 def sympy_charpoly_ascending(rows):

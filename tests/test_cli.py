@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from test_formula import _product
+from test_formula import _product, _shift_angles
 from weilflow import cli, exterior, intlinalg
 from weilflow.cli import main
 
@@ -248,6 +248,15 @@ def test_verify_failure_exit_code(capsys, datum):
     )
     assert rc == 2
     assert "TruncationBudgetExceeded" in err
+
+
+def test_verify_that_fails_exits_2_with_an_empty_stderr(capsys, datum, monkeypatch):
+    # a failed check is a computed verdict, not an error: the report ends
+    # in FAIL and nothing goes to stderr
+    _shift_angles(monkeypatch, 1e-5)
+    rc, out, err = run(capsys, ["verify", "--input", datum(E5A2), "--alpha", "c=%r,w=0.5" % math.log(5)])
+    assert rc == 2 and err == ""
+    assert out.splitlines()[-1] == "FAIL"
 
 
 @pytest.mark.parametrize("argv", [

@@ -588,6 +588,28 @@ def test_verify_ordinarity_gate():
     assert abs(rep.geometric.total - 6 * LOG5 * math.exp(-1)) < 1e-13
 
 
+def _shift_angles(monkeypatch, delta):
+    # a defect planted on the zero side only: every Frobenius angle that
+    # verify reads is moved by delta, while the counts stay exact
+    real = formula.frobenius_model
+    monkeypatch.setattr(formula, "frobenius_model",
+                        lambda w: replace(real(w), angles=tuple(t + delta for t in real(w).angles)))
+
+
+def test_a_shifted_angle_fails_verify(monkeypatch):
+    # at the default tol this bump detects a shift of E/F_5's angle from
+    # 1.5e-6; one of 1e-5 moves the zero sum by 2.4e-5 against an allowance
+    # of 3.4e-6, and the two count sides still agree
+    tf = BumpFunction(center=LOG5, width=0.5)
+    assert verify(E5A2, tf).passed
+    _shift_angles(monkeypatch, 1e-5)
+    rep = verify(E5A2, tf)
+    assert not rep.passed
+    assert rep.residuals["closed_form_vs_geometric"] <= rep.allowance
+    assert rep.residuals["zero_sum_vs_closed_form"] > rep.allowance
+    assert rep.residuals["zero_sum_vs_geometric"] > rep.allowance
+
+
 def test_verify_runs_the_exact_route_once(monkeypatch):
     # parse and every later verify of one datum share one cached decision of
     # the Riemann hypothesis, so repeated ops never pay for it again

@@ -441,3 +441,63 @@ def test_irrational_roots_get_a_proven_bracket():
         step = math.ulp(math.sqrt(7)) / (2 * math.sqrt(5) * math.sin(theta))
         assert 0.0 < model.precision <= step + 2 * math.ulp(theta)
         assert float(abs(theta - exact)) <= model.precision + 4 * math.ulp(math.pi)
+
+
+@pytest.mark.parametrize("q, traces", [*((5, (a,)) for a in range(-4, 5)), (5, (1, -3, 4)), (49, (-13, 5, 5))])
+def test_float_roots_come_back_exact(q, traces):
+    # h = prod (x - a) has double roots a: _isolate ends on each (a, a)
+    # bracket, so the angle is the rounded arg of a/2 + i sqrt(q - (a/2)^2)
+    # with radius 0
+    model = frobenius_model(parse_weil_datum(_product_doc(q, [[-a, 1] for a in traces])))
+    assert model.precision == 0.0
+    assert model.angles == tuple(sorted(math.atan2(math.sqrt(q - (a / 2) ** 2), a / 2) for a in traces))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+       b=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9).filter(any),
+       monic=st.booleans(), divides=st.booleans())
+def test_pseudo_division_keeps_signs(a, b, monic, divides):
+    # m a = quot b + rem with m > 0: rem is a positive multiple of the
+    # rational remainder, which the Sturm counts rest on, and quot is exact
+    # when b is monic or divides a
+    x = sympy.symbols("x")
+    b = weilflow.weil._strip(b[:])
+    if monic:
+        b[-1] = 1
+    if divides:
+        a = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+             for k in range(len(a) + len(b) - 1)]
+    quot, rem = weilflow.weil._pseudo_divmod(a, b)
+    A, B = (sympy.Poly(p[::-1], x, domain=sympy.QQ) for p in (a, b))
+    R = sympy.Poly(rem[::-1], x, domain=sympy.QQ)
+    want = A.rem(B)
+    if want.is_zero:
+        assert rem == [0]
+    else:
+        scale = R.LC() / want.LC()
+        assert scale > 0 and R == want * scale
+    if monic or divides:
+        assert sympy.Poly(quot[::-1], x, domain=sympy.QQ) == A.quo(B)
+
+
+def test_random_weil_polynomials_parse_as_sympy_decides():
+    """300 seeded draws of h from oracles.random_real_weil_tails, g = 2..8
+    and q in 5, 7, 49, 101, 10,007. sympy accepts 149 of them, and 104 of
+    those have an irreducible factor of degree 3 or more. Parse must accept
+    exactly those, with every angle within the proven radius (plus the
+    rounding of Im mu and of the phase) of sympy's, and refuse the rest."""
+    accepted = 0
+    for g, q, tail in oracles.random_real_weil_tails(300, seed=23):
+        doc = {"q": q, "g": g, "weil_poly": oracles.weil_poly_from_h(g, q, tail)}
+        want = oracles.sympy_weil_angles(g, q, tail)
+        if want is None:
+            with pytest.raises(RiemannHypothesisViolation):
+                parse_weil_datum(doc)
+            continue
+        model = frobenius_model(parse_weil_datum(doc))
+        accepted += 1
+        assert len(model.angles) == len(want) == g
+        for theta, exact in zip(model.angles, want):
+            assert float(abs(theta - exact)) <= model.precision + 4 * math.ulp(math.pi), (doc, theta, exact)
+    assert accepted == 149
